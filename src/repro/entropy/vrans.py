@@ -2,9 +2,9 @@
 
 The scalar coders in :mod:`repro.entropy.coder` and
 :mod:`repro.entropy.rans` spend almost all of their time in a
-per-symbol Python loop — the dominant cost of every compress and
-decompress in this repo.  This module removes that loop: ``N``
-independent rANS states (*lanes*) advance together as numpy vectors,
+per-symbol Python loop — most of the cost of every rule-based
+compress and decompress in this repo.  This module removes that loop:
+``N`` independent rANS states (*lanes*) advance together as numpy vectors,
 one *step* (= one symbol per lane) at a time, so the Python-level trip
 count drops from ``n_symbols`` to ``ceil(n_symbols / lanes)`` and each
 trip is a handful of vectorized gathers, divisions and masked stores.

@@ -120,7 +120,9 @@ class TestIntCodec:
         assert off2 == len(blob)
 
     def test_huge_range_falls_back_to_varints(self):
-        vals = np.array([0, 10_000_000, -123456, 42])
+        info = np.iinfo(np.int64)
+        vals = np.array([0, 10_000_000, -123456, 42, info.min, info.max,
+                         info.min + 1, info.max - 1])
         data = encode_ints(vals)
         back, off = decode_ints(data)
         np.testing.assert_array_equal(back, vals)
