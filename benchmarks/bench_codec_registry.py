@@ -131,8 +131,7 @@ def _facade_overhead() -> dict:
     def session_run() -> bytes:
         archive = session.compress(
             "e3sm", bound=Bound.nrmse(REL_BOUND), variables=[0],
-            shards=FACADE_SHARDS, dataset_overrides=FACADE_OVERRIDES,
-            keep_reconstruction=False)
+            shards=FACADE_SHARDS, dataset_overrides=FACADE_OVERRIDES)
         return archive.to_bytes()
 
     walls = {}
@@ -545,8 +544,7 @@ def _archive_partial_decode(tmp_path) -> dict:
     session = Session(codec="szlike", executor="serial")
     archive = session.compress(
         "e3sm", bound=Bound.nrmse(REL_BOUND), variables=[0],
-        shards=ARCHIVE_SHARDS, dataset_overrides=ARCHIVE_OVERRIDES,
-        keep_reconstruction=False)
+        shards=ARCHIVE_SHARDS, dataset_overrides=ARCHIVE_OVERRIDES)
     path = tmp_path / "bench_archive.shrd"
     archive.save(path)
     size = path.stat().st_size

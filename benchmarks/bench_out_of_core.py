@@ -97,7 +97,7 @@ def test_out_of_core_smoke(tmp_path):
     t0 = time.perf_counter()
     archive = session.compress(
         str(npy_path), bound=Bound.nrmse(REL_BOUND), shards=OOC_SHARDS,
-        chunk_shards=OOC_CHUNK_SHARDS, keep_reconstruction=False)
+        chunk_shards=OOC_CHUNK_SHARDS)
     compress_wall = time.perf_counter() - t0
     rss_delta = max(0, _rss_bytes() - baseline)
     assert rss_delta <= OOC_RSS_CEILING_BYTES, (

@@ -34,13 +34,10 @@ executors, artifact store), :mod:`repro.baselines`
 (SZ3/ZFP/CDC/GCD/VAE-SR analogues), :mod:`repro.data` (synthetic
 datasets).
 
-Deprecated top-level names: importing ``MultiVariableCompressor`` or
-``StreamingCompressor`` from ``repro`` warns — route multi-variable
-and streaming workloads through :meth:`Session.compress` (or import
-the classes from :mod:`repro.pipeline` directly).
+Multi-variable and streaming workloads go through
+:meth:`Session.compress`; the ``MultiVariableCompressor`` and
+``StreamingCompressor`` classes live in :mod:`repro.pipeline`.
 """
-
-import warnings as _warnings
 
 from .config import (DiffusionConfig, PipelineConfig, ReproConfig, VAEConfig,
                      paper, small, tiny)
@@ -59,28 +56,6 @@ from .api import Archive, Bound, Session, SessionError
 
 __version__ = "1.4.0"
 
-#: top-level names now served through Session; importing them from
-#: ``repro`` still works but emits a DeprecationWarning
-_DEPRECATED = {
-    "MultiVariableCompressor":
-        "route multi-variable workloads through repro.Session.compress"
-        "({'name': stack, ...}) or import it from repro.pipeline",
-    "StreamingCompressor":
-        "route streaming workloads through repro.Session.compress"
-        "(frame_iterator) or import it from repro.pipeline",
-}
-
-
-def __getattr__(name):
-    if name in _DEPRECATED:
-        _warnings.warn(
-            f"repro.{name} is deprecated: {_DEPRECATED[name]}",
-            DeprecationWarning, stacklevel=2)
-        from . import pipeline
-        return getattr(pipeline, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Session", "Archive", "Bound", "SessionError",
     "VAEConfig", "DiffusionConfig", "PipelineConfig", "ReproConfig",
@@ -94,7 +69,6 @@ __all__ = [
     "CodecEngine", "BatchResult",
     "Codec", "CodecResult", "register_codec", "get_codec", "list_codecs",
     "as_codec",
-    "StreamingCompressor", "StreamArchive",
-    "MultiVariableCompressor", "MultiVarArchive", "MultiVarResult",
+    "StreamArchive", "MultiVarArchive", "MultiVarResult",
     "__version__",
 ]

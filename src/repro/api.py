@@ -66,6 +66,7 @@ from .codecs import (Codec, LatentDiffusionCodec, as_codec, get_codec,
 from .data.base import SpatiotemporalDataset, train_test_windows
 from .data.registry import (DatasetSpec, get_dataset_spec, list_datasets,
                             spec_of)
+from .entropy.backend import DEFAULT_BACKEND as DEFAULT_ENTROPY
 from .entropy.backend import get_backend as get_entropy_backend
 from .entropy.backend import using_backend
 from .pipeline.artifacts import (ArtifactStore, is_artifact,
@@ -105,6 +106,16 @@ DEFAULT_CODEC = "ours"
 class SessionError(ValueError):
     """A facade-level dispatch/selection problem (bad codec choice,
     unrecognized container, missing model state)."""
+
+
+def _entropy_name(backend: Optional[str], fallback: str) -> str:
+    """Registered name of an entropy-backend choice (``None``: the
+    fallback's)."""
+    try:
+        return get_entropy_backend(
+            fallback if backend is None else backend).name
+    except KeyError as exc:
+        raise SessionError(exc.args[0]) from None
 
 
 # ----------------------------------------------------------------------
@@ -446,9 +457,12 @@ class Session:
         ``"arithmetic"`` (the legacy default), ``"rans"``, ``"vrans"``
         (the vectorized fast path), or ``"trans"`` (table-cached LUT
         rANS — fastest decode, reuses tables across windows) — see
-        :mod:`repro.entropy.backend`.  ``None`` keeps the process
-        default.  Decoding never needs it: streams carry a backend
-        tag, and untagged legacy streams decode via arithmetic.
+        :mod:`repro.entropy.backend`.  ``None`` selects
+        ``"arithmetic"``.  Every job carries the selection into the
+        threads and processes that run it, so concurrent jobs with
+        different selections never change each other's output.
+        Decoding never needs it: streams carry a backend tag, and
+        untagged legacy streams decode via arithmetic.
     """
 
     def __init__(self, codec: Union[str, Codec, object, None] = None,
@@ -463,12 +477,8 @@ class Session:
         self.model = model
         self.seed = seed
         self.chunk_windows = chunk_windows
-        try:
-            self.entropy_backend = (
-                None if entropy_backend is None
-                else get_entropy_backend(entropy_backend).name)
-        except KeyError as exc:
-            raise SessionError(exc.args[0]) from None
+        self.entropy_backend = _entropy_name(entropy_backend,
+                                             DEFAULT_ENTROPY)
         self.executor = get_executor(executor, max_workers=workers)
         self.workers = self.executor.max_workers
         if store is not None and not isinstance(store, ArtifactStore):
@@ -520,11 +530,9 @@ class Session:
         self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        backend = (f" entropy={self.entropy_backend!r}"
-                   if self.entropy_backend else "")
         return (f"<Session codec={self._default_name!r} "
-                f"executor={self.executor.name!r}{backend} "
-                f"seed={self.seed}>")
+                f"executor={self.executor.name!r} "
+                f"entropy={self.entropy_backend!r} seed={self.seed}>")
 
     # -- codec resolution ----------------------------------------------
     def _load_artifact_codec(self, artifact: str,
@@ -621,7 +629,6 @@ class Session:
                  chunk_windows: Optional[int] = None,
                  chunk_shards: Optional[int] = None,
                  dataset_overrides: Optional[dict] = None,
-                 keep_reconstruction: bool = True,
                  entropy_backend: Optional[str] = None) -> Archive:
         """Compress any supported source into an :class:`Archive`.
 
@@ -658,11 +665,7 @@ class Session:
         target = Bound.coalesce(bound=bound, error_bound=error_bound,
                                 nrmse_bound=nrmse_bound)
         seed = self.seed if seed is None else seed
-        try:
-            entropy = (self.entropy_backend if entropy_backend is None
-                       else get_entropy_backend(entropy_backend).name)
-        except KeyError as exc:
-            raise SessionError(exc.args[0]) from None
+        entropy = _entropy_name(entropy_backend, self.entropy_backend)
 
         if isinstance(source, Mapping) or (
                 isinstance(source, np.ndarray) and source.ndim == 4):
@@ -678,7 +681,7 @@ class Session:
         if isinstance(source, (str, DatasetSpec, SpatiotemporalDataset)):
             return self._compress_plan(source, codec, target, variables,
                                        shards, seed, dataset_overrides,
-                                       keep_reconstruction, entropy)
+                                       entropy)
         if isinstance(source, np.ndarray):
             if source.ndim != 3:
                 raise SessionError(
@@ -686,8 +689,7 @@ class Session:
                     f"shape {source.shape}")
             if shards is not None and shards > 1:
                 return self._compress_sharded_stack(
-                    source, codec, target, shards, seed, label,
-                    keep_reconstruction, entropy)
+                    source, codec, target, shards, seed, label, entropy)
             return self._compress_stack(source, codec, target, seed,
                                         entropy)
         if isinstance(source, Iterable):
@@ -700,12 +702,12 @@ class Session:
 
     # per-source pipelines ------------------------------------------------
     def _engine(self, codec: Codec, seed: int,
-                entropy: Optional[str]) -> CodecEngine:
+                entropy: str) -> CodecEngine:
         return CodecEngine(codec, base_seed=seed, executor=self.executor,
                            entropy_backend=entropy)
 
     def _compress_stack(self, frames: np.ndarray, codec, target,
-                        seed: int, entropy: Optional[str]) -> Archive:
+                        seed: int, entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         with using_backend(entropy):
             result = resolved.compress_bounded(frames, bound=target,
@@ -735,8 +737,7 @@ class Session:
             "wall_seconds": batch.wall_seconds})
 
     def _compress_sharded_stack(self, frames, codec, target, shards,
-                                seed, label, keep_reconstruction,
-                                entropy: Optional[str]) -> Archive:
+                                seed, label, entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         slices = time_slices(frames.shape[0], shards=shards)
         stem = label or "stack"
@@ -744,13 +745,12 @@ class Session:
                 for a, b in slices]
         engine = self._engine(resolved, seed, entropy)
         batch = engine.compress([frames[a:b] for a, b in slices],
-                                bound=target,
-                                keep_reconstruction=keep_reconstruction)
+                                bound=target, keep_reconstruction=False)
         return self._pack_shards(resolved, meta, batch)
 
     def _compress_out_of_core(self, src, codec, target, shards, seed,
                               label, chunk_shards,
-                              entropy: Optional[str]) -> Archive:
+                              entropy: str) -> Archive:
         """Sharded compression streamed from an on-disk/mapped source.
 
         The time axis splits exactly like the in-memory sharded path,
@@ -797,15 +797,14 @@ class Session:
         return archive
 
     def _compress_plan(self, dataset, codec, target, variables, shards,
-                       seed, dataset_overrides, keep_reconstruction,
-                       entropy: Optional[str]) -> Archive:
+                       seed, dataset_overrides, entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         spec = self._dataset_spec(dataset, dataset_overrides)
         plan: ShardPlan = plan_shards(spec, variables=variables,
                                       shards=shards or 1, base_seed=seed)
         engine = self._engine(resolved, seed, entropy)
         batch = engine.compress_plan(plan, bound=target,
-                                     keep_reconstruction=keep_reconstruction)
+                                     keep_reconstruction=False)
         meta = [(t.shard_id, t.variable, t.t0, t.t1) for t in plan]
         return self._pack_shards(resolved, meta, batch)
 
@@ -851,11 +850,7 @@ class Session:
         target = Bound.coalesce(bound=bound, error_bound=error_bound,
                                 nrmse_bound=nrmse_bound)
         seed = self.seed if seed is None else seed
-        try:
-            entropy = (self.entropy_backend if entropy_backend is None
-                       else get_entropy_backend(entropy_backend).name)
-        except KeyError as exc:
-            raise SessionError(exc.args[0]) from None
+        entropy = _entropy_name(entropy_backend, self.entropy_backend)
         resolved = self.resolve_codec(codec)
         spec = self._dataset_spec(dataset, dataset_overrides)
         if window is None and shards is None:
@@ -877,7 +872,7 @@ class Session:
                      "codec": codec_spec,
                      "bound": (None if target is None
                                else [target.kind, target.value]),
-                     "entropy_backend": entropy or "arithmetic",
+                     "entropy_backend": entropy,
                      "seed": seed, "shards": shards, "window": window,
                      "variables": (None if variables is None
                                    else list(variables))}
@@ -912,7 +907,7 @@ class Session:
         return archive
 
     def _compress_multivar(self, data, codec, target, names, seed,
-                           entropy: Optional[str]) -> Archive:
+                           entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         mv = MultiVariableCompressor(resolved, max_workers=self.workers)
         with using_backend(entropy):
@@ -925,8 +920,7 @@ class Session:
             "variables": result.variables})
 
     def _compress_stream(self, frames, codec, target, seed,
-                         chunk_windows,
-                         entropy: Optional[str]) -> Archive:
+                         chunk_windows, entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         sc = StreamingCompressor(
             resolved, chunk_windows=chunk_windows or self.chunk_windows)

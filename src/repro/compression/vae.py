@@ -171,7 +171,7 @@ class VAEHyperprior(Module):
         (so callers — the keyframe pipeline — can reuse them as
         conditioning without a decode pass).  ``entropy_backend``
         selects the symbol coder for both streams (``None`` uses the
-        process default); the choice rides in the stream headers so
+        calling thread's default); the choice rides in the stream headers so
         :meth:`decompress` self-selects.
         """
         from ..entropy.backend import get_backend

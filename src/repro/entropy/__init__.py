@@ -20,8 +20,9 @@ Implements the pieces the paper's rate model relies on (Sec. 3.1):
 * the pluggable backend registry tying them together
   (:mod:`repro.entropy.backend`): ``get_backend("arithmetic" | "rans"
   | "vrans" | "trans")``, one-byte wire tags for container headers,
-  and a process-wide default that ``Session(entropy_backend=...)``
-  scopes.
+  and a per-job default selection (a context variable, so each thread
+  has its own) that ``Session(entropy_backend=...)`` sets with
+  ``using_backend``.
 
 Strict decoders raise :class:`EntropyDecodeError` (a ``ValueError``)
 on corrupted streams instead of returning garbage.
@@ -30,8 +31,7 @@ on corrupted streams instead of returning garbage.
 from .backend import (DEFAULT_BACKEND, LEGACY_TAG, EntropyBackend,
                       backend_from_tag, get_backend,
                       get_default_backend, list_backends,
-                      register_backend, set_default_backend,
-                      using_backend)
+                      register_backend, using_backend)
 from .coder import (EntropyDecodeError, check_contexts, decode_symbols,
                     encode_symbols)
 from .factorized import FactorizedDensity
@@ -54,6 +54,6 @@ __all__ = [
     "encode_symbols_trans", "decode_symbols_trans", "TableCache",
     "get_table_cache", "EntropyDecodeError",
     "EntropyBackend", "get_backend", "backend_from_tag", "list_backends",
-    "register_backend", "get_default_backend", "set_default_backend",
-    "using_backend", "DEFAULT_BACKEND", "LEGACY_TAG",
+    "register_backend", "get_default_backend", "using_backend",
+    "DEFAULT_BACKEND", "LEGACY_TAG",
 ]

@@ -35,11 +35,15 @@ the coder behind that contract a named, tagged strategy:
 Each backend owns a one-byte wire ``tag`` (> 0) that containers store
 in their stream headers so decoders self-select; tag ``0`` is reserved
 for untagged legacy streams and resolves to ``arithmetic``.  The
-module-level *default* backend is what encoders use when no explicit
-choice is passed — ``Session(entropy_backend=...)`` and the CLI's
-``--entropy-backend`` flag scope it with :func:`using_backend`, and
-process-pool workers receive it per job, so sweeps stay byte-identical
-across executors.
+*default* backend — what encoders use when no explicit choice is
+passed — is selected per job: :func:`using_backend` sets it in a
+context variable, so each thread has its own selection and a new
+thread starts at ``arithmetic``.  ``Session(entropy_backend=...)``
+and the CLI's ``--entropy-backend`` flag resolve the choice to a name
+when they build a job, and every fan-out (engine window jobs,
+multi-variable tasks, process-pool workers) carries that name into
+the worker and re-enters it there, so concurrent jobs never see each
+other's choice and sweeps stay byte-identical across executors.
 
 Adding a coder (t-ANS variants, GPU backends) means subclassing
 :class:`EntropyBackend`, picking an unused tag, and calling
@@ -49,9 +53,8 @@ up by name.
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Dict, Iterator, List, Union
 
 import numpy as np
@@ -63,8 +66,7 @@ from . import vrans as _vrans
 
 __all__ = ["EntropyBackend", "register_backend", "get_backend",
            "backend_from_tag", "list_backends", "DEFAULT_BACKEND",
-           "LEGACY_TAG", "get_default_backend", "set_default_backend",
-           "using_backend"]
+           "LEGACY_TAG", "get_default_backend", "using_backend"]
 
 #: The backend every pre-tag stream was written with; untagged data
 #: always decodes through it.
@@ -184,9 +186,9 @@ def list_backends() -> List[str]:
 def get_backend(backend: Union[str, EntropyBackend, None] = None
                 ) -> EntropyBackend:
     """Resolve a backend: a name, an instance, or ``None`` (the
-    current default)."""
+    current context's default)."""
     if backend is None:
-        return _BACKENDS[_default_name]
+        return _BACKENDS[_selected.get()]
     if isinstance(backend, EntropyBackend):
         return backend
     key = str(backend).strip().lower()
@@ -217,81 +219,37 @@ register_backend(RansBackend())
 register_backend(VransBackend())
 register_backend(TransBackend())
 
-#: Process-wide default state.  Deliberately process-global (not
-#: thread-local): the engine's and multivar's thread pools must see
-#: the selection made by the driving thread.  ``_base_name`` is the
-#: default outside every :func:`using_backend` scope; ``_scopes``
-#: reference-counts the active scope values so concurrent same-name
-#: scopes (one per engine window job) enter and exit in any order
-#: without restoring stale state or leaking their value after the
-#: last exit.
-_state_lock = threading.Lock()
-_base_name = DEFAULT_BACKEND
-_scopes: Counter = Counter()
-_default_name = DEFAULT_BACKEND
-
-
-def _recompute_default() -> None:
-    """Resolve the current default from base + active scopes.
-
-    Caller holds ``_state_lock``.  With scopes of exactly one name
-    active, that name wins; with none, the base does.  Two *distinct*
-    names concurrently active is an application race (two sessions
-    with different backends sharing one process) — the most recently
-    entered scope stays in effect until the ambiguity resolves.
-    """
-    global _default_name
-    if len(_scopes) == 1:
-        _default_name = next(iter(_scopes))
-    elif not _scopes:
-        _default_name = _base_name
+#: Name of the backend encoders use when none is passed explicitly.
+#: Context-local, so a selection made in one thread (one service job,
+#: one window job) never reaches another; fan-outs carry the name into
+#: their jobs and re-enter it with :func:`using_backend`.
+_selected: ContextVar[str] = ContextVar("entropy_backend",
+                                        default=DEFAULT_BACKEND)
 
 
 def get_default_backend() -> EntropyBackend:
-    """The backend encoders use when none is passed explicitly."""
-    return _BACKENDS[_default_name]
-
-
-def set_default_backend(backend: Union[str, EntropyBackend, None]
-                        ) -> str:
-    """Set the process-wide base default; returns the previous name
-    (``None`` resets to ``arithmetic``).  Scopes opened by
-    :func:`using_backend` take precedence while active."""
-    global _base_name
-    name = (DEFAULT_BACKEND if backend is None
-            else get_backend(backend).name)
-    with _state_lock:
-        previous = _base_name
-        _base_name = name
-        _recompute_default()
-    return previous
+    """The backend encoders in the current context use when none is
+    passed explicitly (``arithmetic`` outside every
+    :func:`using_backend` scope)."""
+    return _BACKENDS[_selected.get()]
 
 
 @contextmanager
 def using_backend(backend: Union[str, EntropyBackend, None]
                   ) -> Iterator[EntropyBackend]:
-    """Scope the default backend; ``None`` leaves it untouched.
+    """Select the default backend for the current context.
 
     This is how :class:`repro.api.Session` threads
     ``entropy_backend=...`` through codec code that never heard of
     backends (every baseline funnels through
-    :func:`repro.postprocess.coding.encode_ints`).  Scopes are
-    reference-counted, so the engine's thread pools may hold one scope
-    per concurrent window job (same name) and exit them in any order.
+    :func:`repro.postprocess.coding.encode_ints`).  The selection is
+    per thread: a worker thread starts at ``arithmetic``, so code that
+    hands work to other threads must pass the name along and enter
+    this scope there.  ``None`` keeps the current selection.
     """
-    if backend is None:
-        yield get_default_backend()
-        return
-    global _default_name
-    name = get_backend(backend).name
-    with _state_lock:
-        _scopes[name] += 1
-        _default_name = name  # most recent entry wins immediately
+    resolved = get_backend(backend)
+    token = _selected.set(resolved.name)
     try:
-        yield _BACKENDS[name]
+        yield resolved
     finally:
-        with _state_lock:
-            _scopes[name] -= 1
-            if not _scopes[name]:
-                del _scopes[name]
-            _recompute_default()
+        _selected.reset(token)

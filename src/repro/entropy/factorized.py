@@ -156,7 +156,7 @@ class FactorizedDensity(Module):
         (support bounds and shape live in the caller's container).
         ``backend`` selects the entropy coder
         (:func:`repro.entropy.backend.get_backend`; ``None`` uses the
-        process default); non-default choices are recorded in the
+        calling thread's default); non-default choices are recorded in the
         header so :meth:`decompress` self-selects.
         """
         z_int = np.asarray(z_int)

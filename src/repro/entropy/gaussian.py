@@ -120,7 +120,7 @@ class GaussianConditional:
         ``y_int``, ``mu`` and ``sigma`` must share one shape; the
         decoder must be driven with bit-identical ``mu``/``sigma``.
         ``backend`` selects the entropy coder (``None`` uses the
-        process default); non-default choices are recorded in the
+        calling thread's default); non-default choices are recorded in the
         header so :meth:`decompress` self-selects.
         """
         y_int = np.asarray(y_int)

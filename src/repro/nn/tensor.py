@@ -24,6 +24,7 @@ Design notes
 
 from __future__ import annotations
 
+from contextvars import ContextVar, Token
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -32,7 +33,9 @@ __all__ = ["Tensor", "unbroadcast", "as_tensor", "no_grad", "is_grad_enabled"]
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]
 
-_GRAD_ENABLED = [True]
+#: Whether operations record the autodiff graph.  Context-local, so
+#: inference in one thread never switches off training in another.
+_grad_enabled: ContextVar[bool] = ContextVar("grad_enabled", default=True)
 
 # A backward closure receives the output gradient plus the shared
 # "pending gradients" map of the ongoing backward pass and is expected
@@ -46,20 +49,27 @@ class no_grad:
 
     Inside the context every operation produces constant tensors, which
     keeps inference (entropy coding, diffusion sampling, benchmarking)
-    free of graph bookkeeping overhead.
+    free of graph bookkeeping overhead.  The flag is per thread, as in
+    ``torch.no_grad``: a thread starts with recording on, and entering
+    the context in one thread leaves every other thread recording.
+    An instance may be re-entered; each exit restores the flag its
+    matching entry saw.
     """
 
+    def __init__(self) -> None:
+        self._tokens: List[Token] = []
+
     def __enter__(self) -> "no_grad":
-        _GRAD_ENABLED.append(False)
+        self._tokens.append(_grad_enabled.set(False))
         return self
 
     def __exit__(self, *exc) -> None:
-        _GRAD_ENABLED.pop()
+        _grad_enabled.reset(self._tokens.pop())
 
 
 def is_grad_enabled() -> bool:
     """Return ``True`` when operations should record the autodiff graph."""
-    return _GRAD_ENABLED[-1]
+    return _grad_enabled.get()
 
 
 def unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:

@@ -31,7 +31,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from ..bound import Bound
-from ..entropy.backend import get_backend, using_backend
+from ..entropy.backend import (DEFAULT_BACKEND, get_backend,
+                              using_backend)
 from ..metrics import CompressionAccounting
 from ..runtime import Task
 from .executors import Executor, get_executor
@@ -123,8 +124,8 @@ class _WindowJob:
     nrmse_bound: Optional[float] = None
     keep_reconstruction: bool = True
     #: entropy-backend name the worker scopes around the compress call
-    #: (rides in the job so process pools see the parent's selection)
-    entropy_backend: Optional[str] = None
+    #: (the selection is per thread, so it rides in the job)
+    entropy_backend: str = DEFAULT_BACKEND
 
 
 @dataclass
@@ -252,9 +253,9 @@ class CodecEngine:
         (which then carries its own ``max_workers``).
     entropy_backend:
         Entropy-coder selection scoped around every compress call
-        (``None`` keeps the process default).  Rides inside each job,
-        so process-pool workers apply it too and archives stay
-        byte-identical across executor backends.
+        (``None``: the calling thread's selection when the batch is
+        submitted).  Rides inside each job, so pool workers apply it
+        too and archives stay byte-identical across executor backends.
     """
 
     def __init__(self, codec, max_workers: Optional[int] = None,
@@ -371,6 +372,7 @@ class CodecEngine:
         """
         self._check_bounds(bound, error_bound, nrmse_bound)
         ref = self._codec_ref()
+        backend = get_backend(self.entropy_backend).name
         jobs = [_WindowJob(index=first_index + j,
                            seed=self.seed_for(first_index + j),
                            codec_ref=ref,
@@ -378,7 +380,7 @@ class CodecEngine:
                            error_bound=error_bound,
                            nrmse_bound=nrmse_bound,
                            keep_reconstruction=keep_reconstruction,
-                           entropy_backend=self.entropy_backend)
+                           entropy_backend=backend)
                 for j, stack in enumerate(stacks)]
         return self._execute(jobs, journal=journal, on_event=on_event)
 
@@ -405,12 +407,13 @@ class CodecEngine:
         """
         self._check_bounds(bound, error_bound, nrmse_bound)
         ref = self._codec_ref()
+        backend = get_backend(self.entropy_backend).name
         jobs = [_WindowJob(index=i, seed=task.seed, codec_ref=ref,
                            source=task, shard_id=task.shard_id,
                            bound=bound, error_bound=error_bound,
                            nrmse_bound=nrmse_bound,
                            keep_reconstruction=keep_reconstruction,
-                           entropy_backend=self.entropy_backend)
+                           entropy_backend=backend)
                 for i, task in enumerate(plan)]
         return self._execute(jobs, journal=journal, on_event=on_event)
 

@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from ..bound import Bound
+from ..entropy.backend import get_default_backend, using_backend
 from ..metrics import CompressionAccounting
 from .blob import CompressedBlob
 from .compressor import LatentDiffusionCompressor
@@ -324,12 +325,16 @@ class MultiVariableCompressor:
         # before any work is scheduled
         jobs = [(vi, name, stack, self._for(name))
                 for vi, (name, stack) in enumerate(stacks.items())]
+        # the entropy-backend selection is per thread: carry the
+        # caller's into every worker
+        backend = get_default_backend()
 
         def task(job):
             vi, name, stack, codec = job
-            return name, codec.compress_bounded(
-                stack, bound=target,
-                seed=noise_seed + VAR_SEED_STRIDE * vi)
+            with using_backend(backend):
+                return name, codec.compress_bounded(
+                    stack, bound=target,
+                    seed=noise_seed + VAR_SEED_STRIDE * vi)
 
         results = dict(self._executor.map(task, jobs))
         # the executor preserves order, but rebuild by stack order for

@@ -113,7 +113,7 @@ def encode_ints(values: np.ndarray, backend=None) -> bytes:
     histogram, entropy-coded body.  The histogram header is the
     price of adaptivity; for the small alphabets of quantized residual
     coefficients it is a few dozen bytes.  ``backend`` selects the
-    body coder (``None`` uses the process default); the arithmetic
+    body coder (``None`` uses the calling thread's default); the arithmetic
     default keeps the legacy wire format byte-for-byte.
     """
     values = np.asarray(values, dtype=np.int64).ravel()

@@ -350,10 +350,9 @@ class CompressionService:
                 bound = _parse_bound(req.get("bound"))
                 facts["bound"] = (None if bound is None
                                   else [bound.kind, bound.value])
-                backend = (req.get("entropy_backend")
-                           or self.session.entropy_backend
-                           or "arithmetic")
-                facts["entropy_backend"] = backend
+                facts["entropy_backend"] = (
+                    req.get("entropy_backend")
+                    or self.session.entropy_backend)
                 facts["variables"] = req.get("variables")
                 facts["shards"] = req.get("shards")
                 facts["seed"] = int(req.get("seed",

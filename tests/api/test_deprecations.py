@@ -1,4 +1,4 @@
-"""Deprecation shims for the retired top-level entry points."""
+"""The top-level package exports no retired entry points."""
 
 import warnings
 
@@ -6,21 +6,6 @@ import pytest
 
 
 class TestTopLevelShims:
-    @pytest.mark.parametrize("name", ["MultiVariableCompressor",
-                                      "StreamingCompressor"])
-    def test_warns_and_forwards(self, name):
-        import repro
-        import repro.pipeline
-        with pytest.warns(DeprecationWarning, match="Session.compress"):
-            cls = getattr(repro, name)
-        assert cls is getattr(repro.pipeline, name)
-
-    @pytest.mark.parametrize("name", ["MultiVariableCompressor",
-                                      "StreamingCompressor"])
-    def test_from_import_warns(self, name):
-        with pytest.warns(DeprecationWarning):
-            exec(f"from repro import {name}")
-
     def test_pipeline_import_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -28,15 +13,13 @@ class TestTopLevelShims:
                                         StreamingCompressor)
             assert MultiVariableCompressor and StreamingCompressor
 
-    def test_shims_stay_functional(self):
-        """The forwarded classes are the real, working implementations."""
-        import numpy as np
-        with pytest.warns(DeprecationWarning):
-            from repro import StreamingCompressor
-        frames = np.random.default_rng(0).normal(size=(8, 8, 8)).cumsum(0)
-        sc = StreamingCompressor("szlike", chunk_windows=4)
-        archive = sc.compress(iter(frames), nrmse_bound=0.05)
-        assert archive.num_frames == frames.shape[0]
+    def test_star_import_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            namespace = {}
+            exec("from repro import *", namespace)
+        assert "Session" in namespace
+        assert "StreamingCompressor" not in namespace
 
     def test_unknown_attribute_still_raises(self):
         import repro

@@ -9,6 +9,8 @@ keep decoding bit-identically, and executor backends stay
 byte-interchangeable under a non-default coder.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -19,9 +21,11 @@ from repro.entropy import get_default_backend, using_backend
 from repro.metrics import nrmse
 from repro.pipeline.blob import CompressedBlob
 from repro.postprocess.coding import decode_ints, encode_ints
+from repro.service import CompressionService, ServiceClient
 
 BOUND = Bound.nrmse(0.02)
 TOL = 0.02 * (1 + 1e-9)
+SHAPE = {"t": 12, "h": 16, "w": 16}
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,105 @@ class TestSessionSelection:
         assert nrmse(frames, streamed) <= TOL
 
 
+#: every Session write path, plus the sweep journal's fingerprint
+WRITE_PATHS = ("stack", "shards", "npy", "plan", "sweep", "fingerprint",
+               "multivar", "stream", "served")
+
+
+def _write_all(session, frames, npy, journal, service_dir):
+    """Bytes each write path produces under ``session`` (plus the sweep
+    journal's fingerprint); ``served`` submits the plan compress, with
+    the session's backend, to a service on the same executor."""
+    out = {
+        "stack": session.compress(frames, bound=BOUND),
+        "shards": session.compress(frames, bound=BOUND, shards=3),
+        "npy": session.compress(str(npy), bound=BOUND, shards=3,
+                                chunk_shards=2),
+        "plan": session.compress("e3sm", bound=BOUND, variables=[0],
+                                 shards=3, dataset_overrides=SHAPE),
+        "sweep": session.sweep("e3sm", bound=BOUND, shards=3,
+                               dataset_overrides=SHAPE, journal=journal),
+        "multivar": session.compress({"u": frames,
+                                      "v": frames[::-1].copy()},
+                                     bound=BOUND),
+        "stream": session.compress(iter(frames), bound=BOUND),
+    }
+    out = {k: v.to_bytes() for k, v in out.items()}
+    with open(journal) as fh:
+        out["fingerprint"] = json.loads(fh.readline())["fingerprint"]
+    with CompressionService(service_dir, workers=2,
+                            executor=session.executor.name) as service:
+        client = ServiceClient(service)
+        job = client.submit({"type": "compress", "dataset": "e3sm",
+                             "shape": SHAPE, "codec": "szlike",
+                             "bound": "nrmse:0.02", "variables": [0],
+                             "shards": 3,
+                             "entropy_backend": session.entropy_backend})
+        assert client.wait(job["id"])["state"] == "done"
+        out["served"] = client.result(job["id"])
+    return out
+
+
+class TestWritePathsUseSelectedBackend:
+    """Round trips alone cannot show which coder wrote a stream: every
+    path must write the bytes of a serial-executor reference with the
+    selected backend, and those must differ from the arithmetic
+    archive."""
+
+    @pytest.fixture(scope="class")
+    def written(self, frames, tmp_path_factory):
+        root = tmp_path_factory.mktemp("write-paths")
+        npy = root / "frames.npy"
+        np.save(npy, frames)
+        runs = {}
+        for tag, executor, backend in (("thread", "thread", "trans"),
+                                       ("serial", "serial", "trans"),
+                                       ("default", "serial", None)):
+            with Session(codec="szlike", executor=executor,
+                         entropy_backend=backend) as s:
+                runs[tag] = _write_all(s, frames, npy,
+                                       root / f"{tag}.jsonl",
+                                       root / f"cache-{tag}")
+        return runs
+
+    @pytest.mark.parametrize("path", WRITE_PATHS)
+    def test_path_writes_selected_backend(self, written, path):
+        assert written["thread"][path] == written["serial"][path]
+        assert written["thread"][path] != written["default"][path]
+
+
+class TestDefaultBackendKeys:
+    """A request that names no backend keeps the cache key and journal
+    fingerprint it had when the default was a process-wide setting
+    (digests recorded at that version)."""
+
+    REQUEST = {"type": "compress", "dataset": "e3sm", "shape": SHAPE,
+               "codec": "szlike", "bound": "nrmse:0.02", "shards": 2,
+               "seed": 5}
+
+    def test_service_digest_unchanged(self, tmp_path):
+        service = CompressionService(tmp_path / "cache", start=False)
+        try:
+            client = ServiceClient(service)
+            digests = [client.submit(dict(self.REQUEST, **extra))["digest"]
+                       for extra in ({}, {"entropy_backend": "arithmetic"})]
+        finally:
+            service.close(drain=False)
+        assert digests == ["738b587688deb68ad4baddc72f8d6cdb"
+                           "9c6439f91cb4095259227a4eebfe78c9"] * 2
+
+    def test_sweep_fingerprint_unchanged(self, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        with Session(codec="szlike", executor="serial") as s:
+            s.sweep("e3sm", bound=BOUND, shards=2, seed=5,
+                    dataset_overrides=SHAPE, journal=journal)
+        with open(journal) as fh:
+            header = json.loads(fh.readline())
+        assert header["fingerprint"] == (
+            "90746d3e91e2b934cec30ed2a4fa162a"
+            "611ff9ee78a48e71b8525e5f9a0e87ac")
+
+
 class TestExecutorByteIdentity:
     def _archive(self, executor):
         with Session(codec="szlike", executor=executor, seed=3,
@@ -95,8 +198,7 @@ class TestExecutorByteIdentity:
             return s.compress("e3sm", bound=BOUND, variables=[0],
                               shards=4,
                               dataset_overrides={"t": 12, "h": 16,
-                                                 "w": 16},
-                              keep_reconstruction=False).to_bytes()
+                                                 "w": 16}).to_bytes()
 
     def test_serial_thread_process_identical_under_vrans(self):
         serial = self._archive("serial")

@@ -1,6 +1,6 @@
 """Pluggable entropy-backend suite.
 
-Covers the registry contract, the process-default scoping, the
+Covers the registry contract, the per-thread default scoping, the
 property-based cross-backend round-trip guarantee (random tables,
 non-power-of-two totals, single-symbol alphabets), bit-identical
 legacy behaviour of the arithmetic default, strict rANS end-of-stream
@@ -17,8 +17,7 @@ from repro.entropy import (DEFAULT_BACKEND, BitWriter, EntropyBackend,
                            decode_symbols_rans, encode_symbols,
                            encode_symbols_rans, get_backend,
                            get_default_backend, list_backends,
-                           register_backend, set_default_backend,
-                           using_backend)
+                           register_backend, using_backend)
 from repro.entropy.coder import pmf_to_cumulative
 from repro.entropy.tablecoder import (encode_symbols_trans,
                                       get_table_cache)
@@ -88,15 +87,6 @@ class TestDefaultScoping:
     def test_default_is_arithmetic(self):
         assert get_default_backend().name == DEFAULT_BACKEND == "arithmetic"
 
-    def test_set_and_restore(self):
-        previous = set_default_backend("vrans")
-        try:
-            assert previous == "arithmetic"
-            assert get_default_backend().name == "vrans"
-        finally:
-            set_default_backend(previous)
-        assert get_default_backend().name == "arithmetic"
-
     def test_using_backend_scopes_and_restores_on_error(self):
         with using_backend("rans") as backend:
             assert backend.name == "rans"
@@ -116,32 +106,40 @@ class TestDefaultScoping:
 
     def test_non_lifo_same_name_scopes(self):
         """Engine thread pools hold one scope per concurrent window
-        job and exit in completion order — exits must not restore
-        stale values mid-sweep or leak the name afterwards."""
-        first = using_backend("vrans")
-        second = using_backend("vrans")
-        first.__enter__()
-        second.__enter__()
-        first.__exit__(None, None, None)  # job 1 finishes first
-        # job 2 is still compressing: the selection must survive
-        assert get_default_backend().name == "vrans"
-        second.__exit__(None, None, None)
-        assert get_default_backend().name == "arithmetic"
+        job and exit in completion order — an exit must not end the
+        selection of a job still compressing, and no thread's
+        selection may reach the driving thread."""
+        import threading
 
-    def test_scopes_shadow_the_base_default(self):
-        previous = set_default_backend("rans")
-        try:
+        entered = [threading.Event(), threading.Event()]
+        release = [threading.Event(), threading.Event()]
+        seen = {}
+
+        def job(i):
             with using_backend("vrans"):
-                assert get_default_backend().name == "vrans"
-            assert get_default_backend().name == "rans"
-        finally:
-            set_default_backend(previous)
+                entered[i].set()
+                release[i].wait(timeout=10)
+                seen[i] = get_default_backend().name
+
+        threads = [threading.Thread(target=job, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for event in entered:
+            assert event.wait(timeout=10)
+        assert get_default_backend().name == "arithmetic"
+        release[0].set()  # job 0 finishes first
+        threads[0].join(timeout=10)
+        release[1].set()  # job 1 was still compressing
+        threads[1].join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {0: "vrans", 1: "vrans"}
         assert get_default_backend().name == "arithmetic"
 
     def test_concurrent_scopes_stress_threads(self):
-        """Hammer same-name scopes from a pool: the default must read
-        'vrans' whenever at least one scope is active and fall back to
-        arithmetic once all exit."""
+        """Hammer same-name scopes from many threads: each thread must
+        read 'vrans' inside its own scope, and the driving thread stays
+        at arithmetic throughout."""
         import threading
 
         errors = []
@@ -162,7 +160,8 @@ class TestDefaultScoping:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
         assert not errors, errors
         assert get_default_backend().name == "arithmetic"
 

@@ -236,7 +236,7 @@ def test_golden_szlike_shard_archive():
     with Session(codec="szlike", executor="serial") as session:
         archive = session.compress(
             "e3sm", bound=bound, variables=[0], shards=4,
-            dataset_overrides=overrides, keep_reconstruction=False)
+            dataset_overrides=overrides)
         blob = archive.to_bytes()
         assert _sha(blob) == GOLDEN_ARCHIVE
         restored = session.decompress(Archive.open(blob))

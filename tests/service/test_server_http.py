@@ -191,6 +191,7 @@ class TestErrorMapping:
                       body=dict(REQUEST, seed=1), headers=headers)
             assert exc.value.code == 429
             assert "Retry-After" in exc.value.headers
+            exc.value.close()
         finally:
             httpd.shutdown()
             httpd.server_close()
