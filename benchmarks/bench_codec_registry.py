@@ -629,7 +629,7 @@ def test_codec_registry_smoke(benchmark, tmp_path):
         rec = codec.decompress(res.payload)
         t_dec = time.perf_counter() - t0
         assert rec.shape == frames.shape
-        np.testing.assert_allclose(rec, res.reconstruction, atol=1e-9)
+        np.testing.assert_array_equal(rec, res.reconstruction)
         rows[name] = {
             "compress_seconds": round(t_enc, 6),
             "decompress_seconds": round(t_dec, 6),

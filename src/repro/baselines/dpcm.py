@@ -23,7 +23,7 @@ measured against.
 from __future__ import annotations
 
 import struct
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -54,6 +54,13 @@ class DPCMCompressor:
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``: the closed loop already holds
+        the decoder's output, bit for bit what :meth:`decompress`
+        returns."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -61,7 +68,7 @@ class DPCMCompressor:
             raise ValueError("error_bound must be positive")
         eb = float(error_bound)
         T = frames.shape[0]
-        recon = np.empty_like(frames)
+        recon = np.empty(frames.shape)
         chunks: List[np.ndarray] = []
         for t in range(T):
             pred = self._predict(recon, t)
@@ -72,7 +79,7 @@ class DPCMCompressor:
         # one stream for all residual planes: the histogram header is
         # paid once and the alphabet is shared across time
         body = encode_ints(np.concatenate(chunks))
-        return header + body
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

@@ -115,6 +115,13 @@ class WaveletCoder:
         self.levels = levels
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``.  The lifting is exactly
+        invertible on integers, so :meth:`decompress` returns the
+        pre-quantized grid ``q * 2eb``, which is the reconstruction."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -143,7 +150,7 @@ class WaveletCoder:
         parts = [header, encode_ints(coarse.ravel())]
         # fine-to-coarse order is irrelevant; keep level order stable
         parts.extend(encode_ints(dv) for dv in details)
-        return b"".join(parts)
+        return b"".join(parts), q.astype(np.float64, order="C") * (2 * eb)
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _WAVELET_MAGIC:
@@ -191,11 +198,16 @@ class FAZLikeCompressor:
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise bound; keeps the smaller candidate."""
-        wav = self.wavelet.compress(frames, error_bound)
-        prd = self.predictor.compress(frames, error_bound)
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)`` of the smaller candidate."""
+        wav, wav_recon = self.wavelet.encode(frames, error_bound)
+        prd, prd_recon = self.predictor.encode(frames, error_bound)
         if len(wav) <= len(prd):
-            return _MAGIC + bytes([_TAG_WAVELET]) + wav
-        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd
+            return _MAGIC + bytes([_TAG_WAVELET]) + wav, wav_recon
+        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd, prd_recon
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:

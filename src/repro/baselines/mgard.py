@@ -120,13 +120,17 @@ class MGARDLikeCompressor:
         all ``levels + 1`` entries (coarse lattice + each refinement) is
         ``eb`` exactly, so the triangle inequality closes the proof.
         """
-        r = self.budget_ratio
-        weights = np.array([r ** i for i in range(self.levels + 1)])
-        return list(eb * weights / weights.sum())
+        return _level_budgets(eb, self.levels, self.budget_ratio)
 
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``; the reconstruction runs
+        :meth:`decompress`'s synthesis on the same inputs."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -156,7 +160,8 @@ class MGARDLikeCompressor:
         header = _MAGIC + struct.pack(_HDR, *frames.shape, self.levels, eb,
                                       self.budget_ratio)
         body = b"".join(encode_ints(c) for c in chunks)
-        return header + body
+        recon = _reconstruct(struct.unpack_from(_HDR, header, 4), chunks)
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes,
@@ -169,37 +174,52 @@ class MGARDLikeCompressor:
         """
         if data[:4] != _MAGIC:
             raise ValueError("not an MGARD-like stream")
-        T, H, W, levels, eb, ratio = struct.unpack_from(_HDR, data, 4)
-        pos = 4 + struct.calcsize(_HDR)
-        shape = (T, H, W)
-        budgets = self._rebudget(eb, levels, ratio)
+        header = struct.unpack_from(_HDR, data, 4)
+        levels = header[3]
         stop_level = 0 if max_level is None else int(max_level)
         if not (0 <= stop_level <= levels):
             raise ValueError(f"max_level must be in [0, {levels}]")
-
-        recon = np.zeros(shape)
-        cs = 2 ** levels
-        q0, pos = decode_ints(data, pos)
-        recon[::cs, ::cs, ::cs] = (
-            q0.reshape(recon[::cs, ::cs, ::cs].shape) * (2 * budgets[0]))
-
-        for li, level in enumerate(range(levels, 0, -1)):
-            pred = _interpolate_from_level(recon, level)
-            new_nodes = _level_mask(shape, level - 1) & ~_level_mask(
-                shape, level)
+        pos = 4 + struct.calcsize(_HDR)
+        chunks = []
+        for _ in range(levels + 1):
             q, pos = decode_ints(data, pos)
-            if level - 1 >= stop_level:
-                recon[new_nodes] = (pred[new_nodes]
-                                    + q * (2 * budgets[li + 1]))
-            else:
-                recon[new_nodes] = pred[new_nodes]
-        if stop_level > 0:
-            # nodes finer than stop_level were never filled; fill by
-            # interpolation so the output is a smooth coarse view
-            recon = _interpolate_from_level(recon, stop_level)
-        return recon
+            chunks.append(q)
+        return _reconstruct(header, chunks, stop_level)
 
-    @staticmethod
-    def _rebudget(eb: float, levels: int, ratio: float) -> List[float]:
-        weights = np.array([ratio ** i for i in range(levels + 1)])
-        return list(eb * weights / weights.sum())
+
+def _level_budgets(eb: float, levels: int, ratio: float) -> List[float]:
+    weights = np.array([ratio ** i for i in range(levels + 1)])
+    return list(eb * weights / weights.sum())
+
+
+def _reconstruct(header: Tuple, chunks: List[np.ndarray],
+                 stop_level: int = 0) -> np.ndarray:
+    """Synthesis from the quantized level coefficients.
+
+    ``header`` holds the fields as read back from the stream, so the
+    encoder's reconstruction and :meth:`MGARDLikeCompressor.decompress`
+    are one computation on identical inputs.  Levels finer than
+    ``stop_level`` keep their interpolated prediction.
+    """
+    T, H, W, levels, eb, ratio = header
+    shape = (T, H, W)
+    budgets = _level_budgets(eb, levels, ratio)
+    recon = np.zeros(shape)
+    cs = 2 ** levels
+    recon[::cs, ::cs, ::cs] = (
+        chunks[0].reshape(recon[::cs, ::cs, ::cs].shape) * (2 * budgets[0]))
+
+    for li, level in enumerate(range(levels, 0, -1)):
+        pred = _interpolate_from_level(recon, level)
+        new_nodes = _level_mask(shape, level - 1) & ~_level_mask(
+            shape, level)
+        if level - 1 >= stop_level:
+            recon[new_nodes] = (pred[new_nodes]
+                                + chunks[li + 1] * (2 * budgets[li + 1]))
+        else:
+            recon[new_nodes] = pred[new_nodes]
+    if stop_level > 0:
+        # nodes finer than stop_level were never filled; fill by
+        # interpolation so the output is a smooth coarse view
+        recon = _interpolate_from_level(recon, stop_level)
+    return recon

@@ -70,13 +70,20 @@ class SZLikeCompressor:
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
         """Compress with pointwise absolute bound ``error_bound``."""
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``: the closed loop already holds
+        the decoder's output, bit for bit what :meth:`decompress`
+        returns."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
         if error_bound <= 0:
             raise ValueError("error_bound must be positive")
         eb = float(error_bound)
-        recon = np.zeros_like(frames)
+        recon = np.zeros(frames.shape)
         chunks: List[np.ndarray] = []
 
         cs = 2 ** self.max_level
@@ -94,7 +101,7 @@ class SZLikeCompressor:
 
         header = _MAGIC + struct.pack("<IIId", *frames.shape, eb)
         body = b"".join(encode_ints(c) for c in chunks)
-        return header + body
+        return header + body, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

@@ -78,6 +78,34 @@ def tucker_reconstruct(core: np.ndarray,
     return x
 
 
+def _read_head(data: bytes) -> Tuple[tuple, int]:
+    """``(ranks, step, factors)`` from a stream's head, and the offset
+    of the coded core after it."""
+    vals = struct.unpack_from(_HDR, data, 4)
+    shape, ranks, step = vals[:3], vals[3:6], vals[6]
+    pos = 4 + struct.calcsize(_HDR)
+    factors = []
+    for n, r in zip(shape, ranks):
+        u = np.frombuffer(data, dtype="<f4", count=n * r,
+                          offset=pos).astype(np.float64).reshape(n, r)
+        factors.append(u)
+        pos += 4 * n * r
+    return (ranks, step, factors), pos
+
+
+def _reconstruct(ranks: Tuple[int, ...], step: float,
+                 factors: List[np.ndarray], q: np.ndarray) -> np.ndarray:
+    """Tucker product of the dequantized core with the stored factors.
+
+    The encoder passes the fields it reads back from its own stream
+    head, so its reconstruction and
+    :meth:`TTHRESHLikeCompressor.decompress` are one computation on
+    identical inputs.
+    """
+    core = (q.astype(np.float64) * step).reshape(ranks)
+    return tucker_reconstruct(core, factors)
+
+
 class TTHRESHLikeCompressor:
     """HOSVD transform coder with a measured L2 (RMSE) guarantee.
 
@@ -103,6 +131,12 @@ class TTHRESHLikeCompressor:
         (including float32 factor storage); the quantization step is
         shrunk until it holds.
         """
+        return self.encode(frames, rmse_bound)[0]
+
+    def encode(self, frames: np.ndarray, rmse_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``; the reconstruction runs
+        :meth:`decompress`'s Tucker product on the same inputs."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -129,25 +163,18 @@ class TTHRESHLikeCompressor:
         parts = [header]
         for u in factors_t:
             parts.append(u.astype("<f4").tobytes())
-        parts.append(encode_ints(q.ravel()))
-        return b"".join(parts)
+        head = b"".join(parts)
+        q = q.ravel()
+        fields, _ = _read_head(head)
+        return head + encode_ints(q), _reconstruct(*fields, q)
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
             raise ValueError("not a TTHRESH-like stream")
-        vals = struct.unpack_from(_HDR, data, 4)
-        shape, ranks, step = vals[:3], vals[3:6], vals[6]
-        pos = 4 + struct.calcsize(_HDR)
-        factors = []
-        for n, r in zip(shape, ranks):
-            u = np.frombuffer(data, dtype="<f4", count=n * r,
-                              offset=pos).astype(np.float64).reshape(n, r)
-            factors.append(u)
-            pos += 4 * n * r
-        q, pos = decode_ints(data, pos)
-        core = (q.astype(np.float64) * step).reshape(ranks)
-        return tucker_reconstruct(core, factors)
+        fields, pos = _read_head(data)
+        q, _ = decode_ints(data, pos)
+        return _reconstruct(*fields, q)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -31,6 +31,7 @@ from ..postprocess.coding import decode_ints, encode_ints
 __all__ = ["ZFPLikeCompressor"]
 
 _MAGIC = b"ZFL1"
+_HDR = "<IIIIId"  # T, H, W, padded H, padded W, eb
 
 # ZFP's near-orthogonal 4-point decorrelating transform.
 _ZFP_T = np.array([
@@ -74,6 +75,12 @@ class ZFPLikeCompressor:
     name = "ZFP-like"
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
+        return self.encode(frames, error_bound)[0]
+
+    def encode(self, frames: np.ndarray, error_bound: float
+               ) -> Tuple[bytes, np.ndarray]:
+        """``(payload, reconstruction)``; the reconstruction runs
+        :meth:`decompress`'s inverse transform on the same inputs."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -87,28 +94,40 @@ class ZFPLikeCompressor:
                          optimize=True)
         qstep = 2.0 * error_bound / _INV_NORM
         q = np.rint(coef / qstep).astype(np.int64)
-        header = _MAGIC + struct.pack("<IIIIId", T, H, W,
-                                      padded.shape[1], padded.shape[2],
-                                      error_bound)
+        header = _MAGIC + struct.pack(_HDR, T, H, W, padded.shape[1],
+                                      padded.shape[2], error_bound)
         # separate contexts: DC coefficient vs the 15 AC coefficients
         dc = q[:, 0, 0]
-        ac = np.concatenate([q.reshape(-1, 16)[:, 1:].ravel()])
-        return header + encode_ints(dc) + encode_ints(ac)
+        ac = q.reshape(-1, 16)[:, 1:].ravel()
+        payload = header + encode_ints(dc) + encode_ints(ac)
+        return payload, _reconstruct(struct.unpack_from(_HDR, header, 4),
+                                     dc, ac)
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
             raise ValueError("not a ZFP-like stream")
-        T, H, W, Hp, Wp, eb = struct.unpack_from("<IIIIId", data, 4)
-        pos = 4 + struct.calcsize("<IIIIId")
+        pos = 4 + struct.calcsize(_HDR)
         dc, pos = decode_ints(data, pos)
         ac, pos = decode_ints(data, pos)
-        nb = dc.size
-        q = np.zeros((nb, 16), dtype=np.int64)
-        q[:, 0] = dc
-        q[:, 1:] = ac.reshape(nb, 15)
-        qstep = 2.0 * eb / _INV_NORM
-        coef = q.reshape(nb, 4, 4).astype(np.float64) * qstep
-        blocks = np.einsum("ij,bjk,lk->bil", _ZFP_TI, coef, _ZFP_TI,
-                           optimize=True)
-        padded = _unblock(blocks, (T, Hp, Wp))
-        return padded[:, :H, :W]
+        return _reconstruct(struct.unpack_from(_HDR, data, 4), dc, ac)
+
+
+def _reconstruct(header: Tuple, dc: np.ndarray,
+                 ac: np.ndarray) -> np.ndarray:
+    """Inverse transform of the quantized DC and AC coefficients.
+
+    ``header`` holds the fields as read back from the stream, so the
+    encoder's reconstruction and :meth:`ZFPLikeCompressor.decompress`
+    are one computation on identical inputs.
+    """
+    T, H, W, Hp, Wp, eb = header
+    nb = dc.size
+    q = np.zeros((nb, 16), dtype=np.int64)
+    q[:, 0] = dc
+    q[:, 1:] = ac.reshape(nb, 15)
+    qstep = 2.0 * eb / _INV_NORM
+    coef = q.reshape(nb, 4, 4).astype(np.float64) * qstep
+    blocks = np.einsum("ij,bjk,lk->bil", _ZFP_TI, coef, _ZFP_TI,
+                       optimize=True)
+    padded = _unblock(blocks, (T, Hp, Wp))
+    return padded[:, :H, :W]

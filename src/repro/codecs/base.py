@@ -90,7 +90,10 @@ class CodecResult:
     """
 
     codec: str                       # registry name of the producer
-    reconstruction: np.ndarray       # the decompressor's exact output
+    #: the decompressor's exact output (bitwise, held by the tests);
+    #: rule-based codecs build it on the encoder side, never by
+    #: decoding their own payload
+    reconstruction: np.ndarray
     accounting: CompressionAccounting
     achieved_nrmse: float
     seed: int = 0
@@ -129,7 +132,10 @@ class Codec(abc.ABC):
     :meth:`compress` / :meth:`decompress`.  ``compress`` must return a
     :class:`CodecResult` whose ``payload`` decodes — via
     :meth:`decompress` on the *same* codec instance — to exactly the
-    ``reconstruction`` it reports.
+    ``reconstruction`` it reports, bit for bit (the codec-registry
+    tests assert array equality, not closeness).  The reconstruction
+    may come from the encoder side: the rule-based codecs build it
+    while encoding rather than decoding their own payload.
     """
 
     #: registry name; assigned by :func:`repro.codecs.register_codec`

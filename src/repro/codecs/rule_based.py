@@ -10,6 +10,17 @@ underlying keyword declared by :attr:`RuleBasedCodec.bound_arg` and
 wraps the stream into a :class:`~repro.codecs.base.CodecResult` with
 honest end-to-end accounting (``latent_bytes`` is exactly
 ``len(payload)``).
+
+The reported reconstruction comes from the encoder side: each native
+compressor's ``encode(frames, bound) -> (payload, reconstruction)``
+returns the array its :meth:`decompress` would produce, so compress
+never decodes the payload it just wrote.  The closed-loop predictors
+(SZ, DPCM, FAZ's predictor) already hold that array; the open-loop
+and transform coders (ZFP, MGARD, TTHRESH) run the decoder's own
+synthesis function on the header fields read back from the stream and
+the integer chunks they entropy-code.  The tests hold the
+reconstruction bitwise equal to the decode.  Non-finite input is
+rejected with one ``ValueError`` before any bound is normalized.
 """
 
 from __future__ import annotations
@@ -23,11 +34,29 @@ from ..baselines import (DPCMCompressor, FAZLikeCompressor,
                          MGARDLikeCompressor, SZLikeCompressor,
                          TTHRESHLikeCompressor, ZFPLikeCompressor)
 from ..metrics import CompressionAccounting, nrmse
-from .base import Codec, CodecCapabilities, CodecResult
+from .base import Bound, Codec, CodecCapabilities, CodecResult
 from .registry import register_codec
 
 __all__ = ["RuleBasedCodec", "SZCodec", "ZFPCodec", "TTHRESHCodec",
            "MGARDCodec", "DPCMCodec", "FAZCodec"]
+
+
+def _require_finite(codec: str, frames) -> None:
+    """Raise ``ValueError`` naming the first NaN/inf entry of ``frames``.
+
+    The coders quantize ``x / eb`` to integers: a NaN or infinity has no
+    bin, and numpy's float-to-int cast turns it into garbage that
+    corrupts the predictions of its finite neighbours.
+    """
+    finite = np.isfinite(frames)
+    if not finite.all():
+        bad = np.flatnonzero(~finite)
+        first = tuple(int(i) for i in np.unravel_index(bad[0],
+                                                       finite.shape))
+        raise ValueError(
+            f"{codec} cannot compress non-finite input: {bad.size} of "
+            f"{finite.size} values are NaN or infinite (first at index "
+            f"{first})")
 
 
 class RuleBasedCodec(Codec):
@@ -59,6 +88,16 @@ class RuleBasedCodec(Codec):
         return None
 
     # ------------------------------------------------------------------
+    def native_bound(self, frames: np.ndarray,
+                     error_bound: Optional[float] = None,
+                     nrmse_bound: Optional[float] = None,
+                     bound: Optional[Bound] = None) -> Optional[float]:
+        # reject non-finite data before an NRMSE target turns it into
+        # a NaN bound and blames the bound
+        _require_finite(self.name, frames)
+        return super().native_bound(frames, error_bound=error_bound,
+                                    nrmse_bound=nrmse_bound, bound=bound)
+
     def compress(self, frames: np.ndarray, bound: Optional[float] = None,
                  *, seed: int = 0) -> CodecResult:
         frames = np.asarray(frames, dtype=np.float64)
@@ -66,10 +105,10 @@ class RuleBasedCodec(Codec):
             raise ValueError(
                 f"{self.name} is an error-bounded coder and requires a "
                 f"{self.capabilities.bound_kind} bound")
+        _require_finite(self.name, frames)
         t0 = time.perf_counter()
-        payload = self._impl.compress(frames, **{self.bound_arg:
-                                                 float(bound)})
-        recon = self._impl.decompress(payload)
+        payload, recon = self._impl.encode(frames, **{self.bound_arg:
+                                                      float(bound)})
         seconds = time.perf_counter() - t0
         acc = CompressionAccounting(
             original_bytes=frames.size * self.original_dtype_bytes,
