@@ -14,7 +14,7 @@ from scipy import special as sp
 from repro.entropy import FactorizedDensity
 from repro.nn import Tensor
 from repro.nn.optim import Adam
-from repro.postprocess import ErrorBoundCorrector, ResidualPCA
+from repro.postprocess import ErrorBoundCorrector, ResidualPCA, blockify
 from repro.postprocess.coding import encode_ints
 
 from .conftest import dataset_frames, save_json, split
@@ -150,14 +150,56 @@ def test_ablation_postprocess(ours_by_dataset, frames_by_dataset,
 
 
 # ----------------------------------------------------------------------
-# Ablation 4: per-block loop vs vectorized coefficient selection
+# Ablation 4: one allocation over the stack vs a per-block budget share
 # ----------------------------------------------------------------------
-def test_ablation_postprocess_vectorized(benchmark):
-    """The paper's future-work item: accelerate the guarantee stage.
+def _per_block_share_payload(corr, x, x_r, tau) -> bytes:
+    """Reference: the corrector's earlier selection.
 
-    Both selection backends produce byte-identical payloads (asserted);
-    the vectorized path replaces the per-block greedy loop with one
-    cumulative sum over the magnitude-sorted coefficient array.
+    Every block gets a fixed ``tau² / n_blocks`` share of the squared
+    budget and keeps its largest coefficients, quantized with step
+    ``2 tau_b / 2**coeff_quant_bits``, until it meets its share; a block
+    that cannot is escaped.  Blocks under their share donate nothing.
+    """
+    rows, geom = blockify(x - x_r, corr.pca.block)
+    nb, D = rows.shape
+    tau_b2 = tau * tau / nb
+    tau_b = np.sqrt(tau_b2)
+    qstep = max(2.0 * tau_b / (1 << corr.coeff_quant_bits), 1e-12)
+    esc_step = max(2.0 * tau_b / np.sqrt(D), 1e-12)
+    coeffs = corr.pca.project(rows)
+    order = np.argsort(-np.abs(coeffs), axis=1)
+    sorted_c = np.take_along_axis(coeffs, order, axis=1)
+    q_sorted = np.rint(sorted_c / qstep)
+    q_tilde = q_sorted * qstep
+    block_err2 = np.einsum("ij,ij->i", rows, rows)
+    hits = (block_err2[:, None]
+            - np.cumsum(2.0 * sorted_c * q_tilde - q_tilde ** 2, axis=1)
+            <= tau_b2)
+    counts = np.zeros(nb, dtype=np.int64)
+    kept_idx, kept_q, esc_vals = [], [], []
+    escape = np.zeros(nb, dtype=bool)
+    for b in np.nonzero(block_err2 > tau_b2)[0]:
+        if hits[b].any():
+            m = int(np.argmax(hits[b])) + 1
+            nz = q_sorted[b, :m] != 0
+            counts[b] = nz.sum()
+            kept_idx.extend(order[b, :m][nz].tolist())
+            kept_q.extend(q_sorted[b, :m][nz].astype(np.int64).tolist())
+        else:
+            escape[b] = True
+            esc_vals.append(np.rint(rows[b] / esc_step).astype(np.int64))
+    return corr._pack(tau, geom, counts, kept_idx, kept_q, escape,
+                      esc_vals, qstep, esc_step)
+
+
+def test_ablation_postprocess_vectorized(benchmark):
+    """The paper's future-work item: a cheaper guarantee stage.
+
+    The corrector allocates coefficients over the whole stack, so it
+    spends the squared budget that a per-block share leaves unspent in
+    blocks under their share.  On the same input its payload must be
+    no larger than the per-block share's, and both must meet ``tau``
+    when decoded.
     """
     import time
 
@@ -168,24 +210,27 @@ def test_ablation_postprocess_vectorized(benchmark):
     pca = ResidualPCA(block=8, rank=32).fit(
         (x - x_r) + 0.05 * rng.standard_normal(shape))
     tau = 0.3 * float(np.linalg.norm(x - x_r))
-
-    loop = ErrorBoundCorrector(pca, vectorized=False)
-    fast = ErrorBoundCorrector(pca, vectorized=True)
+    corr = ErrorBoundCorrector(pca)
 
     t0 = time.perf_counter()
-    res_l = loop.correct(x, x_r, tau)
-    t_loop = time.perf_counter() - t0
+    res = corr.correct(x, x_r, tau)
+    t_global = time.perf_counter() - t0
     t0 = time.perf_counter()
-    res_v = fast.correct(x, x_r, tau)
-    t_fast = time.perf_counter() - t0
+    share = _per_block_share_payload(corr, x, x_r, tau)
+    t_share = time.perf_counter() - t0
 
-    assert res_v.payload == res_l.payload
-    assert res_v.achieved_l2 <= tau * (1 + 1e-9)
-    speedup = t_loop / max(t_fast, 1e-9)
-    print(f"\nAblation (postprocess backend): loop {t_loop * 1e3:.0f} ms, "
-          f"vectorized {t_fast * 1e3:.0f} ms ({speedup:.1f}x)")
+    share_l2 = float(np.linalg.norm(x - corr.apply(x_r, share)))
+    assert res.achieved_l2 <= tau * (1 + 1e-9)
+    assert share_l2 <= tau * (1 + 1e-9)
+    assert res.payload_bytes <= len(share)
+    print(f"\nAblation (postprocess allocation): global "
+          f"{res.payload_bytes} B @ {res.achieved_l2 / tau:.4f} tau in "
+          f"{t_global * 1e3:.0f} ms; per-block share {len(share)} B @ "
+          f"{share_l2 / tau:.4f} tau in {t_share * 1e3:.0f} ms")
     save_json("ablation_postprocess_vectorized", {
-        "loop_s": t_loop, "vectorized_s": t_fast, "speedup": speedup})
-    assert t_fast < t_loop  # the acceleration must actually accelerate
+        "global_bytes": res.payload_bytes, "share_bytes": len(share),
+        "global_l2_over_tau": res.achieved_l2 / tau,
+        "share_l2_over_tau": share_l2 / tau,
+        "global_s": t_global, "share_s": t_share})
 
-    benchmark(lambda: fast.correct(x, x_r, tau))
+    benchmark(lambda: corr.correct(x, x_r, tau))

@@ -166,14 +166,13 @@ class CDCCompressor(LearnedBaseline):
         self.unet.eval()
 
     # ------------------------------------------------------------------
-    def _encode(self, frames_norm: np.ndarray) -> list:
-        groups = self._group(frames_norm)
-        streams, _ = self.vae.compress(groups)
-        return [streams]
+    def _encode(self, frames_norm: np.ndarray) -> tuple:
+        streams, y_int = self.vae.compress(self._group(frames_norm))
+        return [streams], [y_int]
 
-    def _decode(self, streams: list, num_frames: int,
-                seed: int) -> np.ndarray:
-        y_int = self.vae.decompress_latents(streams[0])
+    def _synthesize(self, latents: list, num_frames: int,
+                    seed: int) -> np.ndarray:
+        y_int = latents[0]
         cond = self._cond_channels(y_int)
         shape = (y_int.shape[0], self.GROUP, *cond.shape[2:])
         rng = np.random.default_rng(seed)

@@ -66,32 +66,45 @@ class LearnedBaseline:
         self.corrector: Optional[ErrorBoundCorrector] = None
 
     # -- subclass interface ------------------------------------------------
-    def _encode(self, frames_norm: np.ndarray) -> List[Dict]:
+    def _encode(self, frames_norm: np.ndarray
+                ) -> Tuple[List[Dict], List[np.ndarray]]:
         """Entropy-code normalized ``(T, H, W)`` frames.
 
-        Returns the list of VAE stream bundles (one or more dicts in
-        the ``VAEHyperprior.compress`` format) that, together with the
-        frame count and a noise seed, fully determine the decode.
+        Returns ``(streams, latents)``: the list of VAE stream bundles
+        (dicts in the ``VAEHyperprior.compress`` format) that, together
+        with the frame count and a noise seed, fully determine the
+        decode, and the integer latents each bundle codes, as
+        ``VAEHyperprior.compress`` returns them.
+        """
+        raise NotImplementedError
+
+    def _synthesize(self, latents: List[np.ndarray], num_frames: int,
+                    seed: int) -> np.ndarray:
+        """Reconstruct normalized frames from :meth:`_encode` latents.
+
+        Compress calls this on the latents it just coded and
+        :meth:`_decode` on the latents it reads back, which are equal,
+        so a serialized payload decodes to exactly the reconstruction
+        reported at compression time.  It must depend only on the
+        latents, the frame count and the seed — never on the original
+        frames.
         """
         raise NotImplementedError
 
     def _decode(self, streams: List[Dict], num_frames: int,
                 seed: int) -> np.ndarray:
-        """Reconstruct normalized frames from :meth:`_encode` streams.
-
-        This *is* the decompressor: it must depend only on the coded
-        streams, the frame count and the seed — never on the original
-        frames — so a serialized payload decodes to exactly the
-        reconstruction reported at compression time.
-        """
-        raise NotImplementedError
+        """The decompressor: entropy-decode the latents, then
+        :meth:`_synthesize`."""
+        latents = [self.vae.decompress_latents(s) for s in streams]
+        return self._synthesize(latents, num_frames, seed)
 
     def _reconstruct(self, frames_norm: np.ndarray, seed: int
-                     ) -> Tuple[np.ndarray, int]:
-        """Encode + decode; returns ``(reconstruction_norm, bytes)``."""
-        streams = self._encode(frames_norm)
-        recon = self._decode(streams, frames_norm.shape[0], seed)
-        return recon, sum(stream_bytes(s) for s in streams)
+                     ) -> Tuple[np.ndarray, List[Dict]]:
+        """Encode, then synthesize from the latents just coded (no
+        entropy decode); returns ``(reconstruction_norm, streams)``."""
+        streams, latents = self._encode(frames_norm)
+        return (self._synthesize(latents, frames_norm.shape[0], seed),
+                streams)
 
     # -- shared pipeline -----------------------------------------------------
     def compress(self, frames: np.ndarray,
@@ -102,9 +115,10 @@ class LearnedBaseline:
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
         norm, norms = normalize_frames(frames)
-        recon_norm, coded = self._reconstruct(norm, seed)
+        recon_norm, streams = self._reconstruct(norm, seed)
         recon = denormalize_frames(recon_norm, norms)
-        latent_bytes = coded + HEADER_BYTES + norms.size * 4
+        latent_bytes = (sum(stream_bytes(s) for s in streams)
+                        + HEADER_BYTES + norms.size * 4)
 
         tau = error_bound
         if nrmse_bound is not None:

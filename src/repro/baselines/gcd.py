@@ -125,23 +125,23 @@ class GCDCompressor(LearnedBaseline):
         self.unet.eval()
 
     # ------------------------------------------------------------------
-    def _encode(self, frames_norm: np.ndarray) -> list:
+    def _encode(self, frames_norm: np.ndarray) -> tuple:
         from ..pipeline.compressor import window_starts
-        out = []
+        streams, latents = [], []
         for start in window_starts(frames_norm.shape[0], self.window):
             chunk = frames_norm[start:start + self.window]
-            streams, _ = self.vae.compress(chunk[:, None])
-            out.append(streams)
-        return out
+            s, y_int = self.vae.compress(chunk[:, None])
+            streams.append(s)
+            latents.append(y_int)
+        return streams, latents
 
-    def _decode(self, streams: list, num_frames: int,
-                seed: int) -> np.ndarray:
+    def _synthesize(self, latents: list, num_frames: int,
+                    seed: int) -> np.ndarray:
         from ..pipeline.compressor import window_starts
         rng = np.random.default_rng(seed)
         starts = window_starts(num_frames, self.window)
-        conds = np.concatenate(
-            [self._cond_window(self.vae.decompress_latents(wdw))
-             for wdw in streams], axis=0)          # (W, N, C, h, w)
+        conds = np.concatenate([self._cond_window(y) for y in latents],
+                               axis=0)              # (W, N, C, h, w)
         W = conds.shape[0]
         h, w = conds.shape[3:]
         steps = self.schedule.steps

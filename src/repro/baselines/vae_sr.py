@@ -100,14 +100,13 @@ class VAESRCompressor(LearnedBaseline):
         self.sr.eval()
 
     # ------------------------------------------------------------------
-    def _encode(self, frames_norm: np.ndarray) -> list:
-        streams, _ = self.vae.compress(frames_norm[:, None])
-        return [streams]
+    def _encode(self, frames_norm: np.ndarray) -> tuple:
+        streams, y_int = self.vae.compress(frames_norm[:, None])
+        return [streams], [y_int]
 
-    def _decode(self, streams: list, num_frames: int,
-                seed: int) -> np.ndarray:
-        y_int = self.vae.decompress_latents(streams[0])
-        dec = self.vae.decode_latents(y_int)
+    def _synthesize(self, latents: list, num_frames: int,
+                    seed: int) -> np.ndarray:
+        dec = self.vae.decode_latents(latents[0])
         with no_grad():
             refined = self.sr(Tensor(dec)).numpy()
         return refined[:, 0]

@@ -144,8 +144,7 @@ class LearnedCodec(Codec):
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
         t0 = time.perf_counter()
         norm, norms = normalize_frames(frames)
-        streams = self._impl._encode(norm)
-        recon_norm = self._impl._decode(streams, frames.shape[0], seed)
+        recon_norm, streams = self._impl._reconstruct(norm, seed)
         recon = denormalize_frames(recon_norm, norms)
 
         bound_payload = b""

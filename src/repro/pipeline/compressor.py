@@ -27,7 +27,7 @@ import numpy as np
 
 from ..compression import VAEHyperprior, dequantize_minmax, minmax_normalize
 from ..config import PipelineConfig
-from ..diffusion import (ConditionalDDPM, KeyframeSpec, generate_latents,
+from ..diffusion import (ConditionalDDPM, KeyframeSpec,
                          generate_latents_batched, keyframe_spec)
 from ..metrics import CompressionAccounting, nrmse
 from ..postprocess import ErrorBoundCorrector
@@ -217,41 +217,22 @@ class LatentDiffusionCompressor:
         norms = np.asarray(norms, dtype=np.float64)
         return frames * norms[:, 1, None, None] + norms[:, 0, None, None]
 
-    def _reconstruct_window(self, key_latents: np.ndarray,
-                            spec: KeyframeSpec, seed: int,
-                            sampler: Optional[str] = None,
-                            steps: Optional[int] = None) -> np.ndarray:
-        """Shared by compress (simulation) and decompress (real decode)."""
-        sampler = sampler or self.config.sampler
-        steps = steps or self.config.sample_steps
-        K, C, h, w = key_latents.shape
-        N = spec.n
-        # min-max normalization constants derive from the keyframe
-        # latents only, so the decoder reproduces them bit-exactly.
-        key_norm, lo, hi = minmax_normalize(key_latents)
-        cond = np.zeros((1, N, C, h, w))
-        cond[0, spec.cond_idx] = key_norm
-        rng = np.random.default_rng(seed)
-        latents_norm = generate_latents(self.ddpm, cond, spec,
-                                        sampler=sampler, steps=steps,
-                                        rng=rng)[0]
-        latents = dequantize_minmax(latents_norm, lo, hi)
-        # keyframes decode from their exact integer latents
-        latents[spec.cond_idx] = key_latents
-        frames = self.vae.decode_latents(latents[:, :, :, :])
-        return frames[:, 0]
-
     def _reconstruct_windows(self, y_int_all: np.ndarray,
                              spec: KeyframeSpec, base_seed: int,
                              sampler: Optional[str] = None,
                              steps: Optional[int] = None) -> np.ndarray:
-        """Batched twin of :meth:`_reconstruct_window` over all windows.
+        """Shared by compress (simulation) and decompress (real decode).
 
         Window ``w_i`` seeds its own generator with ``base_seed + w_i``
-        and min-max normalizes from its own keyframe latents, so each
-        window's reconstruction is bit-identical to the sequential
-        per-window path; the UNet simply runs over stacked windows
-        (chunks of :data:`MAX_BATCH_WINDOWS`) in one batched forward.
+        and min-max normalizes from its own keyframe latents; the UNet
+        runs over stacked windows, in chunks of
+        :data:`MAX_BATCH_WINDOWS`, one batched forward per chunk.  Two
+        decodes under one chunking are bitwise equal, which is how
+        decompress reproduces compress.  Under another chunking BLAS
+        sums the batched GEMMs in another order, so the output can
+        differ in its last bits, by far less than the margin the
+        error-bound corrector reserves below ``tau`` (measured in
+        :class:`~repro.postprocess.ErrorBoundCorrector`).
         """
         sampler = sampler or self.config.sampler
         steps = steps or self.config.sample_steps

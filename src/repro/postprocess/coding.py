@@ -25,7 +25,7 @@ from ..entropy.backend import (DEFAULT_BACKEND, backend_from_tag,
                                get_backend)
 from ..entropy.coder import EntropyDecodeError, pmf_to_cumulative
 
-__all__ = ["encode_ints", "decode_ints"]
+__all__ = ["encode_ints", "decode_ints", "estimate_encoded_size"]
 
 _MAGIC = b"RI"
 _VARINT_MAGIC = b"RV"
@@ -74,6 +74,39 @@ def _varint_size(values: np.ndarray) -> int:
     """Length of :func:`_encode_varints` ``(values)``, in closed form."""
     steps = np.searchsorted(_VARINT_STEPS, _zigzag(values), side="right")
     return _VARINT_HEADER_SIZE + values.size + int(steps.sum())
+
+
+#: Bytes the arithmetic coder writes beyond the entropy of its input
+#: (termination, frequency-table rounding), for
+#: :func:`estimate_encoded_size`.
+_BODY_SLACK_BYTES = 4
+
+
+def estimate_encoded_size(values: np.ndarray) -> int:
+    """Length of :func:`encode_ints` ``(values)``, without coding it.
+
+    Headers, histograms and the varint fallback are sized exactly; the
+    entropy-coded body is estimated from the empirical entropy of
+    ``values`` plus the coder's few termination bytes.  Callers that
+    choose between candidate payloads use this to code only the one
+    they keep.
+    """
+    values = np.asarray(values, dtype=np.int64).ravel()
+    n = values.size
+    if n == 0:
+        return len(_MAGIC) + _HEADER_SIZE
+    vmin = int(values.min())
+    alphabet = int(values.max()) - vmin + 1
+    varint = _varint_size(values)
+    if alphabet > _MAX_HISTOGRAM_ALPHABET:
+        return varint
+    body = 0
+    if alphabet > 1:
+        counts = np.bincount(values - vmin)
+        counts = counts[counts > 0].astype(np.float64)
+        bits = n * np.log2(n) - float(counts @ np.log2(counts))
+        body = int(np.ceil(bits / 8.0)) + _BODY_SLACK_BYTES
+    return min(len(_MAGIC) + _HEADER_SIZE + 4 * alphabet + body, varint)
 
 
 def _decode_varints(data: bytes, offset: int) -> Tuple[np.ndarray, int]:

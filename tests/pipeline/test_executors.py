@@ -11,6 +11,7 @@ workers rebuild both from specs.
 import numpy as np
 import pytest
 
+from repro import nrmse
 from repro.codecs import Codec, codec_from_spec, get_codec
 from repro.pipeline.engine import CodecEngine
 from repro.pipeline.executors import (EXECUTORS, ProcessExecutor,
@@ -225,6 +226,11 @@ class TestTrainedCodecExecutorEquivalence:
                 [r.payload for r in ref.results], name
             for a, b in zip(got.results, ref.results):
                 assert a.accounting == b.accounting, name
+        # process workers rebuilt from the artifact decode within the bound
+        restored = CodecEngine(codec, executor=process_executor).decompress(
+            [r.payload for r in ref.results])
+        for stack, rec in zip(stacks, restored):
+            assert nrmse(stack, rec) <= 0.05
 
     def test_loaded_artifact_equivalent_to_original(self,
                                                     trained_artifact):

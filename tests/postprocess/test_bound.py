@@ -1,5 +1,7 @@
 """PCA error-bound guarantee tests (Sec. 3.5)."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 from repro.postprocess import (BoundResult, ErrorBoundCorrector, ResidualPCA,
                                blockify, decode_ints, encode_ints,
                                unblockify)
+from repro.postprocess.coding import estimate_encoded_size
 
 RNG = np.random.default_rng(0)
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def smooth_residuals(t=6, h=16, w=16, seed=1, scale=0.3):
@@ -139,6 +143,16 @@ class TestIntCodec:
         assert len(data) < 2000  # far below 1 byte per symbol
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(-4, 4), st.integers(-10 ** 6, 10 ** 6)),
+                min_size=0, max_size=300))
+def test_size_estimate_tracks_encoded_length(vals):
+    """Headers and varints are sized exactly, the coded body to within
+    the coder's few termination bytes."""
+    arr = np.array(vals, dtype=np.int64)
+    assert abs(estimate_encoded_size(arr) - len(encode_ints(arr))) <= 6
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-2000, 2000), min_size=0, max_size=200))
 def test_int_codec_roundtrip_property(vals):
@@ -219,6 +233,18 @@ class TestErrorBoundCorrector:
         res = corr.correct(x, x_r, tau=0.5 * np.linalg.norm(x - x_r))
         with pytest.raises(ValueError):
             corr.apply(x_r[:, :8], res.payload)
+
+
+def test_frozen_payload_decodes_bitwise():
+    """A G payload written by the per-block-share encoder (92 kept
+    coefficients, one escape block) still decodes to the same bytes."""
+    data = np.load(DATA / "bound_payload_v1.npz")
+    pca = ResidualPCA.from_state({"block": int(data["block"]),
+                                  "rank": int(data["rank"]),
+                                  "basis": data["basis"]})
+    out = ErrorBoundCorrector(pca).apply(data["x_r"],
+                                         data["payload"].tobytes())
+    np.testing.assert_array_equal(out, data["decoded"])
 
 
 @settings(max_examples=15, deadline=None)
