@@ -47,10 +47,9 @@ from repro.entropy import (ArithmeticDecoder, ArithmeticEncoder,
                            get_backend, list_backends)
 from repro.entropy.coder import pmf_to_cumulative
 from repro.pipeline.engine import CodecEngine
-from repro.pipeline.executors import (ProcessExecutor, SerialExecutor,
-                                      ThreadExecutor)
 from repro.pipeline.plan import (pack_shard_archive, plan_shards,
                                  ShardEntry)
+from repro.runtime import TaskRuntime
 
 from .conftest import save_json
 
@@ -641,9 +640,9 @@ def test_codec_registry_smoke(benchmark, tmp_path):
     # executor comparison: one plan, three backends, identical streams
     plan = plan_shards("e3sm", variables=[0], shards=EXEC_SHARDS,
                        t=48, h=48, w=48, seed=11)
-    executors = {"serial": SerialExecutor(),
-                 "thread": ThreadExecutor(EXEC_WORKERS),
-                 "process": ProcessExecutor(EXEC_WORKERS)}
+    executors = {"serial": TaskRuntime("serial"),
+                 "thread": TaskRuntime("thread", EXEC_WORKERS),
+                 "process": TaskRuntime("process", EXEC_WORKERS)}
     exec_rows = {}
     try:
         for codec_name in EXEC_CODECS:

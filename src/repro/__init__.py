@@ -30,7 +30,8 @@ Subpackages: :mod:`repro.nn` (NumPy autodiff substrate),
 :mod:`repro.compression` (VAE + hyperprior), :mod:`repro.diffusion`
 (conditional latent DDPM), :mod:`repro.postprocess` (error-bound
 guarantee), :mod:`repro.pipeline` (end-to-end compressor, engine,
-executors, artifact store), :mod:`repro.baselines`
+artifact store), :mod:`repro.runtime` (task runtime, sweep journal),
+:mod:`repro.baselines`
 (SZ3/ZFP/CDC/GCD/VAE-SR analogues), :mod:`repro.data` (synthetic
 datasets).
 

@@ -1,7 +1,7 @@
 """``repro.api`` — the one front door to the compression platform.
 
 The platform layers beneath this module (codec/dataset registries, the
-shard planner, pluggable executors, the artifact store) are stable, but
+shard planner, the task runtime, the artifact store) are stable, but
 historically every workload talked to a different surface:
 ``LatentDiffusionCompressor`` for single stacks, ``CodecEngine`` for
 sweeps, ``MultiVariableCompressor`` for variable sets,
@@ -9,8 +9,8 @@ sweeps, ``MultiVariableCompressor`` for variable sets,
 container formats.  This module folds them behind two types:
 
 :class:`Session`
-    Owns the registry lookups, codec cache, executor backend and
-    seeds.  ``session.compress(source, bound=...)`` accepts a
+    Owns the registry lookups, codec cache, task runtime and seeds.
+    ``session.compress(source, bound=...)`` accepts a
     ``(T, H, W)`` array, a registered dataset name or
     :class:`~repro.data.registry.DatasetSpec`, a multi-variable
     mapping / ``(V, T, H, W)`` array, or a frame *iterator*, and
@@ -75,14 +75,13 @@ from .pipeline.blob import CompressedBlob
 from .pipeline.container import (MEMBER_ENVELOPE, ArchiveIndexError,
                                  MemberIndex, as_source, verify_member)
 from .pipeline.engine import BatchResult, CodecEngine
-from .pipeline.executors import Executor, get_executor
-from .runtime import JournalError, SweepJournal, facts_fingerprint
+from .runtime import (JournalError, SweepJournal, TaskRuntime, as_runtime,
+                      facts_fingerprint)
 from .pipeline.multivar import (MultiVarArchive, MultiVariableCompressor,
                                 read_multivar_index)
-from .pipeline.plan import (ShardEntry, ShardPlan, assemble_shards,
-                            assemble_window, is_shard_archive,
-                            pack_shard_archive, plan_shards,
-                            read_shard_index, time_slices,
+from .pipeline.plan import (ShardEntry, ShardPlan, assemble_window,
+                            is_shard_archive, pack_shard_archive,
+                            plan_shards, read_shard_index, time_slices,
                             unpack_shard_archive)
 from .pipeline.sources import (ArrayStackSource, NpyStackSource,
                                as_stack_source)
@@ -439,10 +438,11 @@ class Session:
         :class:`~repro.pipeline.artifacts.ArtifactStore` (or its root
         directory) used by :meth:`train` when saving to a store.
     executor:
-        Execution backend for sweeps: ``"serial"`` / ``"thread"`` /
-        ``"process"`` or a ready
-        :class:`~repro.pipeline.executors.Executor`.  Owned by the
-        session — process pools stay warm across calls; use the
+        Task runtime for every fan-out (shards, dataset plans, member
+        decode): a mode name, ``"serial"`` / ``"thread"`` /
+        ``"process"``, or a ready :class:`~repro.runtime.TaskRuntime`
+        (which keeps its own width).  Held as :attr:`executor` and
+        owned by the session — pools stay warm across calls; use the
         session as a context manager (or call :meth:`close`) to
         release them.
     workers:
@@ -470,7 +470,7 @@ class Session:
                  artifact: Optional[str] = None,
                  store: Union[ArtifactStore, str, os.PathLike,
                               None] = None,
-                 executor: Union[str, Executor] = "thread",
+                 executor: Union[str, TaskRuntime] = "thread",
                  workers: Optional[int] = None,
                  seed: int = 0, chunk_windows: int = 4,
                  entropy_backend: Optional[str] = None):
@@ -479,7 +479,7 @@ class Session:
         self.chunk_windows = chunk_windows
         self.entropy_backend = _entropy_name(entropy_backend,
                                              DEFAULT_ENTROPY)
-        self.executor = get_executor(executor, max_workers=workers)
+        self.executor = as_runtime(executor, max_workers=workers)
         self.workers = self.executor.max_workers
         if store is not None and not isinstance(store, ArtifactStore):
             store = ArtifactStore(store)
@@ -531,7 +531,7 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<Session codec={self._default_name!r} "
-                f"executor={self.executor.name!r} "
+                f"executor={self.executor.mode!r} "
                 f"entropy={self.entropy_backend!r} seed={self.seed}>")
 
     # -- codec resolution ----------------------------------------------
@@ -636,8 +636,8 @@ class Session:
 
         * ``(T, H, W)`` array — single codec pass (raw blob for the
           blob-native pipeline codec, tagged envelope otherwise); with
-          ``shards=N`` the time axis splits into N slices executed on
-          the session backend and packed as a shard archive
+          ``shards=N`` the time axis splits into N slices and takes
+          the stack-source path below, as one group of every shard
           (``label`` names the shards, default ``"stack"``);
         * ``.npy`` path / ``np.memmap`` / stack source — *out-of-core*
           sharded compression: frames stream through the engine in
@@ -647,10 +647,10 @@ class Session:
           in-memory with the same ``shards``/``label``/``seed``
           (``shards`` defaults to one shard per 16 frames);
         * registered dataset name / :class:`DatasetSpec` / dataset
-          instance — deterministic shard plan (``variables``,
-          ``shards``, ``dataset_overrides``) fanned out on the session
-          backend; workers rebuild codec + dataset from specs, so
-          serial/thread/process archives are byte-identical;
+          instance — an unjournaled :meth:`sweep` (``variables``,
+          ``shards``, ``dataset_overrides``): workers rebuild codec +
+          dataset from specs, so serial/thread/process archives are
+          byte-identical;
         * mapping ``name -> (T, H, W)`` or ``(V, T, H, W)`` array —
           multi-variable archive (``names`` labels the array form);
         * any other iterable of ``(H, W)`` frames — constant-memory
@@ -671,25 +671,28 @@ class Session:
                 isinstance(source, np.ndarray) and source.ndim == 4):
             return self._compress_multivar(source, codec, target, names,
                                            seed, entropy)
-        if (isinstance(source, (NpyStackSource, ArrayStackSource,
-                                np.memmap, os.PathLike))
+        sharded_array = (isinstance(source, np.ndarray)
+                         and source.ndim == 3
+                         and shards is not None and shards > 1)
+        if (sharded_array
+                or isinstance(source, (NpyStackSource, ArrayStackSource,
+                                       np.memmap, os.PathLike))
                 or (isinstance(source, str)
                     and source.endswith(".npy"))):
             return self._compress_out_of_core(
                 source, codec, target, shards, seed, label,
                 chunk_shards, entropy)
         if isinstance(source, (str, DatasetSpec, SpatiotemporalDataset)):
-            return self._compress_plan(source, codec, target, variables,
-                                       shards, seed, dataset_overrides,
-                                       entropy)
+            return self.sweep(source, codec=codec, bound=target,
+                              variables=variables, shards=shards or 1,
+                              seed=seed,
+                              dataset_overrides=dataset_overrides,
+                              entropy_backend=entropy)
         if isinstance(source, np.ndarray):
             if source.ndim != 3:
                 raise SessionError(
                     f"expected a (T, H, W) or (V, T, H, W) array, got "
                     f"shape {source.shape}")
-            if shards is not None and shards > 1:
-                return self._compress_sharded_stack(
-                    source, codec, target, shards, seed, label, entropy)
             return self._compress_stack(source, codec, target, seed,
                                         entropy)
         if isinstance(source, Iterable):
@@ -733,34 +736,24 @@ class Session:
         return Archive(data, "shard", stats={
             "codec": resolved.name, "ratio": acc.ratio,
             "nrmse": batch.worst_nrmse(), "bytes": len(data),
-            "shards": len(entries), "executor": self.executor.name,
+            "shards": len(entries), "executor": self.executor.mode,
             "wall_seconds": batch.wall_seconds})
-
-    def _compress_sharded_stack(self, frames, codec, target, shards,
-                                seed, label, entropy: str) -> Archive:
-        resolved = self.resolve_codec(codec)
-        slices = time_slices(frames.shape[0], shards=shards)
-        stem = label or "stack"
-        meta = [(f"{stem}/v0/t{a:04d}-{b:04d}", 0, a, b)
-                for a, b in slices]
-        engine = self._engine(resolved, seed, entropy)
-        batch = engine.compress([frames[a:b] for a, b in slices],
-                                bound=target, keep_reconstruction=False)
-        return self._pack_shards(resolved, meta, batch)
 
     def _compress_out_of_core(self, src, codec, target, shards, seed,
                               label, chunk_shards,
                               entropy: str) -> Archive:
-        """Sharded compression streamed from an on-disk/mapped source.
+        """Sharded compression of a stack source: a file, a memmap or
+        an in-memory array.
 
-        The time axis splits exactly like the in-memory sharded path,
-        but shards materialize in bounded groups of ``chunk_shards``:
-        each group's frames are read, compressed (with the group's
-        global shard indexes driving the engine's seeding via
-        ``first_index``) and dropped before the next group loads, so
-        peak RSS tracks the group size.  Reconstructions are never
-        retained.  The packed archive is byte-for-byte what the
-        in-memory path would produce for the same array.
+        The time axis splits into ``shards`` slices, which materialize
+        in groups of ``chunk_shards``: each group's frames are read,
+        compressed (with the group's global shard indexes driving the
+        engine's seeding via ``first_index``) and dropped before the
+        next group loads, so peak RSS tracks the group size for files
+        and memmaps.  A resident array needs no bounded groups, so its
+        default group is every shard (one fan-out).  Reconstructions
+        are never retained, and the archive does not depend on the
+        grouping.
         """
         try:
             source = as_stack_source(src)
@@ -771,11 +764,13 @@ class Session:
         resolved = self.resolve_codec(codec)
         if shards is None:
             shards = max(1, -(-source.t // 16))
+        slices = time_slices(source.t, shards=shards)
         if chunk_shards is None:
-            chunk_shards = max(1, self.workers)
+            resident = (isinstance(src, np.ndarray)
+                        and not isinstance(src, np.memmap))
+            chunk_shards = len(slices) if resident else max(1, self.workers)
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
-        slices = time_slices(source.t, shards=shards)
         stem = label or "stack"
         meta = [(f"{stem}/v0/t{a:04d}-{b:04d}", 0, a, b)
                 for a, b in slices]
@@ -796,18 +791,6 @@ class Session:
         archive.stats["chunk_shards"] = chunk_shards
         return archive
 
-    def _compress_plan(self, dataset, codec, target, variables, shards,
-                       seed, dataset_overrides, entropy: str) -> Archive:
-        resolved = self.resolve_codec(codec)
-        spec = self._dataset_spec(dataset, dataset_overrides)
-        plan: ShardPlan = plan_shards(spec, variables=variables,
-                                      shards=shards or 1, base_seed=seed)
-        engine = self._engine(resolved, seed, entropy)
-        batch = engine.compress_plan(plan, bound=target,
-                                     keep_reconstruction=False)
-        meta = [(t.shard_id, t.variable, t.t0, t.t1) for t in plan]
-        return self._pack_shards(resolved, meta, batch)
-
     # -- resumable sweeps ------------------------------------------------
     def sweep(self, dataset, *,
               codec: Union[str, Codec, object, None] = None,
@@ -825,8 +808,8 @@ class Session:
               on_event=None) -> Archive:
         """Journaled, resumable shard sweep over a registered dataset.
 
-        Semantically ``compress(dataset, ...)`` for the plan-backed
-        path, with one addition: ``journal=path`` makes the sweep
+        ``compress(dataset, ...)`` is this method with
+        ``journal=None``.  ``journal=path`` makes the sweep
         **crash-safe** — every completed shard is durably recorded
         (fsynced JSONL line + content-addressed payload object under
         ``<journal>.objects/``) the moment it finishes, and a rerun
@@ -947,10 +930,13 @@ class Session:
         loaded via ``artifact``/``model`` is picked up); with
         ``expect_codec`` a mismatching stream raises instead.
 
-        ``select`` turns this into a *partial* decode that touches
-        only the selected members (via the archive's member index, so
-        an indexed archive opened from a path reads O(footer +
-        selected members) bytes, checksum-verified):
+        Multi-part archives (shard, multivar) always decode through
+        the member index: every member read is checksum-verified, so a
+        damaged member raises :class:`ArchiveIndexError` rather than
+        decoding into a wrong array.  ``select`` turns this into a
+        *partial* decode that touches only the selected members (an
+        indexed archive opened from a path reads O(footer + selected
+        members) bytes):
 
         * for shard archives — a shard id (``"stack/v0/t0000-0008"``),
           a variable number (``0``), a ``slice(t0, t1)`` time range
@@ -959,9 +945,8 @@ class Session:
         * for multi-variable archives — a variable name or sequence
           of names (returns the ``{name: array}`` sub-dict).
 
-        Selected members decode in parallel on the session's executor
-        backend, byte-identical to a serial decode of the same
-        members.
+        Members decode in parallel on the session's runtime,
+        byte-identical to a serial decode of the same members.
         """
         archive = Archive.open(source)
         if select is not None:
@@ -990,7 +975,8 @@ class Session:
                     f"{expect_codec!r} envelope")
             return self._ours_codec().decompress(archive.data)
         if archive.kind == "multivar":
-            return self._decompress_multivar(archive, expect_codec)
+            return self._decompress_multivar_select(archive,
+                                                    expect_codec)
         return self._decompress_stream(archive, expect_codec)
 
     @staticmethod
@@ -1103,12 +1089,19 @@ class Session:
                 out[i] = arr
         return out
 
-    def _read_members(self, archive: Archive,
-                      members: List[MemberIndex]) -> List[bytes]:
-        """Fetch + checksum-verify each member's stored bytes."""
+    @staticmethod
+    def _read_members(archive: Archive, members: List[MemberIndex]
+                      ) -> List[tuple]:
+        """Fetch + checksum-verify each member's stored bytes, as the
+        ``(codec_name | None, payload)`` pairs
+        :meth:`_decode_member_payloads` takes."""
         src = archive.reader()
-        return [verify_member(src.read_at(m.offset, m.length), m)
-                for m in members]
+        named = []
+        for m in members:
+            raw = verify_member(src.read_at(m.offset, m.length), m)
+            named.append(unpack_envelope(raw) if m.kind == MEMBER_ENVELOPE
+                         else (None, raw))
+        return named
 
     def _decompress_shards(self, archive: Archive,
                            expect: Optional[str],
@@ -1119,15 +1112,8 @@ class Session:
         window = None
         if select is not None:
             members, window = self._select_members(members, select)
-        named = []
-        for m, raw in zip(members, self._read_members(archive, members)):
-            if m.kind == MEMBER_ENVELOPE:
-                name, payload = unpack_envelope(raw)
-                named.append((name, payload))
-            else:
-                named.append((None, raw))
         arrays = self._decode_member_payloads(
-            named, expect, context="shard")
+            self._read_members(archive, members), expect, context="shard")
         entries = [ShardEntry(shard_id=m.key, variable=m.variable,
                               t0=m.t0, t1=m.t1, payload=b"")
                    for m in members]
@@ -1138,8 +1124,23 @@ class Session:
         return assemble_window(entries, arrays, t0=t0, t1=t1)
 
     def _decompress_multivar_select(self, archive: Archive,
-                                    expect: Optional[str], select
+                                    expect: Optional[str], select=None
                                     ) -> Dict[str, np.ndarray]:
+        """Decode the selected variables (``None``: every index row,
+        in index order) into a ``{name: array}`` dict."""
+        members = archive.index()
+        if select is not None:
+            members = self._select_variables(members, select)
+        arrays = self._decode_member_payloads(
+            self._read_members(archive, members), expect,
+            context="variable")
+        return {m.key: arr for m, arr in zip(members, arrays)}
+
+    @staticmethod
+    def _select_variables(members: List[MemberIndex], select
+                          ) -> List[MemberIndex]:
+        """Resolve a multivar selector (a name or a sequence of names)
+        into index rows, in selector order."""
         names = ([select] if isinstance(select, str)
                  else list(select) if isinstance(select, Sequence)
                  else None)
@@ -1147,42 +1148,13 @@ class Session:
             raise SessionError(
                 "multivar select= takes a variable name or a sequence "
                 "of names")
-        by_key = {m.key: m for m in archive.index()}
+        by_key = {m.key: m for m in members}
         try:
-            members = [by_key[n] for n in names]
+            return [by_key[n] for n in names]
         except KeyError as exc:
             raise SessionError(
                 f"no variable {exc.args[0]!r}; archive holds "
                 f"{sorted(by_key)}") from None
-        named = []
-        for m, raw in zip(members, self._read_members(archive, members)):
-            if m.kind == MEMBER_ENVELOPE:
-                codec_name, payload = unpack_envelope(raw)
-                named.append((codec_name, payload))
-            else:
-                named.append((None, raw))
-        arrays = self._decode_member_payloads(
-            named, expect, context="variable")
-        return {m.key: arr for m, arr in zip(members, arrays)}
-
-    def _decompress_multivar(self, archive: Archive,
-                             expect: Optional[str]
-                             ) -> Dict[str, np.ndarray]:
-        mv = archive.multivar()
-        out: Dict[str, np.ndarray] = {}
-        for name, blob in mv.blobs.items():
-            codec = self._ours_codec()
-            out[name] = (codec.decompress_blob(blob)
-                         if hasattr(codec, "decompress_blob")
-                         else codec.decompress(blob.to_bytes()))
-        for name, env in mv.envelopes.items():
-            codec_name, payload = unpack_envelope(env)
-            self._check_expected(
-                codec_name, expect,
-                f"variable {name!r} was written by codec "
-                f"{codec_name!r}, not {expect!r}")
-            out[name] = self.resolve_codec(codec_name).decompress(payload)
-        return out
 
     def _decompress_stream(self, archive: Archive,
                            expect: Optional[str]) -> np.ndarray:

@@ -19,7 +19,7 @@ Subcommands
                 codec (``--codec``), optionally loading trained state
                 from an artifact (``--codec-artifact model.npz``),
                 sharded over the time axis (``--shards N``) and
-                executed on a pluggable backend
+                executed on a task runtime
                 (``--executor serial|thread|process``);
 ``decompress``  reconstruct frames from any compressed container
                 (codec and container format auto-detected);
@@ -54,7 +54,7 @@ from .data.registry import (dataset_entries, get_dataset_spec,
                             list_datasets)
 from .entropy.backend import list_backends as list_entropy_backends
 from .pipeline.bundle import load_bundle, save_bundle
-from .pipeline.executors import list_executors
+from .runtime import MODES as EXECUTOR_MODES
 
 __all__ = ["main", "save_bundle", "load_bundle"]
 
@@ -604,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "compression (--shards defaults to one shard "
                         "per 16 frames in this mode)")
     c.add_argument("--executor", default="thread",
-                   choices=list_executors(),
+                   choices=EXECUTOR_MODES,
                    help="execution backend for sharded compression")
     c.add_argument("--workers", type=int, default=None,
                    help="pool width (default: one per CPU, clamped to "
@@ -663,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "completed shards (without this flag a "
                         "non-empty journal is refused)")
     w.add_argument("--executor", default="thread",
-                   choices=list_executors(),
+                   choices=EXECUTOR_MODES,
                    help="execution backend for the sweep")
     w.add_argument("--workers", type=int, default=None,
                    help="pool width (default: one per CPU, clamped to "

@@ -29,7 +29,7 @@ import numpy as np
 
 from .conditioning import KeyframeSpec, splice
 from .ddpm import ConditionalDDPM
-from .sampler import DEFAULT_CLIP, _init_window
+from .sampler import DEFAULT_CLIP, _init_windows_batched
 
 __all__ = ["dpm_solver_sample"]
 
@@ -55,7 +55,7 @@ def dpm_solver_sample(model: ConditionalDDPM, cond_window: np.ndarray,
     rng = rng or np.random.default_rng(0)
     sched = model.schedule
     ts = sched.spaced_timesteps(steps)
-    y = _init_window(cond_window, spec, rng)
+    y = _init_windows_batched(cond_window, spec, [rng] * len(cond_window))
 
     def x0_at(y_t: np.ndarray, t: int) -> np.ndarray:
         eps_hat = model.predict_noise(y_t, t)

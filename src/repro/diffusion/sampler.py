@@ -13,6 +13,11 @@ Two samplers are provided:
 * :func:`ddim_sample` — the deterministic DDIM chain over a spaced
   subset of steps, which is how the fine-tuned few-step models decode
   quickly (Sec. 4.6, Table 2).
+
+Each runs its ``*_batched`` twin with one generator shared by every row
+of the ``(B, ...)`` window: a shared generator draws the same sequence
+as one full-shape draw, so the result is bitwise the single-window
+chain.
 """
 
 from __future__ import annotations
@@ -35,13 +40,6 @@ __all__ = ["ancestral_sample", "ddim_sample", "generate_latents",
 DEFAULT_CLIP: Tuple[float, float] = (-1.5, 1.5)
 
 
-def _init_window(cond_window: np.ndarray, spec: KeyframeSpec,
-                 rng: np.random.Generator) -> np.ndarray:
-    """Start state: Gaussian noise on G frames, keyframes clean."""
-    noise = rng.standard_normal(cond_window.shape)
-    return splice(noise, cond_window, spec)
-
-
 def ancestral_sample(model: ConditionalDDPM, cond_window: np.ndarray,
                      spec: KeyframeSpec,
                      rng: Optional[np.random.Generator] = None,
@@ -54,14 +52,9 @@ def ancestral_sample(model: ConditionalDDPM, cond_window: np.ndarray,
     ignored).
     """
     rng = rng or np.random.default_rng(0)
-    sched = model.schedule
-    y = _init_window(cond_window, spec, rng)
-    for t in range(sched.steps, 0, -1):
-        eps_hat = model.predict_noise(y, t)
-        noise = rng.standard_normal(y.shape) if t > 1 else np.zeros_like(y)
-        y_next = sched.posterior_step(y, t, eps_hat, noise, clip_x0=clip_x0)
-        y = splice(y_next, cond_window, spec)
-    return y
+    return ancestral_sample_batched(model, cond_window, spec,
+                                    [rng] * len(cond_window),
+                                    clip_x0=clip_x0)
 
 
 def ddim_sample(model: ConditionalDDPM, cond_window: np.ndarray,
@@ -70,29 +63,21 @@ def ddim_sample(model: ConditionalDDPM, cond_window: np.ndarray,
                 clip_x0: Optional[Tuple[float, float]] = DEFAULT_CLIP
                 ) -> np.ndarray:
     """Deterministic DDIM chain over ``steps`` spaced timesteps."""
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     rng = rng or np.random.default_rng(0)
-    sched = model.schedule
-    ts = sched.spaced_timesteps(steps)
-    y = _init_window(cond_window, spec, rng)
-    for i, t in enumerate(ts):
-        t_prev = int(ts[i + 1]) if i + 1 < len(ts) else 0
-        eps_hat = model.predict_noise(y, int(t))
-        y_next = sched.ddim_step(y, int(t), t_prev, eps_hat, clip_x0=clip_x0)
-        y = splice(y_next, cond_window, spec)
-    return y
+    return ddim_sample_batched(model, cond_window, spec, steps,
+                               [rng] * len(cond_window), clip_x0=clip_x0)
 
 
 def _init_windows_batched(cond_windows: np.ndarray, spec: KeyframeSpec,
                           rngs: Sequence[np.random.Generator]) -> np.ndarray:
-    """Batched start state, one independent noise stream per window.
+    """Batched start state, one noise stream per window: Gaussian
+    noise on the generated frames, keyframes clean.
 
     Each window's generator draws exactly the values (and in the order)
-    the per-window :func:`_init_window` would, so the stacked start
-    state is bit-for-bit the ``W`` sequential ones.  The full batched
-    *chain* matches a sequential run only to BLAS rounding (GEMM
-    summation order depends on the batch extent, ~1e-15 per step).
+    a single-window start state would, so the stacked start state is
+    bit-for-bit the ``W`` sequential ones.  The full batched *chain*
+    matches a sequential run only to BLAS rounding (GEMM summation
+    order depends on the batch extent, ~1e-15 per step).
     """
     noise = np.empty_like(cond_windows)
     for b, rng in enumerate(rngs):

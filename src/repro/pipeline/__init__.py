@@ -16,9 +16,9 @@
   layer; legacy pre-manifest bundles still load);
 * :mod:`repro.pipeline.engine` — the batched parallel execution engine
   that runs any registered codec over windows/variables with
-  deterministic seeding and per-window accounting;
-* :mod:`repro.pipeline.executors` — the pluggable execution backends
-  (serial / thread / process) the engine delegates to;
+  deterministic seeding and per-window accounting, dispatching every
+  batch through one :class:`repro.runtime.TaskRuntime` (serial /
+  thread / process mode);
 * :mod:`repro.pipeline.plan` — the deterministic shard planner turning
   ``dataset x variables x window`` grids into picklable
   :class:`~repro.pipeline.plan.ShardTask` lists, plus the shard
@@ -43,8 +43,6 @@ from .container import (ArchiveIndexError, BufferSource, CountingReader,
                         FileObjSource, FileSource, MemberIndex,
                         as_source, read_index, verify_member)
 from .engine import BatchResult, CodecEngine, WindowReport
-from .executors import (Executor, ProcessExecutor, SerialExecutor,
-                        ThreadExecutor, get_executor, list_executors)
 from .multivar import (MultiVarArchive, MultiVariableCompressor,
                        MultiVarResult, read_multivar_index)
 from .plan import (ShardEntry, ShardPlan, ShardTask, assemble_shards,
@@ -60,8 +58,6 @@ __all__ = [
     "CompressionResult", "TwoStageTrainer", "TrainingConfig",
     "train_compressor", "save_bundle", "load_bundle",
     "CodecEngine", "BatchResult", "WindowReport",
-    "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
-    "get_executor", "list_executors",
     "ArtifactStore", "ArtifactManifest", "save_artifact",
     "load_artifact", "read_manifest", "is_artifact",
     "ShardTask", "ShardPlan", "ShardEntry", "plan_shards",

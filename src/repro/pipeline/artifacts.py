@@ -22,9 +22,9 @@ content-addressed artifact layer any trainable codec plugs into:
   plain files keyed by what they contain;
 * a codec loaded from (or saved to) an artifact carries the artifact
   path in :meth:`~repro.codecs.base.Codec.to_spec`, making *trained*
-  codecs spec-portable: :class:`~repro.pipeline.executors.
-  ProcessExecutor` workers rebuild them from ``spec + artifact path``
-  instead of raising.
+  codecs spec-portable: process-mode :class:`~repro.runtime.TaskRuntime`
+  workers rebuild them from ``spec + artifact path`` instead of
+  raising.
 
 Legacy ``save_bundle``/``load_bundle`` ``.npz`` files predate the
 manifest; :mod:`repro.pipeline.bundle` is now a thin adapter that

@@ -4,8 +4,8 @@ Scientific archives hold many independent windows/variables; their
 compression is embarrassingly parallel.  :class:`CodecEngine` runs any
 :class:`~repro.codecs.base.Codec` over a batch of frame stacks — or a
 :class:`~repro.pipeline.plan.ShardPlan` of dataset-backed shard tasks —
-through a pluggable :class:`~repro.pipeline.executors.Executor`
-backend (``serial`` / ``thread`` / ``process``), while guaranteeing:
+through one :class:`~repro.runtime.TaskRuntime` (``serial`` /
+``thread`` / ``process`` mode), while guaranteeing:
 
 * **deterministic per-window seeding** — stack ``i`` always gets seed
   ``base_seed + seed_stride * i`` (plan-backed shards carry their own
@@ -34,8 +34,7 @@ from ..bound import Bound
 from ..entropy.backend import (DEFAULT_BACKEND, get_backend,
                               using_backend)
 from ..metrics import CompressionAccounting
-from ..runtime import Task
-from .executors import Executor, get_executor
+from ..runtime import Task, TaskRuntime, as_runtime
 
 __all__ = ["CodecEngine", "BatchResult", "WindowReport"]
 
@@ -248,9 +247,10 @@ class CodecEngine:
         (:meth:`compress_plan` uses the planner's per-shard seeds
         instead).
     executor:
-        Backend name (``"serial"`` / ``"thread"`` / ``"process"``) or a
-        ready :class:`~repro.pipeline.executors.Executor` instance
-        (which then carries its own ``max_workers``).
+        Runtime mode (``"serial"`` / ``"thread"`` / ``"process"``) or a
+        ready :class:`~repro.runtime.TaskRuntime` (which then carries
+        its own ``max_workers``); held as :attr:`executor`.  Process
+        mode ships codec specs that workers rebuild.
     entropy_backend:
         Entropy-coder selection scoped around every compress call
         (``None``: the calling thread's selection when the batch is
@@ -260,11 +260,11 @@ class CodecEngine:
 
     def __init__(self, codec, max_workers: Optional[int] = None,
                  base_seed: int = 0, seed_stride: int = SEED_STRIDE,
-                 executor: Union[str, Executor] = "thread",
+                 executor: Union[str, TaskRuntime] = "thread",
                  entropy_backend: Optional[str] = None):
         from ..codecs import as_codec  # local: codecs imports pipeline
         self.codec = as_codec(codec)
-        self.executor = get_executor(executor, max_workers=max_workers)
+        self.executor = as_runtime(executor, max_workers=max_workers)
         self.max_workers = self.executor.max_workers
         self.base_seed = base_seed
         self.seed_stride = seed_stride
@@ -276,15 +276,16 @@ class CodecEngine:
         return self.base_seed + self.seed_stride * index
 
     def _codec_ref(self):
-        """The codec as this backend wants it shipped."""
-        if not self.executor.wants_specs:
+        """The codec as this runtime wants it shipped: process workers
+        rebuild it from a picklable spec."""
+        if self.executor.mode != "process":
             return self.codec
         try:
             return self.codec.to_spec()
         except TypeError as exc:
             raise TypeError(
                 f"codec {self.codec.name!r} cannot be shipped to a "
-                f"{self.executor.name!r} executor ({exc}); save "
+                f"{self.executor.mode!r} executor ({exc}); save "
                 f"trained state to an artifact (Codec.save_artifact) "
                 f"first, or use the serial or thread backend for "
                 f"stateful codecs"
@@ -300,12 +301,6 @@ class CodecEngine:
     def _execute(self, jobs: List[_WindowJob], journal=None,
                  on_event=None) -> BatchResult:
         t0 = time.perf_counter()
-        if journal is None and on_event is None:
-            # fast path: plain ordered map, zero bookkeeping overhead
-            reports = self.executor.map(_run_window_job, jobs)
-            return BatchResult(reports=reports,
-                               wall_seconds=time.perf_counter() - t0)
-
         by_index: Dict[int, WindowReport] = {}
         replayed = 0
         remaining: List[Task] = []
@@ -332,8 +327,7 @@ class CodecEngine:
                                _journal_meta(report))
             by_index[report.index] = report
 
-        self.executor.run_tasks(remaining, on_result=_record,
-                                on_event=on_event)
+        self.executor.run(remaining, on_result=_record, on_event=on_event)
         reports = [by_index[job.index] for job in jobs]
         return BatchResult(reports=reports,
                            wall_seconds=time.perf_counter() - t0,

@@ -16,10 +16,12 @@ models.  Accepted codec descriptions (normalized via
 registry name (``"szlike"``), or a native compressor such as a trained
 :class:`~repro.pipeline.compressor.LatentDiffusionCompressor`.
 
-Variables are independent, so compression fans out over a
-:class:`~repro.pipeline.executors.ThreadExecutor` (``max_workers``)
-with the deterministic per-variable seeding the serial path used —
-results are bit-identical either way.
+Variables are independent, so compression fans out over a thread-mode
+:class:`~repro.runtime.TaskRuntime` (``max_workers``) with the
+deterministic per-variable seeding the serial path used — results are
+bit-identical either way.  ``Session.decompress`` does not go through
+:class:`MultiVariableCompressor`: it reads members through the
+CRC-checked footer index (:func:`read_multivar_index`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ import numpy as np
 from ..bound import Bound
 from ..entropy.backend import get_default_backend, using_backend
 from ..metrics import CompressionAccounting
+from ..runtime import TaskRuntime
 from .blob import CompressedBlob
 from .compressor import LatentDiffusionCompressor
 from .container import (ArchiveIndexError, MemberIndex, as_source,
                         index_blob, read_index)
-from .executors import ThreadExecutor
 
 __all__ = ["MultiVarResult", "MultiVarArchive", "MultiVariableCompressor",
            "read_multivar_index"]
@@ -283,7 +285,9 @@ class MultiVariableCompressor:
         if max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         self.max_workers = max_workers
-        self._executor = ThreadExecutor(max_workers)
+        self._executor = TaskRuntime(mode="thread",
+                                     max_workers=max_workers,
+                                     name="repro-multivar")
         self._shared = None
         self._per_var: Dict[str, "object"] = {}
         if isinstance(compressor, Mapping):

@@ -1,8 +1,7 @@
 """repro.runtime — one event-driven task substrate under everything.
 
-The pipeline's executor strategies, the engine's window batching, and
-the service's worker threads used to be three unrelated dispatch
-layers.  They now share this package:
+The session's fan-out, the engine's window batching, and the service's
+worker threads share this package:
 
 * :mod:`repro.runtime.task` — immutable :class:`Task` records with
   deterministic ids/seeds, :class:`TaskEvent` lifecycle events, and
@@ -10,7 +9,9 @@ layers.  They now share this package:
 * :mod:`repro.runtime.runtime` — :class:`TaskRuntime`, the dispatcher:
   serial/thread/process modes behind one ``run()``/``map()`` surface,
   per-task retry with exponential backoff, completion events, and a
-  queue-pump mode (``start_workers``) for long-lived services.
+  queue-pump mode (``start_workers``) for long-lived services;
+  :func:`as_runtime` resolves every ``executor=`` argument (a name in
+  :data:`MODES` or a ready runtime).
 * :mod:`repro.runtime.journal` — :class:`SweepJournal`, a crash-safe
   append-only JSONL journal of ``task_id -> result digest`` with
   content-addressed payload staging and idempotent replay, the
@@ -19,7 +20,7 @@ layers.  They now share this package:
 """
 
 from .task import Task, TaskEvent, TaskOutcome
-from .runtime import TaskRuntime, default_workers
+from .runtime import MODES, TaskRuntime, as_runtime, default_workers
 from .journal import JournalEntry, JournalError, SweepJournal, facts_fingerprint
 
 __all__ = [
@@ -27,6 +28,8 @@ __all__ = [
     "TaskEvent",
     "TaskOutcome",
     "TaskRuntime",
+    "MODES",
+    "as_runtime",
     "default_workers",
     "JournalEntry",
     "JournalError",

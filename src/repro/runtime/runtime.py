@@ -1,4 +1,4 @@
-"""TaskRuntime — the one dispatcher under executors, engine, and service.
+"""TaskRuntime — the one dispatcher under the session, engine, and service.
 
 Two operating styles share one object:
 
@@ -6,8 +6,8 @@ Two operating styles share one object:
   records, dispatches them on the configured backend
   (serial/thread/process), retries failures with exponential backoff,
   emits :class:`TaskEvent`s, and returns ordered
-  :class:`TaskOutcome`s.  :meth:`map` is the thin ordered-map sugar
-  the pipeline executors expose.
+  :class:`TaskOutcome`s.  :meth:`map` is thin ordered-map sugar over
+  :meth:`run`.
 * **pump** — :meth:`start_workers` spawns daemon threads that drain a
   queue-like source (anything with ``get(timeout) -> item|None`` and a
   ``closed`` property, i.e. the service's ``JobQueue``) into a handler,
@@ -16,8 +16,13 @@ Two operating styles share one object:
 Worker pools are warm: created lazily on first use, grown (by
 recreation) when a batch wants more workers than the current pool has,
 and torn down by :meth:`close` — which is idempotent, exception-safe,
-and non-terminal (a later ``run`` simply builds a fresh pool, matching
-the historical executor contract).
+and non-terminal (a later ``run`` simply builds a fresh pool).  There
+is deliberately no ``__del__``: GC-timing-dependent finalizers race
+interpreter shutdown, so lifecycle is explicit (``with`` or
+``close()``).
+
+``Session(executor=...)`` and ``CodecEngine(executor=...)`` take a mode
+name or a ready runtime; :func:`as_runtime` is the one resolver.
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ import threading
 import time
 from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
                                 ThreadPoolExecutor, wait)
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Union)
 
 from .task import Task, TaskEvent, TaskOutcome, run_task
 
-__all__ = ["TaskRuntime", "default_workers", "MODES"]
+__all__ = ["TaskRuntime", "as_runtime", "default_workers", "MODES"]
 
 MODES = ("serial", "thread", "process")
 
@@ -145,7 +151,7 @@ class TaskRuntime:
         return self._run_pool(tasks, workers, on_result, on_event)
 
     def map(self, fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
-        """Ordered map of ``fn`` over ``items`` (executor-compat sugar)."""
+        """Ordered map of ``fn`` over ``items``."""
         tasks = [Task(task_id=str(i), fn=fn, payload=item, index=i)
                  for i, item in enumerate(items)]
         return [outcome.value for outcome in self.run(tasks)]
@@ -316,8 +322,7 @@ class TaskRuntime:
     def close(self) -> None:
         """Release pools and pump threads; idempotent, exception-safe.
 
-        Not terminal: a later :meth:`run` lazily rebuilds its pool,
-        preserving the historical map-after-close executor behavior.
+        Not terminal: a later :meth:`run` lazily rebuilds its pool.
         """
         try:
             self.stop_workers(wait=True, timeout=1.0)
@@ -346,3 +351,19 @@ class TaskRuntime:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TaskRuntime mode={self.mode!r} "
                 f"max_workers={self.max_workers} retries={self.retries}>")
+
+
+def as_runtime(executor: Union[str, TaskRuntime],
+               max_workers: Optional[int] = None) -> TaskRuntime:
+    """Resolve an ``executor=`` argument into a :class:`TaskRuntime`.
+
+    A mode name (one of :data:`MODES`) builds a fresh runtime of
+    ``max_workers`` width; a ready runtime passes through unchanged and
+    keeps its own width.  Unknown names raise the runtime's
+    ``ValueError``.
+    """
+    if isinstance(executor, TaskRuntime):
+        return executor
+    mode = str(executor).strip().lower()
+    return TaskRuntime(mode=mode, max_workers=max_workers,
+                       name=f"repro-{mode}")

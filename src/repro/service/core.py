@@ -9,16 +9,19 @@
   bounded queue (429-style rejections, never unbounded growth), and
   returns a :class:`~repro.service.jobs.Job` record with a
   deterministic id;
-* **execution** — the shared :class:`repro.runtime.TaskRuntime` (the
-  same substrate the pipeline executors dispatch through) pumps the
-  queue into the session (which owns the executor backend, codec
-  cache and seeds), so a served compress is *byte-identical* to the
-  same ``Session.compress`` call in-process;
+* **execution** — a :class:`repro.runtime.TaskRuntime` (the same
+  substrate the session fans out on) pumps the queue into the session
+  (which owns its own runtime, codec cache and seeds), so a served
+  compress is *byte-identical* to the same ``Session.compress`` call
+  in-process;
 * **caching** — results land in the content-addressed
   :class:`~repro.service.cache.ResultCache`; a repeated identical
   request is answered at submission time from the cache (the job is
   born ``done`` with ``cache_hit=True``) without ever touching the
   queue;
+* **bounded state** — the job table keeps queued and running jobs
+  plus the newest :data:`MAX_FINISHED_JOBS` finished ones, and result
+  metadata lives only as long as the cache holds the result;
 * **observability** — every stage writes through one
   :class:`~repro.service.telemetry.MetricsRegistry`;
   :meth:`health` and :meth:`metrics_text` are what the HTTP layer
@@ -35,13 +38,14 @@ scripting.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import io
 import os
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -61,6 +65,11 @@ __all__ = ["CompressionService", "ServiceClient", "ServiceError",
 MEDIA_ARCHIVE = "application/octet-stream"
 MEDIA_NPY = "application/x-npy"
 MEDIA_NPZ = "application/x-npz"
+
+#: finished (done/failed/cancelled) jobs the table keeps; older ones
+#: are forgotten and their ids answer :class:`UnknownJobError`.  Queued
+#: and running jobs are never dropped.
+MAX_FINISHED_JOBS = 1024
 
 #: ``train`` request kwargs forwarded to :meth:`Session.train`
 _TRAIN_KWARGS = ("preset", "vae_iters", "diffusion_iters", "sr_iters",
@@ -167,13 +176,15 @@ class CompressionService:
 
         self._lock = threading.Lock()
         self._jobs: Dict[str, Job] = {}
+        #: ids of finished jobs, oldest first
+        self._finished: Deque[str] = collections.deque()
         self._seq = 0
         self._result_meta: Dict[str, Dict[str, Any]] = {}
         self._draining = threading.Event()
         self._closed = False
         self._num_workers = int(workers)
-        # the shared task runtime pumps the JobQueue into _execute —
-        # the same substrate the pipeline executors dispatch through
+        # a task runtime pumps the JobQueue into _execute — the same
+        # substrate the session fans out on
         self._runtime = TaskRuntime(mode="thread",
                                     max_workers=self._num_workers,
                                     name="repro-serve")
@@ -316,6 +327,7 @@ class CompressionService:
             job.result = dict(meta) if meta else {
                 "bytes": size, "media_type": MEDIA_ARCHIVE}
             job.transition("done")
+            self._retire(job)
             self._c_submitted.inc(type=job.type)
             self._c_completed.inc(state="done", type=job.type)
             return job
@@ -432,6 +444,9 @@ class CompressionService:
         result = {"bytes": len(data), "media_type": media, **stats}
         with self._lock:
             self._result_meta[job.digest] = dict(result)
+            for digest in [d for d in self._result_meta
+                           if d not in self.cache]:
+                del self._result_meta[digest]  # result was evicted
         job.result = result
         self._finish(job, "done")
         self._h_job_seconds.observe(elapsed, type=job.type,
@@ -443,7 +458,16 @@ class CompressionService:
             job.transition(state)
         except JobError:
             return
+        self._retire(job)
         self._c_completed.inc(state=state, type=job.type)
+
+    def _retire(self, job: Job) -> None:
+        """Record a newly finished job; forget the oldest finished jobs
+        beyond :data:`MAX_FINISHED_JOBS`."""
+        with self._lock:
+            self._finished.append(job.id)
+            while len(self._finished) > MAX_FINISHED_JOBS:
+                self._jobs.pop(self._finished.popleft(), None)
 
     def _dispatch(self, job: Job):
         req = job.request
@@ -572,7 +596,7 @@ class CompressionService:
             "workers": self._num_workers,
             "workers_alive": alive,
             "inflight": self._runtime.inflight,
-            "executor": self.session.executor.name,
+            "executor": self.session.executor.mode,
             "store_writable": store_ok,
             "jobs": self._jobs_by_state(),
             "cache": self.cache.stats(),

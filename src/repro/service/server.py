@@ -61,6 +61,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1.0"
+    # headers and body go out in separate writes; with Nagle on, a
+    # keep-alive client's delayed ACK stalls every response ~40 ms
+    disable_nagle_algorithm = True
 
     # the service instance hangs off the server object
     @property

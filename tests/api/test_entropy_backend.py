@@ -119,7 +119,7 @@ def _write_all(session, frames, npy, journal, service_dir):
     with open(journal) as fh:
         out["fingerprint"] = json.loads(fh.readline())["fingerprint"]
     with CompressionService(service_dir, workers=2,
-                            executor=session.executor.name) as service:
+                            executor=session.executor.mode) as service:
         client = ServiceClient(service)
         job = client.submit({"type": "compress", "dataset": "e3sm",
                              "shape": SHAPE, "codec": "szlike",

@@ -1,6 +1,8 @@
 """Chunked out-of-core ingestion: byte identity with the in-memory
 path, source dispatch, and the defaults the streaming loop applies."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,25 @@ def in_memory(session, frames):
 
 
 class TestByteIdentity:
+    #: sha256 of ``in_memory``, written before an in-memory ``shards=``
+    #: array took the stack-source path
+    IN_MEMORY = ("2a7a59eb5d5ff16149690b779993dfa5"
+                 "29a0c7d6c27cafc4ba844bcc8de38595")
+
+    def test_in_memory_pinned(self, in_memory):
+        assert hashlib.sha256(in_memory.data).hexdigest() == \
+            self.IN_MEMORY
+        # a resident array is one group of every shard
+        assert in_memory.stats["chunk_shards"] == 6
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_in_memory_parallel_pinned(self, frames, executor):
+        with Session(codec="szlike", executor=executor,
+                     workers=2) as par:
+            archive = par.compress(frames, bound=BOUND, shards=6)
+        assert hashlib.sha256(archive.data).hexdigest() == \
+            self.IN_MEMORY
+
     @pytest.mark.parametrize("chunk_shards", [1, 2, 4, 6])
     def test_chunked_equals_in_memory(self, session, frames, in_memory,
                                       chunk_shards):

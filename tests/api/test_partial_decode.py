@@ -1,6 +1,9 @@
 """Partial decode through the footer index: ``select=`` semantics,
 executor parity, the bytes-read contract, legacy-version fallback and
-checksum enforcement."""
+checksum enforcement — plus full multivar decode, which reads every
+member through the same checksummed index."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -190,3 +193,80 @@ class TestMultivarSelect:
     def test_bad_selector(self, session, mv_archive):
         with pytest.raises(SessionError, match="variable name"):
             session.decompress(mv_archive, select=3)
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(bytes(data)).hexdigest()
+
+
+class TestMultivarFullDecode:
+    """A full decode is the member-index decode of every row: every
+    member read is CRC-checked and decoded on the session runtime."""
+
+    #: sha256 of the archive and of each decoded variable, written and
+    #: decoded before full decode moved onto the member index
+    ARCHIVE = ("3c9df097f40ae43bfcf32791ea7f2310"
+               "bd6870bc080c7f3aaf5d7262c96b047b")
+    DECODED = {"u": "b77ad58cf2ae45c7991a4f2bfbbd9f57"
+                    "6f1b9226d91616b584beefd3ba12ec39",
+               "v": "620a3b221cddbbb4a4d9f13225af2dbf"
+                    "e6c208cb63684c707a32d786f8a81c8e"}
+    V2 = ("34908f853797466b96fd9e7eacdff3e9"
+          "89900b19dcaa4320bc47d6e7818e69fc")
+
+    @pytest.fixture(scope="class")
+    def small(self, session):
+        rng = np.random.default_rng(5)
+        f = np.cumsum(rng.standard_normal((8, 8, 8)), axis=0)
+        return session.compress({"u": f, "v": f * 2.0}, bound=BOUND)
+
+    def test_decode_pinned(self, session, small):
+        assert _sha(small.data) == self.ARCHIVE
+        full = session.decompress(small)
+        assert list(full) == ["u", "v"]
+        assert {k: _sha(v.tobytes()) for k, v in full.items()} == \
+            self.DECODED
+
+    def test_every_member_bit_flip_raises(self, session, small):
+        data = small.data
+        members = small.index()
+        flips = 0
+        for m in members:
+            for pos in range(m.offset, m.offset + m.length):
+                for bit in range(8):
+                    bad = bytearray(data)
+                    bad[pos] ^= 1 << bit
+                    with pytest.raises(ArchiveIndexError,
+                                       match="checksum"):
+                        session.decompress(Archive.open(bytes(bad)))
+                    flips += 1
+        assert flips == 8 * sum(m.length for m in members)
+
+    def test_v2_archive_still_decodes(self, session, small):
+        v2 = small.multivar().to_bytes(version=2)
+        assert _sha(v2) == self.V2
+        archive = Archive.open(v2)
+        assert not archive.indexed()
+        full = session.decompress(archive)
+        assert {k: _sha(v.tobytes()) for k, v in full.items()} == \
+            self.DECODED
+
+    def test_full_equals_select_of_every_name(self, session, small):
+        full = session.decompress(small)
+        both = session.decompress(small, select=["v", "u"])
+        for name in full:
+            np.testing.assert_array_equal(full[name], both[name])
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_parallel_full_decode_equals_serial(self, session, small,
+                                                executor):
+        ref = session.decompress(small)
+        with Session(codec="szlike", executor=executor,
+                     workers=2) as par:
+            got = par.decompress(small)
+        for name in ref:
+            np.testing.assert_array_equal(got[name], ref[name])
+
+    def test_expect_codec_enforced(self, session, small):
+        with pytest.raises(SessionError, match="written by codec"):
+            session.decompress(small, expect_codec="zfplike")

@@ -7,11 +7,12 @@ journal append — fires before the event), which is exactly the state a
 SIGKILL between shards leaves behind.
 """
 
+import hashlib
 import json
 
 import pytest
 
-from repro.api import Session, SessionError
+from repro.api import Bound, Session, SessionError
 
 SHAPE = {"t": 16, "h": 12, "w": 12}
 SWEEP = dict(shards=4, nrmse_bound=0.01, seed=7, variables=[0],
@@ -107,6 +108,33 @@ class TestCrashResume:
         assert second.to_bytes() == first.to_bytes()
         assert counter.kinds.count("completed") == 0
         assert second.stats["resumed_shards"] == N
+
+
+class TestCompressIsUnjournaledSweep:
+    """``compress(dataset, ...)`` is ``sweep(..., journal=None)``."""
+
+    #: sha256 of dataset archives (e3sm 12x12x12, dataset seed 3,
+    #: variables 0-1, 3 shards, NRMSE 1e-2), written before dataset
+    #: compress went through ``sweep``
+    GOLDEN = {"szlike": ("314761520d31aa36d54c341e704bb119"
+                         "57d705d6adaeb439a86010f62e8f4e63"),
+              "dpcm": ("c54f27a9e4f56c53df369ced048aa4dd"
+                       "3d690218550154c443465ff66c103b6b")}
+
+    @pytest.mark.parametrize("codec", sorted(GOLDEN))
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_dataset_compress_pinned(self, codec, executor):
+        kwargs = dict(codec=codec, bound=Bound.nrmse(1e-2),
+                      variables=[0, 1], shards=3,
+                      dataset_overrides=dict(t=12, h=12, w=12, seed=3))
+        with Session(executor=executor, workers=2) as s:
+            compressed = s.compress("e3sm", **kwargs)
+            swept = s.sweep("e3sm", **kwargs)
+        digest = hashlib.sha256(compressed.data).hexdigest()
+        assert digest == self.GOLDEN[codec]
+        assert swept.data == compressed.data
+        assert compressed.stats["computed_shards"] == 6
+        assert compressed.stats["resumed_shards"] == 0
 
 
 class TestDamageRecovery:

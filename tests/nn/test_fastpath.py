@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from repro.config import DiffusionConfig, VAEConfig
-from repro.diffusion import ConditionalDDPM, keyframe_spec
-from repro.diffusion.sampler import (_init_window, _init_windows_batched,
+from repro.diffusion import ConditionalDDPM, keyframe_spec, splice
+from repro.diffusion.sampler import (_init_windows_batched,
                                      ancestral_sample,
                                      ancestral_sample_batched, ddim_sample,
                                      ddim_sample_batched,
@@ -268,8 +268,9 @@ class TestBatchedSampler:
         batched = _init_windows_batched(
             cond, spec, [np.random.default_rng(100 + b) for b in range(3)])
         for b in range(3):
-            seq = _init_window(cond[b:b + 1], spec,
-                               np.random.default_rng(100 + b))
+            noise = np.random.default_rng(100 + b).standard_normal(
+                cond[b:b + 1].shape)
+            seq = splice(noise, cond[b:b + 1], spec)
             np.testing.assert_array_equal(batched[b], seq[0])
 
     def test_ancestral_matches_sequential(self):

@@ -1,56 +1,61 @@
-"""Executor lifecycle: no finalizers, idempotent exception-safe close."""
+"""Executor lifecycle under the engine: idempotent, non-terminal,
+exception-safe close.
 
+A :class:`~repro.pipeline.engine.CodecEngine` resolves its ``executor=``
+backend name into a :class:`~repro.runtime.TaskRuntime` and holds it as
+:attr:`executor`.  Each case id names a backend by the executor it
+selects; the runtime behind it must survive repeated closes and rebuild
+its pool for the next batch.
+"""
+
+import numpy as np
 import pytest
 
-from repro.pipeline.executors import (Executor, ProcessExecutor,
-                                      SerialExecutor, ThreadExecutor)
-from repro.runtime import Task
+from repro.pipeline.engine import CodecEngine
+
+BACKENDS = {"SerialExecutor": "serial", "ThreadExecutor": "thread",
+            "ProcessExecutor": "process"}
 
 
 def _double(x):
     return 2 * x
 
 
-BACKENDS = [SerialExecutor, ThreadExecutor, ProcessExecutor]
+def _engine(mode):
+    return CodecEngine("szlike", executor=mode, max_workers=2)
 
 
-def test_no_finalizer_anywhere():
-    """GC-timing-dependent __del__ is banned (same purge as Session)."""
-    for cls in (Executor, SerialExecutor, ThreadExecutor,
-                ProcessExecutor):
-        assert "__del__" not in cls.__dict__
-        assert not hasattr(cls, "__del__")
-
-
-@pytest.mark.parametrize("cls", BACKENDS)
-def test_close_is_idempotent(cls):
-    ex = cls(max_workers=2)
+@pytest.mark.parametrize("mode", list(BACKENDS.values()), ids=list(BACKENDS))
+def test_close_is_idempotent(mode):
+    ex = _engine(mode).executor
+    assert ex.mode == mode
     assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
     ex.close()
     ex.close()
     ex.close()
 
 
-@pytest.mark.parametrize("cls", BACKENDS)
-def test_map_after_close_rebuilds(cls):
-    """close() is not terminal — the historical executor contract."""
-    ex = cls(max_workers=2)
-    ex.close()
-    assert ex.map(_double, [1, 2, 3]) == [2, 4, 6]
-    ex.close()
-
-
-@pytest.mark.parametrize("cls", BACKENDS)
-def test_context_manager_closes(cls):
-    with cls(max_workers=2) as ex:
-        assert ex.map(_double, [5]) == [10]
-    ex.close()  # extra close after __exit__ stays safe
+@pytest.mark.parametrize("mode", list(BACKENDS.values()), ids=list(BACKENDS))
+def test_map_after_close_rebuilds(mode):
+    """close() is not terminal: the engine keeps compressing after its
+    executor was closed, with unchanged payloads."""
+    engine = _engine(mode)
+    rng = np.random.default_rng(0)
+    stacks = [rng.standard_normal((4, 8, 8)) for _ in range(2)]
+    before = engine.compress(stacks, nrmse_bound=0.05)
+    engine.executor.close()
+    after = engine.compress(stacks, nrmse_bound=0.05)
+    assert [r.result.payload for r in after.reports] == \
+        [r.result.payload for r in before.reports]
+    engine.executor.close()
+    assert engine.executor.map(_double, [1, 2, 3]) == [2, 4, 6]
+    engine.executor.close()
 
 
 def test_close_swallows_pool_shutdown_errors(monkeypatch):
-    ex = ThreadExecutor(max_workers=2)
+    ex = _engine("thread").executor
     ex.map(_double, [1, 2, 3, 4])
-    pool = ex.runtime._thread_pool
+    pool = ex._thread_pool
     assert pool is not None
 
     def bad_shutdown(wait=True):
@@ -58,28 +63,7 @@ def test_close_swallows_pool_shutdown_errors(monkeypatch):
 
     monkeypatch.setattr(pool, "shutdown", bad_shutdown)
     ex.close()  # must not raise
-    assert ex.runtime._thread_pool is None
+    assert ex._thread_pool is None
     # and a later map still works
     assert ex.map(_double, [7]) == [14]
     ex.close()
-
-
-def test_close_without_runtime_attribute():
-    """Half-constructed executors (failed __init__) must close safely."""
-    ex = SerialExecutor.__new__(SerialExecutor)
-    ex.close()  # no _runtime attribute yet: getattr-guarded
-
-
-@pytest.mark.parametrize("cls", BACKENDS)
-def test_run_tasks_surface(cls):
-    ex = cls(max_workers=2)
-    try:
-        tasks = [Task(task_id=f"t{i}", fn=_double, payload=i, index=i)
-                 for i in range(5)]
-        seen = []
-        outcomes = ex.run_tasks(tasks, on_result=lambda o: seen.append(
-            o.task_id))
-        assert [o.value for o in outcomes] == [0, 2, 4, 6, 8]
-        assert sorted(seen) == sorted(t.task_id for t in tasks)
-    finally:
-        ex.close()

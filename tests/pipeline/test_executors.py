@@ -1,24 +1,23 @@
-"""Executor backends: equivalence, clamping and spec shipping.
+"""Runtime modes under the engine: equivalence, clamping and spec
+shipping.
 
-The acceptance bar for the pluggable-backend refactor: serial, thread
-and process execution must be *interchangeable* — byte-identical
-payloads, identical per-window seeds and identical ``WindowReport``
-accounting — across codecs and datasets.  The process backend
-additionally proves the codec/dataset spec round-trip, since its
-workers rebuild both from specs.
+Serial, thread and process :class:`~repro.runtime.TaskRuntime` modes
+must be *interchangeable* — byte-identical payloads, identical
+per-window seeds and identical ``WindowReport`` accounting — across
+codecs and datasets.  Process mode additionally proves the
+codec/dataset spec round-trip, since its workers rebuild both from
+specs.
 """
 
 import numpy as np
 import pytest
 
 from repro import nrmse
+from repro.api import Session
 from repro.codecs import Codec, codec_from_spec, get_codec
 from repro.pipeline.engine import CodecEngine
-from repro.pipeline.executors import (EXECUTORS, ProcessExecutor,
-                                      SerialExecutor, ThreadExecutor,
-                                      default_workers, get_executor,
-                                      list_executors)
 from repro.pipeline.plan import plan_shards
+from repro.runtime import TaskRuntime, default_workers
 
 CODECS = ["szlike", "tthresh", "dpcm"]
 DATASETS = ["e3sm", "s3d"]
@@ -27,7 +26,7 @@ DATASETS = ["e3sm", "s3d"]
 @pytest.fixture(scope="module")
 def process_executor():
     """One warm process pool shared by every parametrized case."""
-    ex = ProcessExecutor(max_workers=2)
+    ex = TaskRuntime(mode="process", max_workers=2)
     yield ex
     ex.close()
 
@@ -48,10 +47,10 @@ class TestExecutorEquivalence:
                                     process_executor):
         plan = PLANS[dataset]
         batches = {}
-        for executor in (SerialExecutor(), ThreadExecutor(2),
+        for executor in (TaskRuntime("serial"), TaskRuntime("thread", 2),
                          process_executor):
             engine = CodecEngine(codec, executor=executor)
-            batches[executor.name] = engine.compress_plan(
+            batches[executor.mode] = engine.compress_plan(
                 plan, nrmse_bound=0.05)
 
         ref = batches["serial"]
@@ -95,33 +94,38 @@ class TestExecutorEquivalence:
 
 
 class TestExecutorRegistry:
-    def test_three_backends_registered(self):
-        assert list_executors() == ["process", "serial", "thread"]
-        assert set(EXECUTORS) == {"serial", "thread", "process"}
-
-    def test_get_executor_by_name_and_instance(self):
-        ex = get_executor("serial")
-        assert isinstance(ex, SerialExecutor)
-        assert get_executor(ex) is ex
+    def test_engine_and_session_hold_a_runtime(self):
+        """A mode name builds a runtime; a ready one is held as-is and
+        keeps its own width."""
+        engine = CodecEngine("szlike", executor="serial", max_workers=2)
+        assert isinstance(engine.executor, TaskRuntime)
+        assert (engine.executor.mode, engine.max_workers) == ("serial", 2)
+        with TaskRuntime(mode="thread", max_workers=3) as rt:
+            engine = CodecEngine("szlike", executor=rt, max_workers=7)
+            session = Session(codec="szlike", executor=rt, workers=7)
+            assert engine.executor is rt and engine.max_workers == 3
+            assert session.executor is rt and session.workers == 3
 
     def test_unknown_backend_lists_registered(self):
-        with pytest.raises(KeyError, match="process, serial, thread"):
-            get_executor("gpu")
+        for owner in (CodecEngine, Session):
+            with pytest.raises(ValueError,
+                               match="serial, thread, process"):
+                owner("szlike", executor="gpu")
 
     def test_default_workers_from_cpu_count(self):
         import os
         assert default_workers() == (os.cpu_count() or 4)
-        assert SerialExecutor().max_workers == default_workers()
+        assert TaskRuntime("serial").max_workers == default_workers()
         assert CodecEngine("szlike").max_workers == default_workers()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            ThreadExecutor(max_workers=0)
+            TaskRuntime(mode="thread", max_workers=0)
         with pytest.raises(ValueError):
             CodecEngine("szlike", max_workers=0)
 
     def test_map_order_and_exceptions(self):
-        for ex in (SerialExecutor(), ThreadExecutor(4)):
+        for ex in (TaskRuntime("serial"), TaskRuntime("thread", 4)):
             assert ex.map(lambda x: x * x, range(10)) == \
                 [x * x for x in range(10)]
             with pytest.raises(RuntimeError):
@@ -214,10 +218,10 @@ class TestTrainedCodecExecutorEquivalence:
         stacks = [rng.normal(size=(4, 8, 8)).cumsum(axis=0)
                   for _ in range(3)]
         batches = {}
-        for executor in (SerialExecutor(), ThreadExecutor(2),
+        for executor in (TaskRuntime("serial"), TaskRuntime("thread", 2),
                          process_executor):
             engine = CodecEngine(codec, executor=executor, base_seed=13)
-            batches[executor.name] = engine.compress(
+            batches[executor.mode] = engine.compress(
                 stacks, nrmse_bound=0.05)
         ref = batches["serial"]
         for name in ("thread", "process"):

@@ -233,3 +233,46 @@ class TestMultiVariableCompressor:
             MultiVariableCompressor({})
         with pytest.raises(ValueError):
             MultiVarArchive.from_bytes(b"junkjunk")
+
+
+class TestSessionMultivarDecode:
+    """``Session.decompress`` reads every multivar member, blob members
+    included, through the checksummed member index; it returns what the
+    parsed-archive decode (``MultiVariableCompressor.decompress``)
+    returns."""
+
+    def _stacks(self):
+        return TestMultiVariableCompressor()._stacks()
+
+    def _session(self, compressor):
+        from repro.api import Session
+        from repro.codecs import as_codec
+        return Session(codec=as_codec(compressor), executor="serial")
+
+    def test_blob_and_envelope_members_match_parsed_decode(self, trained):
+        _, compressor, _, _ = trained
+        mv = MultiVariableCompressor({"v0": compressor, "v1": "szlike"})
+        wire = mv.compress(self._stacks(), nrmse_bound=0.05) \
+            .archive().to_bytes()
+        ref = mv.decompress(MultiVarArchive.from_bytes(wire))
+        with self._session(compressor) as session:
+            full = session.decompress(wire)
+            assert list(full) == ["v0", "v1"]
+            for name in ref:
+                np.testing.assert_array_equal(full[name], ref[name])
+            # expect_codec now covers blob members too
+            from repro.api import SessionError
+            with pytest.raises(SessionError, match="'ours'"):
+                session.decompress(wire, expect_codec="szlike")
+
+    def test_v1_blob_archive_still_decodes(self, trained):
+        _, compressor, _, _ = trained
+        mv = MultiVariableCompressor(compressor)
+        archive = mv.compress(self._stacks()).archive()
+        ref = mv.decompress(archive)
+        with self._session(compressor) as session:
+            for version in (1, 3):
+                full = session.decompress(archive.to_bytes(version))
+                assert list(full) == list(ref)
+                for name in ref:
+                    np.testing.assert_array_equal(full[name], ref[name])

@@ -73,6 +73,19 @@ class TestModes:
 
 
 class TestRun:
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_run_surface(self, mode):
+        """Ordered outcomes plus one ``on_result`` per task, in every
+        mode (the engine's only dispatch path)."""
+        tasks = [Task(task_id=f"t{i}", fn=_square, payload=i, index=i)
+                 for i in range(5)]
+        seen = []
+        with TaskRuntime(mode=mode, max_workers=2) as rt:
+            outcomes = rt.run(tasks,
+                              on_result=lambda o: seen.append(o.task_id))
+        assert [o.value for o in outcomes] == [0, 1, 4, 9, 16]
+        assert sorted(seen) == sorted(t.task_id for t in tasks)
+
     def test_outcomes_in_task_order(self):
         tasks = [Task(task_id=f"t{i}", fn=_square, payload=i, index=i)
                  for i in range(8)]
@@ -160,6 +173,19 @@ class TestRun:
 
 
 class TestLifecycle:
+    def test_no_finalizer(self):
+        """GC-timing-dependent ``__del__`` is banned: lifecycle is
+        explicit (``with`` or ``close()``)."""
+        assert "__del__" not in TaskRuntime.__dict__
+        assert not hasattr(TaskRuntime, "__del__")
+
+    @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
+    def test_context_manager_closes(self, mode):
+        with TaskRuntime(mode=mode, max_workers=2) as rt:
+            assert rt.map(_square, [5, 6]) == [25, 36]
+        assert rt._thread_pool is None and rt._process_pool is None
+        rt.close()  # extra close after __exit__ stays safe
+
     @pytest.mark.parametrize("mode", ["serial", "thread", "process"])
     def test_close_idempotent_and_not_terminal(self, mode):
         rt = TaskRuntime(mode=mode, max_workers=2)
@@ -180,6 +206,8 @@ class TestLifecycle:
         monkeypatch.setattr(rt._thread_pool, "shutdown", bad_shutdown)
         rt.close()  # must not raise
         assert rt._thread_pool is None
+        assert rt.map(_square, [7]) == [49]  # and a later map works
+        rt.close()
 
 
 class _FakeQueue:

@@ -38,6 +38,29 @@ def served(tmp_path):
         service.close()
 
 
+def test_keep_alive_responses_do_not_stall(served):
+    """Headers and body are separate writes; with Nagle on, a
+    keep-alive client's delayed ACK held each response ~40 ms."""
+    import http.client
+    import statistics
+    import time
+    _, base = served
+    host, port = base.rsplit("/", 1)[-1].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            conn.request("GET", "/health")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            json.loads(resp.read())
+            times.append(time.perf_counter() - t0)
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.020
+
+
 def _request(base, path, method="GET", body=None, headers=()):
     req = urllib.request.Request(
         base + path, method=method,

@@ -118,6 +118,53 @@ class TestCache:
         assert a["digest"] == b["digest"]
 
 
+class TestBoundedState:
+    """Finished jobs and result metadata do not grow without bound."""
+
+    CAP = 8
+
+    @pytest.fixture()
+    def capped(self, monkeypatch):
+        from repro.service import core
+        monkeypatch.setattr(core, "MAX_FINISHED_JOBS", self.CAP)
+
+    def test_finished_jobs_capped_newest_kept(self, capped, service,
+                                              client):
+        first = client.submit(dict(REQUEST))
+        client.wait(first["id"])
+        hits = [client.submit(dict(REQUEST))["id"]
+                for _ in range(3 * self.CAP)]
+        assert len(service.jobs()) == self.CAP
+        for job_id in hits[-self.CAP:]:
+            assert client.job(job_id)["state"] == "done"
+            assert client.result(job_id)
+        for job_id in [first["id"]] + hits[:-self.CAP]:
+            with pytest.raises(UnknownJobError):
+                client.job(job_id)
+        assert service.health()["jobs"]["done"] == self.CAP
+
+    def test_queued_jobs_never_evicted(self, capped, tmp_path):
+        svc = CompressionService(tmp_path / "cache", workers=1,
+                                 max_queue=64, start=False)
+        try:
+            c = ServiceClient(svc)
+            queued = [c.submit(dict(REQUEST, seed=s))["id"]
+                      for s in range(2 * self.CAP)]
+            assert [c.job(i)["state"] for i in queued] == \
+                ["queued"] * len(queued)
+        finally:
+            svc.close(drain=False)
+
+    def test_result_meta_follows_cache(self, tmp_path):
+        with CompressionService(tmp_path / "cache", workers=1,
+                                cache_entries=2) as svc:
+            c = ServiceClient(svc)
+            for seed in range(4):
+                c.wait(c.submit(dict(REQUEST, seed=seed))["id"])
+            assert len(svc._result_meta) <= 2
+            assert all(d in svc.cache for d in svc._result_meta)
+
+
 class TestDecompressAndTrain:
     def test_decompress_chained_off_compress(self, client):
         src = client.submit(dict(REQUEST))
