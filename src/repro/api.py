@@ -86,6 +86,7 @@ from .pipeline.plan import (ShardEntry, ShardPlan, assemble_window,
 from .pipeline.sources import (ArrayStackSource, NpyStackSource,
                                as_stack_source)
 from .pipeline.streaming import StreamArchive, StreamingCompressor
+from .postprocess.coding import PAYLOAD_FORMAT
 
 __all__ = ["Session", "Archive", "Bound", "SessionError",
            "ArchiveIndexError", "ARCHIVE_KINDS", "sniff_kind"]
@@ -751,9 +752,10 @@ class Session:
         engine's seeding via ``first_index``) and dropped before the
         next group loads, so peak RSS tracks the group size for files
         and memmaps.  A resident array needs no bounded groups, so its
-        default group is every shard (one fan-out).  Reconstructions
-        are never retained, and the archive does not depend on the
-        grouping.
+        default group is every shard (one fan-out), and a C-contiguous
+        one is handed over as read-only views, not copies.
+        Reconstructions are never retained, and the archive does not
+        depend on the grouping.
         """
         try:
             source = as_stack_source(src)
@@ -765,10 +767,18 @@ class Session:
         if shards is None:
             shards = max(1, -(-source.t // 16))
         slices = time_slices(source.t, shards=shards)
+        resident = (isinstance(src, np.ndarray)
+                    and not isinstance(src, np.memmap))
         if chunk_shards is None:
-            resident = (isinstance(src, np.ndarray)
-                        and not isinstance(src, np.memmap))
             chunk_shards = len(slices) if resident else max(1, self.workers)
+        read = source.read
+        if resident and src.flags.c_contiguous:
+            # a resident array's shards are read-only views, not copies
+            frozen = src.view()
+            frozen.flags.writeable = False
+
+            def read(a, b):
+                return frozen[a:b]
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
         stem = label or "stack"
@@ -779,7 +789,7 @@ class Session:
         wall = 0.0
         for g0 in range(0, len(slices), chunk_shards):
             group = slices[g0:g0 + chunk_shards]
-            stacks = [source.read(a, b) for a, b in group]
+            stacks = [read(a, b) for a, b in group]
             part = engine.compress(stacks, bound=target,
                                    keep_reconstruction=False,
                                    first_index=g0)
@@ -818,11 +828,13 @@ class Session:
         byte-identical to an uninterrupted run.
 
         The journal is fingerprinted over the sweep's canonical facts
-        (dataset spec, codec spec, bound, entropy backend, seed and
-        the shard grid); reusing a journal with different parameters
-        raises :class:`SessionError` instead of silently mixing
-        results.  ``resume=False`` refuses a journal that already has
-        completed shards (the CLI's default until ``--resume``).
+        (dataset spec, codec spec, bound, entropy backend, seed, the
+        shard grid and the integer payload format); reusing a journal
+        with different parameters, or one written in another payload
+        format, raises :class:`SessionError` instead of silently
+        mixing results.  ``resume=False`` refuses a journal that
+        already has completed shards (the CLI's default until
+        ``--resume``).
 
         ``window=W`` slices the time axis into fixed-width windows
         (last one short) instead of ``shards=N`` near-equal parts;
@@ -856,6 +868,7 @@ class Session:
                      "bound": (None if target is None
                                else [target.kind, target.value]),
                      "entropy_backend": entropy,
+                     "payload_format": PAYLOAD_FORMAT,
                      "seed": seed, "shards": shards, "window": window,
                      "variables": (None if variables is None
                                    else list(variables))}

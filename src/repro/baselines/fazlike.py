@@ -26,7 +26,9 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..postprocess.coding import decode_ints, encode_ints
+from ..entropy.backend import DEFAULT_BACKEND, get_backend
+from ..postprocess.coding import (ESTIMATE_ERROR_BYTES, decode_ints,
+                                  encode_ints, estimate_encoded_size)
 from .szlike import SZLikeCompressor
 
 __all__ = ["FAZLikeCompressor", "WaveletCoder", "lift_forward",
@@ -122,6 +124,13 @@ class WaveletCoder:
         """``(payload, reconstruction)``.  The lifting is exactly
         invertible on integers, so :meth:`decompress` returns the
         pre-quantized grid ``q * 2eb``, which is the reconstruction."""
+        header, streams, recon = self.quantize(frames, error_bound)
+        return header + b"".join(encode_ints(s) for s in streams), recon
+
+    def quantize(self, frames: np.ndarray, error_bound: float
+                 ) -> Tuple[bytes, List[np.ndarray], np.ndarray]:
+        """:meth:`encode` before entropy coding: ``(header, integer
+        streams, reconstruction)``."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -147,10 +156,9 @@ class WaveletCoder:
 
         header = _WAVELET_MAGIC + struct.pack(
             _WHDR, *frames.shape, self.levels, eb)
-        parts = [header, encode_ints(coarse.ravel())]
         # fine-to-coarse order is irrelevant; keep level order stable
-        parts.extend(encode_ints(dv) for dv in details)
-        return b"".join(parts), q.astype(np.float64, order="C") * (2 * eb)
+        return (header, [coarse.ravel()] + details,
+                q.astype(np.float64, order="C") * (2 * eb))
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _WAVELET_MAGIC:
@@ -202,12 +210,27 @@ class FAZLikeCompressor:
 
     def encode(self, frames: np.ndarray, error_bound: float
                ) -> Tuple[bytes, np.ndarray]:
-        """``(payload, reconstruction)`` of the smaller candidate."""
-        wav, wav_recon = self.wavelet.encode(frames, error_bound)
-        prd, prd_recon = self.predictor.encode(frames, error_bound)
-        if len(wav) <= len(prd):
-            return _MAGIC + bytes([_TAG_WAVELET]) + wav, wav_recon
-        return _MAGIC + bytes([_TAG_PREDICTOR]) + prd, prd_recon
+        """``(payload, reconstruction)`` of the smaller candidate.
+
+        Both candidates are quantized, but only the one with the
+        smaller estimated size is entropy coded.  When the estimates
+        are too close to rank (or a non-default backend codes the
+        bodies, which the estimate does not model), both are coded
+        and the exact lengths decide, the wavelet winning ties.
+        """
+        cands = [(tag, *coder.quantize(frames, error_bound))
+                 for tag, coder in ((_TAG_WAVELET, self.wavelet),
+                                    (_TAG_PREDICTOR, self.predictor))]
+        if get_backend(None).name == DEFAULT_BACKEND:
+            est = [len(head) + sum(map(estimate_encoded_size, streams))
+                   for _, head, streams, _ in cands]
+            slack = ESTIMATE_ERROR_BYTES * sum(len(c[2]) for c in cands)
+            if abs(est[0] - est[1]) > slack:
+                cands = [cands[int(est[1] < est[0])]]
+        coded = [(head + b"".join(map(encode_ints, streams)), tag, recon)
+                 for tag, head, streams, recon in cands]
+        payload, tag, recon = min(coded, key=lambda c: len(c[0]))
+        return _MAGIC + bytes([tag]) + payload, recon
 
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:

@@ -77,6 +77,13 @@ class SZLikeCompressor:
         """``(payload, reconstruction)``: the closed loop already holds
         the decoder's output, bit for bit what :meth:`decompress`
         returns."""
+        header, chunks, recon = self.quantize(frames, error_bound)
+        return header + b"".join(encode_ints(c) for c in chunks), recon
+
+    def quantize(self, frames: np.ndarray, error_bound: float
+                 ) -> Tuple[bytes, List[np.ndarray], np.ndarray]:
+        """:meth:`encode` before entropy coding: ``(header, integer
+        streams, reconstruction)``."""
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
@@ -99,9 +106,7 @@ class SZLikeCompressor:
             recon[targets] = pred + q * (2 * eb)
             chunks.append(q.ravel())
 
-        header = _MAGIC + struct.pack("<IIId", *frames.shape, eb)
-        body = b"".join(encode_ints(c) for c in chunks)
-        return header + body, recon
+        return _MAGIC + struct.pack("<IIId", *frames.shape, eb), chunks, recon
 
     # ------------------------------------------------------------------
     def decompress(self, data: bytes) -> np.ndarray:

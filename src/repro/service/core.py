@@ -5,8 +5,9 @@
 
 * **submission** — :meth:`submit` validates a job request, resolves it
   to canonical facts (dataset spec, codec spec, bound, entropy
-  backend), admits it through the per-client rate limiter and the
-  bounded queue (429-style rejections, never unbounded growth), and
+  backend, integer payload format), admits it through the
+  per-client rate limiter and the bounded queue (429-style
+  rejections, never unbounded growth), and
   returns a :class:`~repro.service.jobs.Job` record with a
   deterministic id;
 * **execution** — a :class:`repro.runtime.TaskRuntime` (the same
@@ -51,6 +52,7 @@ import numpy as np
 
 from ..api import Archive, Bound, Session, SessionError
 from ..data.registry import get_dataset_spec
+from ..postprocess.coding import PAYLOAD_FORMAT
 from ..runtime import TaskRuntime
 from .cache import ResultCache
 from .jobs import (Job, JobError, TERMINAL_STATES, job_id,
@@ -346,7 +348,8 @@ class CompressionService:
     def _canonical_facts(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """Resolve a normalized request into the fully-canonical facts
         the digest (= cache key) is computed over: dataset spec, codec
-        spec, bound, entropy backend and the deterministic knobs.  Two
+        spec, bound, entropy backend, payload format and the
+        deterministic knobs.  Two
         spellings of the same work share one digest; anything the
         registries cannot resolve raises :class:`ServiceError` at
         submission time (HTTP 400), not inside a worker.
@@ -365,6 +368,9 @@ class CompressionService:
                 facts["entropy_backend"] = (
                     req.get("entropy_backend")
                     or self.session.entropy_backend)
+                # a result cached in another payload format is not
+                # today's bytes
+                facts["payload_format"] = PAYLOAD_FORMAT
                 facts["variables"] = req.get("variables")
                 facts["shards"] = req.get("shards")
                 facts["seed"] = int(req.get("seed",

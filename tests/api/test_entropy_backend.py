@@ -21,6 +21,7 @@ from repro.entropy import get_default_backend, using_backend
 from repro.metrics import nrmse
 from repro.pipeline.blob import CompressedBlob
 from repro.postprocess.coding import decode_ints, encode_ints
+from repro.runtime import SweepJournal
 from repro.service import CompressionService, ServiceClient
 
 BOUND = Bound.nrmse(0.02)
@@ -160,13 +161,20 @@ class TestWritePathsUseSelectedBackend:
 
 
 class TestDefaultBackendKeys:
-    """A request that names no backend keeps the cache key and journal
-    fingerprint it had when the default was a process-wide setting
-    (digests recorded at that version)."""
+    """A request that names no backend has the cache key and journal
+    fingerprint of one that names the default.  The digests were
+    recorded when the default was a process-wide setting and re-pinned
+    when the integer payload format joined the facts; the earlier
+    values (``PRE_FORMAT``) describe fixed-width payloads, so a
+    journal or cache entry keyed on them is never reused."""
 
     REQUEST = {"type": "compress", "dataset": "e3sm", "shape": SHAPE,
                "codec": "szlike", "bound": "nrmse:0.02", "shards": 2,
                "seed": 5}
+    PRE_FORMAT = {"digest": ("738b587688deb68ad4baddc72f8d6cdb"
+                             "9c6439f91cb4095259227a4eebfe78c9"),
+                  "fingerprint": ("90746d3e91e2b934cec30ed2a4fa162a"
+                                  "611ff9ee78a48e71b8525e5f9a0e87ac")}
 
     def test_service_digest_unchanged(self, tmp_path):
         service = CompressionService(tmp_path / "cache", start=False)
@@ -176,8 +184,18 @@ class TestDefaultBackendKeys:
                        for extra in ({}, {"entropy_backend": "arithmetic"})]
         finally:
             service.close(drain=False)
-        assert digests == ["738b587688deb68ad4baddc72f8d6cdb"
-                           "9c6439f91cb4095259227a4eebfe78c9"] * 2
+        assert digests == ["a118bbabc0aa887088dc7e39e1a5d92b"
+                           "3fcb8b0a21bd7a2a2e7273d7212e7bb6"] * 2
+
+    def test_pre_format_cache_entry_is_not_served(self, tmp_path):
+        service = CompressionService(tmp_path / "cache", start=False)
+        try:
+            service.cache.put(self.PRE_FORMAT["digest"], b"old bytes")
+            job = ServiceClient(service).submit(dict(self.REQUEST))
+        finally:
+            service.close(drain=False)
+        assert not job["cache_hit"]
+        assert job["digest"] != self.PRE_FORMAT["digest"]
 
     def test_sweep_fingerprint_unchanged(self, tmp_path):
         journal = tmp_path / "sweep.jsonl"
@@ -187,8 +205,18 @@ class TestDefaultBackendKeys:
         with open(journal) as fh:
             header = json.loads(fh.readline())
         assert header["fingerprint"] == (
-            "90746d3e91e2b934cec30ed2a4fa162a"
-            "611ff9ee78a48e71b8525e5f9a0e87ac")
+            "7535591d8522540d0e650b81b8df7453"
+            "ca38d4a1736bc6e7e019a4356fae4365")
+
+    def test_pre_format_journal_is_refused(self, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        SweepJournal(journal,
+                     fingerprint=self.PRE_FORMAT["fingerprint"]).close()
+        with Session(codec="szlike", executor="serial") as s:
+            with pytest.raises(SessionError, match="fingerprint"):
+                s.sweep("e3sm", bound=BOUND, shards=2, seed=5,
+                        dataset_overrides=SHAPE, journal=journal,
+                        resume=True)
 
 
 class TestExecutorByteIdentity:
@@ -254,10 +282,10 @@ class TestContainerTags:
             out, end = decode_ints(tagged)
             np.testing.assert_array_equal(out, values)
             assert end == len(tagged)
-            assert tagged[:2] == b"RT"
+            assert tagged[:2] == b"Rt"
         out, _ = decode_ints(legacy)
         np.testing.assert_array_equal(out, values)
-        assert legacy[:2] in (b"RI", b"RV")
+        assert legacy[:2] in (b"Ri", b"Rv")
 
     def test_encode_ints_default_scopes_with_using_backend(self):
         values = np.repeat(np.arange(-40, 41), 40)

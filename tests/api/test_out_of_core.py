@@ -2,11 +2,18 @@
 path, source dispatch, and the defaults the streaming loop applies."""
 
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import Archive, Bound, Session, SessionError
+from repro.pipeline.engine import CodecEngine
 from repro.pipeline.sources import ArrayStackSource, NpyStackSource
 
 BOUND = Bound.nrmse(1e-3)
@@ -38,10 +45,11 @@ def in_memory(session, frames):
 
 
 class TestByteIdentity:
-    #: sha256 of ``in_memory``, written before an in-memory ``shards=``
-    #: array took the stack-source path
-    IN_MEMORY = ("2a7a59eb5d5ff16149690b779993dfa5"
-                 "29a0c7d6c27cafc4ba844bcc8de38595")
+    #: sha256 of ``in_memory``; the same archive written before an
+    #: in-memory ``shards=`` array took the stack-source path, re-pinned
+    #: when integer streams moved to varint headers
+    IN_MEMORY = ("31804f811f73b256bda2a0393c8f83b2"
+                 "656c254b21f762c3119ad831fb057e83")
 
     def test_in_memory_pinned(self, in_memory):
         assert hashlib.sha256(in_memory.data).hexdigest() == \
@@ -96,6 +104,57 @@ class TestByteIdentity:
                                chunk_shards=1, label="clim")
         assert ooc.data == mem.data
         assert all(m.key.startswith("clim/") for m in ooc.index())
+
+
+class TestResidentViews:
+    """A resident C-contiguous array reaches the engine as read-only
+    views of the caller's frames, not as per-shard copies."""
+
+    def test_engine_gets_read_only_views(self, session, frames,
+                                         in_memory):
+        seen = []
+        real = CodecEngine.compress
+
+        def spy(engine, stacks, **kwargs):
+            seen.extend(stacks)
+            return real(engine, stacks, **kwargs)
+
+        before = frames.copy()
+        with mock.patch.object(CodecEngine, "compress", spy):
+            archive = session.compress(frames, bound=BOUND, shards=6)
+        assert archive.data == in_memory.data
+        assert len(seen) == 6
+        for stack in seen:
+            assert np.shares_memory(stack, frames)
+            assert not stack.flags.writeable
+        np.testing.assert_array_equal(frames, before)
+        assert frames.flags.writeable
+
+    def test_peak_rss_does_not_grow_by_the_stack(self):
+        """An 8-shard compress of a resident 9 MB stack, after a small
+        warm-up compress, raised peak RSS by ~8 MB when each shard was
+        copied; views leave it about where the warm-up put it."""
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from repro.api import Bound, Session
+            rng = np.random.default_rng(0)
+            frames = np.cumsum(rng.standard_normal((128, 96, 96)), axis=0)
+            with Session(codec="szlike", executor="serial") as s:
+                s.compress(frames[:16].copy(), bound=Bound.nrmse(1e-2),
+                           shards=2)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                s.compress(frames, bound=Bound.nrmse(1e-2), shards=8)
+                after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(frames.nbytes, (after - before) * 1024)
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=300)
+        nbytes, grown = map(int, out.stdout.split())
+        assert grown < nbytes / 4
 
 
 class TestRoundtrip:

@@ -115,11 +115,12 @@ class TestCompressIsUnjournaledSweep:
 
     #: sha256 of dataset archives (e3sm 12x12x12, dataset seed 3,
     #: variables 0-1, 3 shards, NRMSE 1e-2), written before dataset
-    #: compress went through ``sweep``
-    GOLDEN = {"szlike": ("314761520d31aa36d54c341e704bb119"
-                         "57d705d6adaeb439a86010f62e8f4e63"),
-              "dpcm": ("c54f27a9e4f56c53df369ced048aa4dd"
-                       "3d690218550154c443465ff66c103b6b")}
+    #: compress went through ``sweep``; re-pinned when integer streams
+    #: moved to varint headers
+    GOLDEN = {"szlike": ("441fb10370abaf48afd917ef484aee75"
+                         "4b6a1800c01fa8e7018115593d9c6efd"),
+              "dpcm": ("da44efc0e8948969d48a5ab29f06d200"
+                       "7226fda3b5537032534fbf7e4373cc7a")}
 
     @pytest.mark.parametrize("codec", sorted(GOLDEN))
     @pytest.mark.parametrize("executor", ["serial", "thread"])

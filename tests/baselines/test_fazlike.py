@@ -1,13 +1,19 @@
 """Tests for the FAZ-analogue (integer wavelet + modular auto-select)."""
 
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import fazlike
 from repro.baselines.fazlike import (FAZLikeCompressor, WaveletCoder,
                                      _corner_sizes, lift_forward,
                                      lift_inverse)
+from repro.entropy.backend import using_backend
+from repro.postprocess.coding import encode_ints
 
 
 def _smooth_stack(t=8, h=16, w=16, seed=0):
@@ -146,3 +152,53 @@ class TestFAZLike:
             comp.chosen_module(b"XXXX\x00")
         with pytest.raises(ValueError):
             comp.decompress(b"FAZ1\x07" + b"\x00" * 8)  # bad tag
+
+
+class TestCodesOnlyTheWinner:
+    """Both modules are quantized, only the estimated winner is entropy
+    coded, and the choice is the one exact lengths would make."""
+
+    def _run(self, x, eb, estimate=None, backend=None):
+        comp = FAZLikeCompressor(levels=2)
+        written = []
+
+        def counting(values, backend=None):
+            out = encode_ints(values, backend)
+            written.append(len(out))
+            return out
+
+        patches = [mock.patch.object(fazlike, "encode_ints", counting)]
+        if estimate is not None:
+            patches.append(mock.patch.object(
+                fazlike, "estimate_encoded_size", estimate))
+        with contextlib.ExitStack() as stack:
+            for p in patches:
+                stack.enter_context(p)
+            if backend:
+                stack.enter_context(using_backend(backend))
+            stream, recon = comp.encode(x, eb)
+            coded = sum(written)
+            wav = comp.wavelet.compress(x, eb)
+            prd = comp.predictor.compress(x, eb)
+        exact = "wavelet" if len(wav) <= len(prd) else "predictor"
+        assert comp.chosen_module(stream) == exact
+        np.testing.assert_array_equal(comp.decompress(stream), recon)
+        module = comp.wavelet if exact == "wavelet" else comp.predictor
+        head = len(module.quantize(x, eb)[0])
+        return coded, len(stream) - 5 - head  # FAZ1 + module tag
+
+    @pytest.mark.parametrize("eb", [1e-1, 1e-2, 1e-3])
+    def test_only_the_winner_is_coded(self, eb):
+        x = _smooth_stack(8, 16, 16, seed=7)
+        written, streams = self._run(x, eb)
+        assert written == streams
+
+    def test_estimates_too_close_to_rank_code_both(self):
+        x = _smooth_stack(8, 16, 16, seed=7)
+        written, streams = self._run(x, 1e-2, estimate=lambda v: 0)
+        assert written > streams
+
+    def test_non_default_backend_codes_both(self):
+        x = _smooth_stack(8, 16, 16, seed=7)
+        written, streams = self._run(x, 1e-2, backend="vrans")
+        assert written > streams
