@@ -15,7 +15,7 @@ import numpy as np
 
 from ..compression import RDLoss, VAEHyperprior
 from ..config import VAEConfig
-from ..nn import Conv2d, Module, Sequential, SiLU, Tensor, fastpath, no_grad
+from ..nn import Conv2d, Module, Sequential, SiLU, Tensor, no_grad
 from ..nn import functional as F
 from ..nn.optim import Adam, clip_grad_norm
 from .common import LearnedBaseline, normalize_frames
@@ -36,14 +36,7 @@ class SRModule(Module):
             Conv2d(filters, 1, 3, padding=1, rng=rng))
 
     def forward(self, x: Tensor) -> Tensor:
-        if fastpath.active():
-            arr = x.data if isinstance(x, Tensor) else np.asarray(
-                x, dtype=np.float64)
-            return Tensor(self._fast(arr))
         return x + self.net(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return arr + self.net._fast(arr)
 
 
 class VAESRCompressor(LearnedBaseline):

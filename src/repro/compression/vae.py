@@ -17,7 +17,7 @@ import numpy as np
 from ..config import VAEConfig
 from ..entropy import FactorizedDensity, GaussianConditional
 from ..nn import (GDN, Conv2d, ConvTranspose2d, Module, Sequential, SiLU,
-                  Tensor, fastpath, no_grad)
+                  Tensor, no_grad)
 from ..nn import functional as F
 from .hyperprior import HyperDecoder, HyperEncoder
 from .quantization import quantize_noise, quantize_round
@@ -53,9 +53,6 @@ class Encoder(Module):
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
 
-    def _fast(self, x: np.ndarray) -> np.ndarray:
-        return self.net._fast(x)
-
 
 class Decoder(Module):
     """Synthesis transform ``D_x``: latents -> frames."""
@@ -80,9 +77,6 @@ class Decoder(Module):
 
     def forward(self, y: Tensor) -> Tensor:
         return self.net(y)
-
-    def _fast(self, y: np.ndarray) -> np.ndarray:
-        return self.net._fast(y)
 
 
 @dataclass
@@ -148,8 +142,6 @@ class VAEHyperprior(Module):
         """Rounded latents ``Round(E_x(x))`` for frames ``(B,C,H,W)``."""
         x = np.asarray(x, dtype=np.float64)
         with no_grad():
-            if fastpath.active():
-                return np.rint(self.encoder._fast(x))
             y = self.encoder(Tensor(x))
         return np.rint(y.numpy())
 
@@ -157,8 +149,6 @@ class VAEHyperprior(Module):
         """Frame reconstructions from (integer) latents."""
         y_int = np.asarray(y_int, dtype=np.float64)
         with no_grad():
-            if fastpath.active():
-                return self.decoder._fast(y_int)
             x_hat = self.decoder(Tensor(y_int))
         return x_hat.numpy()
 
@@ -177,10 +167,7 @@ class VAEHyperprior(Module):
         from ..entropy.backend import get_backend
         x = np.asarray(x, dtype=np.float64)
         with no_grad():
-            if fastpath.active():
-                y = self.encoder._fast(x)
-            else:
-                y = self.encoder(Tensor(x)).numpy()
+            y = self.encoder(Tensor(x)).numpy()
             z = self.hyper_encoder(Tensor(y)).numpy()
             z_int = np.rint(z)
             mu, sigma = self.hyper_decoder(Tensor(z_int))

@@ -22,7 +22,6 @@ import numpy as np
 from ..config import DiffusionConfig
 from ..nn import (Conv2d, GroupNorm, LayerNorm, Linear, Module, ModuleList,
                   Parameter, SiLU, Tensor)
-from ..nn import fastpath as fp
 from ..nn import functional as F
 from .embeddings import sinusoidal_embedding
 
@@ -51,22 +50,12 @@ class ResBlock(Module):
 
     def forward(self, x: Tensor, temb: Tensor) -> Tensor:
         """``x``: (B*N, C, H, W); ``temb``: (B*N, time_dim)."""
-        if fp.active():
-            return Tensor(self._fast(x.data, temb.data))
         h = self.conv1(F.silu(self.norm1(x)))
         shift = self.time_proj(F.silu(temb))
         shift = F.reshape(shift, (shift.shape[0], shift.shape[1], 1, 1))
         h = h + shift
         h = self.conv2(F.silu(self.norm2(h)))
         skip = self.skip(x) if self.skip is not None else x
-        return h + skip
-
-    def _fast(self, x: np.ndarray, temb: np.ndarray) -> np.ndarray:
-        h = self.conv1._fast(fp.silu(self.norm1._fast(x)))
-        shift = self.time_proj._fast(fp.silu(temb))
-        h = h + shift.reshape(shift.shape[0], shift.shape[1], 1, 1)
-        h = self.conv2._fast(fp.silu(self.norm2._fast(h)))
-        skip = self.skip._fast(x) if self.skip is not None else x
         return h + skip
 
 
@@ -80,21 +69,11 @@ class _SelfAttention(Module):
         self.proj = Linear(dim, dim, rng=rng)
 
     def forward(self, tokens: Tensor) -> Tensor:
-        if fp.active():
-            return Tensor(self._fast(tokens.data))
         h = self.norm(tokens)
         qkv = self.qkv(h)
         q, k, v = F.split(qkv, 3, axis=-1)
         out = F.scaled_dot_product_attention(q, k, v)
         return tokens + self.proj(out)
-
-    def _fast(self, tokens: np.ndarray) -> np.ndarray:
-        h = self.norm._fast(tokens)
-        qkv = self.qkv._fast(h)
-        # .copy() matches the contiguous splits the op chain produces
-        q, k, v = (p.copy() for p in np.split(qkv, 3, axis=-1))
-        out = fp.sdpa(q, k, v)
-        return tokens + self.proj._fast(out)
 
 
 class TemporalAttention(Module):
@@ -114,20 +93,11 @@ class TemporalAttention(Module):
         BN, C, H, W = x.shape
         if BN != batch * frames:
             raise ValueError(f"got {BN} rows, expected {batch}*{frames}")
-        if fp.active():
-            return Tensor(self._fast(x.data, batch, frames))
         x5 = F.reshape(x, (batch, frames, C, H, W))
         tok = F.temporal_tokens(x5)
         tok = self.temporal(tok)
         x5 = F.untokenize_temporal(tok, (batch, frames, C, H, W))
         return F.reshape(x5, (BN, C, H, W))
-
-    def _fast(self, x: np.ndarray, batch: int, frames: int) -> np.ndarray:
-        BN, C, H, W = x.shape
-        shape5 = (batch, frames, C, H, W)
-        tok = fp.temporal_tokens(x.reshape(shape5))
-        tok = self.temporal._fast(tok)
-        return fp.untokenize_temporal(tok, shape5).reshape(BN, C, H, W)
 
 
 class SpaceTimeAttention(Module):
@@ -147,8 +117,6 @@ class SpaceTimeAttention(Module):
         BN, C, H, W = x.shape
         if BN != batch * frames:
             raise ValueError(f"got {BN} rows, expected {batch}*{frames}")
-        if fp.active():
-            return Tensor(self._fast(x.data, batch, frames))
         x5 = F.reshape(x, (batch, frames, C, H, W))
         tok = F.spatial_tokens(x5)              # (B*N, HW, C)
         tok = self.spatial(tok)
@@ -157,16 +125,6 @@ class SpaceTimeAttention(Module):
         tok = self.temporal(tok)
         x5 = F.untokenize_temporal(tok, (batch, frames, C, H, W))
         return F.reshape(x5, (BN, C, H, W))
-
-    def _fast(self, x: np.ndarray, batch: int, frames: int) -> np.ndarray:
-        BN, C, H, W = x.shape
-        shape5 = (batch, frames, C, H, W)
-        tok = fp.spatial_tokens(x.reshape(shape5))
-        tok = self.spatial._fast(tok)
-        x5 = fp.untokenize_spatial(tok, shape5)
-        tok = fp.temporal_tokens(x5)
-        tok = self.temporal._fast(tok)
-        return fp.untokenize_temporal(tok, shape5).reshape(BN, C, H, W)
 
 
 class DenoisingUNet(Module):
@@ -251,10 +209,6 @@ class DenoisingUNet(Module):
             raise ValueError(
                 f"window length {N} != configured num_frames "
                 f"{self.cfg.num_frames}")
-        if fp.active():
-            arr = (y_t.data if isinstance(y_t, Tensor)
-                   else np.asarray(y_t, dtype=np.float64))
-            return Tensor(self._fast(arr, t))
         temb = self.time_mlp(Tensor(
             sinusoidal_embedding(t, self.cfg.time_embed_dim)))  # (B, tdim)
         # broadcast per frame and add the frame-position embedding
@@ -289,40 +243,6 @@ class DenoisingUNet(Module):
         x = self.out_conv(F.silu(self.out_norm(x)))
         return F.reshape(x, (B, N, self.out_channels, H, W))
 
-    def _fast(self, y_t: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Raw-array twin of :meth:`forward` (validation already done)."""
-        B, N, C, H, W = y_t.shape
-        tdim = self.cfg.time_embed_dim
-        temb = self.time_mlp._fast(sinusoidal_embedding(t, tdim))
-        temb = temb.reshape(B, 1, tdim) + self.frame_embed.data.reshape(
-            1, N, tdim)
-        temb = temb.reshape(B * N, tdim)
-
-        x = self.conv_in._fast(y_t.reshape(B * N, C, H, W))
-
-        skips: List[np.ndarray] = []
-        for i in range(len(self.channels)):
-            x = self.down_res[i]._fast(x, temb)
-            x = self.down_tattn[i]._fast(x, B, N)
-            skips.append(x)
-            if i < len(self.channels) - 1:
-                x = self.downsamples[i]._fast(x)
-
-        x = self.mid_res1._fast(x, temb)
-        x = self.mid_attn._fast(x, B, N)
-        x = self.mid_res2._fast(x, temb)
-
-        for j, i in enumerate(reversed(range(len(self.channels)))):
-            x = np.concatenate([x, skips[i]], axis=1)
-            x = self.up_res[j]._fast(x, temb)
-            x = self.up_tattn[j]._fast(x, B, N)
-            if i > 0:
-                x = fp.upsample_nearest2d(x, 2)
-                x = self.upsamples[j]._fast(x)
-
-        x = self.out_conv._fast(fp.silu(self.out_norm._fast(x)))
-        return x.reshape(B, N, self.out_channels, H, W)
-
 
 class _TimeMLP(Module):
     """Two-layer MLP refining the sinusoidal embedding."""
@@ -334,6 +254,3 @@ class _TimeMLP(Module):
 
     def forward(self, emb: Tensor) -> Tensor:
         return self.fc2(F.silu(self.fc1(emb)))
-
-    def _fast(self, emb: np.ndarray) -> np.ndarray:
-        return self.fc2._fast(fp.silu(self.fc1._fast(emb)))

@@ -9,7 +9,7 @@ library (:mod:`repro.nn.ops`, :mod:`repro.nn.conv`,
 """
 
 from . import functional  # noqa: F401  (wires op dunders onto Tensor)
-from . import fastpath, init, optim, profile, serialization  # noqa: F401
+from . import init, optim, profile, serialization  # noqa: F401
 from .gdn import GDN
 from .modules import (Conv2d, ConvTranspose2d, GELU, GroupNorm, Identity,
                       LayerNorm, LeakyReLU, Linear, Module, ModuleList,
@@ -21,5 +21,5 @@ __all__ = [
     "Parameter", "Module", "Sequential", "ModuleList", "Identity",
     "Linear", "Conv2d", "ConvTranspose2d", "GroupNorm", "LayerNorm",
     "ReLU", "LeakyReLU", "SiLU", "GELU", "Tanh", "Sigmoid", "GDN",
-    "functional", "fastpath", "profile", "init", "optim", "serialization",
+    "functional", "profile", "init", "optim", "serialization",
 ]

@@ -93,9 +93,6 @@ def _use_im2col(B: int, C: int, Ho: int, Wo: int, kh: int, kw: int,
                 itemsize: int) -> bool:
     if kh == 1 and kw == 1:
         return False            # 1x1 taps are already a single einsum
-    from .fastpath import is_enabled
-    if not is_enabled():
-        return False
     return B * Ho * Wo * C * kh * kw * itemsize <= IM2COL_MAX_BYTES
 
 

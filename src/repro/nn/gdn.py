@@ -142,11 +142,6 @@ class GDN(Module):
         return _gdn_apply(x, self.beta, self.gamma, beta_bound, gamma_bound,
                           self.inverse)
 
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        beta_bound, gamma_bound = self._bounds()
-        return _gdn_forward(arr, self.beta.data, self.gamma.data,
-                            beta_bound, gamma_bound, self.inverse)[0]
-
     def extra_repr(self) -> str:  # pragma: no cover - cosmetic
         return (f"channels={self.channels}, "
                 f"inverse={self.inverse}")

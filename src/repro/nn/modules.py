@@ -4,6 +4,13 @@ A :class:`Module` owns named parameters (:class:`Parameter` tensors) and
 child modules, supports recursive traversal, train/eval switching, and
 state-dict (de)serialization — the minimal subset of ``torch.nn`` the
 paper's models require.
+
+Every module has one ``forward``.  Under grad it records autodiff
+nodes; under ``no_grad`` the same kernels run in the same order and no
+graph is kept, so inference and training see the same output bits.
+Layers whose math would otherwise be a chain of small ops (``Linear``,
+``GroupNorm``, ``LayerNorm``) record one fused node whose backward is
+analytic, in the shape of :mod:`repro.nn.gdn`.
 """
 
 from __future__ import annotations
@@ -15,15 +22,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import conv as F_conv
-from . import fastpath
 from . import init as initializers
 from . import ops
-from .tensor import Tensor, as_tensor
-
-
-def _data(x) -> np.ndarray:
-    """Raw float64 array of a tensor-like (fast-path input coercion)."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+from .tensor import Tensor, as_tensor, unbroadcast
 
 __all__ = [
     "Parameter", "Module", "Sequential", "ModuleList", "Identity",
@@ -128,26 +129,9 @@ class Sequential(Module):
             self._modules[str(i)] = layer
 
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         for layer in self.layers:
             x = layer(x)
         return x
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        """No-grad chain; conv + elementwise pairs run as one fused call."""
-        i, n = 0, len(self.layers)
-        while i < n:
-            layer = self.layers[i]
-            if (isinstance(layer, (Conv2d, ConvTranspose2d)) and i + 1 < n
-                    and getattr(self.layers[i + 1], "_elementwise", False)):
-                arr = layer._fast(arr, act=self.layers[i + 1]._fast)
-                i += 2
-                continue
-            fast = getattr(layer, "_fast", None)
-            arr = fast(arr) if fast is not None else _data(layer(Tensor(arr)))
-            i += 1
-        return arr
 
     def __len__(self) -> int:
         return len(self.layers)
@@ -186,10 +170,78 @@ class Identity(Module):
     def forward(self, x):
         return x
 
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return arr
+
+# ----------------------------------------------------------------------
+# Fused nodes: one kernel forward, one analytic backward
+# ----------------------------------------------------------------------
+def _linear_forward(x: np.ndarray, w: np.ndarray,
+                    b: Optional[np.ndarray]) -> np.ndarray:
+    y = x @ w.transpose((1, 0))
+    if b is not None:
+        y = y + b
+    return y
 
 
+def _linear_apply(x, weight: Tensor, bias: Optional[Tensor]) -> Tensor:
+    """``x Wᵀ + b`` on the last axis as one node (backward: two GEMMs)."""
+    x = as_tensor(x)
+    y = _linear_forward(x.data, weight.data,
+                        None if bias is None else bias.data)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+
+    def backward(g: np.ndarray, gm: Dict[int, np.ndarray]) -> None:
+        if x.requires_grad:
+            x._receive(gm, g @ weight.data)
+        g2 = g.reshape(-1, g.shape[-1])
+        if weight.requires_grad:
+            weight._receive(gm, g2.T @ x.data.reshape(-1, x.data.shape[-1]))
+        if bias is not None and bias.requires_grad:
+            bias._receive(gm, g2.sum(axis=0))
+
+    return Tensor._from_op(y, parents, backward, "linear")
+
+
+def _norm_forward(x: np.ndarray, weight: np.ndarray, bias: np.ndarray,
+                  eps: float, stat_shape: Tuple[int, ...],
+                  wshape: Tuple[int, ...]) -> Tuple[np.ndarray, tuple]:
+    """Standardize ``x`` over the last axis of its ``stat_shape`` view,
+    then scale and shift by ``weight``/``bias`` viewed as ``wshape``.
+    Returns the output and the backward state."""
+    xs = x.reshape(stat_shape)
+    mu = xs.mean(axis=-1, keepdims=True)
+    diff = xs - mu
+    v = (diff * diff).mean(axis=-1, keepdims=True)
+    std = np.sqrt(v + eps)
+    xn = (diff / std).reshape(x.shape)
+    return xn * weight.reshape(wshape) + bias.reshape(wshape), (xn, std)
+
+
+def _norm_apply(x, weight: Tensor, bias: Tensor, eps: float,
+                stat_shape: Tuple[int, ...], wshape: Tuple[int, ...],
+                op: str) -> Tensor:
+    """Group or layer norm as one node with the closed-form backward."""
+    x = as_tensor(x)
+    y, (xn, std) = _norm_forward(x.data, weight.data, bias.data, eps,
+                                 stat_shape, wshape)
+
+    def backward(g: np.ndarray, gm: Dict[int, np.ndarray]) -> None:
+        if x.requires_grad:
+            gxn = (g * weight.data.reshape(wshape)).reshape(stat_shape)
+            xs = xn.reshape(stat_shape)
+            gx = (gxn - gxn.mean(axis=-1, keepdims=True)
+                  - xs * (gxn * xs).mean(axis=-1, keepdims=True)) / std
+            x._receive(gm, gx.reshape(x.data.shape))
+        if weight.requires_grad:
+            weight._receive(gm, unbroadcast(g * xn, wshape).reshape(-1))
+        if bias.requires_grad:
+            bias._receive(gm, unbroadcast(g, wshape).reshape(-1))
+
+    return Tensor._from_op(y, (x, weight, bias), backward, op)
+
+
+# ----------------------------------------------------------------------
+# Layers
+# ----------------------------------------------------------------------
 class Linear(Module):
     """Affine map ``y = x Wᵀ + b`` on the last axis."""
 
@@ -208,17 +260,7 @@ class Linear(Module):
             self.bias = None
 
     def forward(self, x) -> Tensor:
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
-        y = ops.matmul(as_tensor(x), ops.transpose(self.weight))
-        if self.bias is not None:
-            y = ops.add(y, self.bias)
-        return y
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.linear(
-            arr, self.weight.data,
-            self.bias.data if self.bias is not None else None)
+        return _linear_apply(x, self.weight, self.bias)
 
 
 class Conv2d(Module):
@@ -240,16 +282,8 @@ class Conv2d(Module):
             self.bias = None
 
     def forward(self, x) -> Tensor:
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
-        return F_conv.conv2d(as_tensor(x), self.weight, self.bias,
+        return F_conv.conv2d(x, self.weight, self.bias,
                              stride=self.stride, padding=self.padding)
-
-    def _fast(self, arr: np.ndarray, act=None) -> np.ndarray:
-        return fastpath.conv2d(
-            arr, self.weight.data,
-            self.bias.data if self.bias is not None else None,
-            self.stride, self.padding, act=act)
 
 
 class ConvTranspose2d(Module):
@@ -272,17 +306,9 @@ class ConvTranspose2d(Module):
             self.bias = None
 
     def forward(self, x) -> Tensor:
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return F_conv.conv_transpose2d(
-            as_tensor(x), self.weight, self.bias, stride=self.stride,
+            x, self.weight, self.bias, stride=self.stride,
             padding=self.padding, output_padding=self.output_padding)
-
-    def _fast(self, arr: np.ndarray, act=None) -> np.ndarray:
-        return fastpath.conv_transpose2d(
-            arr, self.weight.data,
-            self.bias.data if self.bias is not None else None,
-            self.stride, self.padding, self.output_padding, act=act)
 
 
 class GroupNorm(Module):
@@ -301,26 +327,11 @@ class GroupNorm(Module):
         self.bias = Parameter(np.zeros(num_channels))
 
     def forward(self, x) -> Tensor:
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
-        x = as_tensor(x)
         shape = x.shape
-        B, C = shape[0], shape[1]
-        spatial = int(np.prod(shape[2:])) if len(shape) > 2 else 1
-        g = self.num_groups
-        xg = ops.reshape(x, (B, g, (C // g) * spatial))
-        mu = ops.mean(xg, axis=2, keepdims=True)
-        v = ops.var(xg, axis=2, keepdims=True)
-        xn = ops.div(ops.sub(xg, mu), ops.sqrt(ops.add(v, self.eps)))
-        xn = ops.reshape(xn, shape)
-        wshape = (1, C) + (1,) * (len(shape) - 2)
-        w = ops.reshape(self.weight, wshape)
-        b = ops.reshape(self.bias, wshape)
-        return ops.add(ops.mul(xn, w), b)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.group_norm(arr, self.num_groups, self.weight.data,
-                                   self.bias.data, self.eps)
+        return _norm_apply(x, self.weight, self.bias, self.eps,
+                           (shape[0], self.num_groups, -1),
+                           (1, shape[1]) + (1,) * (len(shape) - 2),
+                           "group_norm")
 
 
 class LayerNorm(Module):
@@ -334,90 +345,39 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim))
 
     def forward(self, x) -> Tensor:
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
-        x = as_tensor(x)
-        mu = ops.mean(x, axis=-1, keepdims=True)
-        v = ops.var(x, axis=-1, keepdims=True)
-        xn = ops.div(ops.sub(x, mu), ops.sqrt(ops.add(v, self.eps)))
-        return ops.add(ops.mul(xn, self.weight), self.bias)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.layer_norm(arr, self.weight.data, self.bias.data,
-                                   self.eps)
+        return _norm_apply(x, self.weight, self.bias, self.eps, x.shape,
+                           (self.dim,), "layer_norm")
 
 
 class ReLU(Module):
-    _elementwise = True
-
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.relu(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.relu(arr)
 
 
 class LeakyReLU(Module):
-    _elementwise = True
-
     def __init__(self, slope: float = 0.01):
         super().__init__()
         self.slope = slope
 
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.leaky_relu(x, self.slope)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.leaky_relu(arr, self.slope)
 
 
 class SiLU(Module):
-    _elementwise = True
-
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.silu(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.silu(arr)
 
 
 class GELU(Module):
-    _elementwise = True
-
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.gelu(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.gelu(arr)
 
 
 class Tanh(Module):
-    _elementwise = True
-
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.tanh(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.tanh(arr)
 
 
 class Sigmoid(Module):
-    _elementwise = True
-
     def forward(self, x):
-        if fastpath.active():
-            return Tensor(self._fast(_data(x)))
         return ops.sigmoid(x)
-
-    def _fast(self, arr: np.ndarray) -> np.ndarray:
-        return fastpath.sigmoid(arr)

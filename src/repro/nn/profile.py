@@ -3,8 +3,8 @@
 Answers "where does inference time go?" without external tooling: a
 :class:`profile` context manager patches the graph-construction
 chokepoint (:meth:`Tensor._from_op`) plus every raw conv / GDN /
-attention / fast-path kernel, recording per-op call counts, cumulative
-seconds and peak result bytes.  The benches consume :func:`top` to
+linear / norm / attention kernel, recording per-op call counts,
+cumulative seconds and peak result bytes.  The benches consume :func:`top` to
 embed hot-op tables in their JSON records::
 
     from repro.nn import profile
@@ -14,14 +14,15 @@ embed hot-op tables in their JSON records::
 
 Semantics worth knowing:
 
-* Timings are *cumulative*: a fused ``fastpath.conv2d`` call records
-  its full duration **and** the nested ``conv2d.forward`` kernel
-  records its share, so parent and child rows overlap.  The table is a
-  ranking of hot paths, not a partition of wall time.
-* ``Tensor._from_op`` rows (plain op names such as ``mul`` or
-  ``matmul``) time only graph bookkeeping — the numpy compute happens
+* Timings are *cumulative*: a ``conv2d.forward`` call records its full
+  duration **and** the nested ``conv2d.forward.im2col`` kernel records
+  its share, so parent and child rows overlap.  The table is a ranking
+  of hot paths, not a partition of wall time.
+* ``Tensor._from_op`` rows (plain op names such as ``silu`` or
+  ``conv2d``) time only graph bookkeeping — the numpy compute happens
   before ``_from_op`` runs.  Kernel rows (``conv2d.*``, ``gdn.*``,
-  ``fastpath.*``) carry real compute time.
+  ``linear.*``, ``norm.*`` for group and layer norm, ``sdpa.*``) carry
+  real compute time.
 * Profilers nest: every active profiler on the stack receives every
   event, so an outer profiler sees the totals of inner sections.
 
@@ -37,9 +38,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import attention as _attention
 from . import conv as _conv
-from . import fastpath as _fastpath
 from . import gdn as _gdn
+from . import modules as _modules
 from .tensor import Tensor
 
 __all__ = ["OpStat", "OpProfiler", "profile", "report", "top"]
@@ -109,22 +111,17 @@ _STACK: List[OpProfiler] = []       # active profilers (nesting allowed)
 _LAST: Optional[OpProfiler] = None  # most recently exited, for report()
 _PATCHED: List[tuple] = []          # (owner, attr, original) for restore
 
-#: fast-path kernels instrumented while profiling
-_FASTPATH_KERNELS = (
-    "silu", "relu", "leaky_relu", "gelu", "tanh", "sigmoid", "softplus",
-    "linear", "conv2d", "conv_transpose2d", "avg_pool2d",
-    "upsample_nearest2d", "group_norm", "layer_norm", "sdpa",
-    "spatial_tokens", "untokenize_spatial", "temporal_tokens",
-    "untokenize_temporal",
-)
-
-#: raw conv kernels (shared by grad and no-grad modes)
-_CONV_KERNELS = (
-    ("_conv2d_forward", "conv2d.forward"),
-    ("_conv2d_forward_taps", "conv2d.forward.taps"),
-    ("_conv2d_forward_im2col", "conv2d.forward.im2col"),
-    ("_conv2d_grad_input", "conv2d.grad_input"),
-    ("_conv2d_grad_weight", "conv2d.grad_weight"),
+#: raw kernels of the fused nodes (shared by grad and no-grad modes)
+_KERNELS = (
+    (_conv, "_conv2d_forward", "conv2d.forward"),
+    (_conv, "_conv2d_forward_taps", "conv2d.forward.taps"),
+    (_conv, "_conv2d_forward_im2col", "conv2d.forward.im2col"),
+    (_conv, "_conv2d_grad_input", "conv2d.grad_input"),
+    (_conv, "_conv2d_grad_weight", "conv2d.grad_weight"),
+    (_gdn, "_gdn_forward", "gdn.forward"),
+    (_modules, "_linear_forward", "linear.forward"),
+    (_modules, "_norm_forward", "norm.forward"),
+    (_attention, "_sdpa_forward", "sdpa.forward"),
 )
 
 
@@ -174,11 +171,8 @@ def _install() -> None:
     Tensor._from_op = staticmethod(from_op)  # type: ignore[assignment]
     _PATCHED.append((Tensor, "_from_op", staticmethod(orig_from_op)))
 
-    for attr, label in _CONV_KERNELS:
-        _patch(_conv, attr, label)
-    _patch(_gdn, "_gdn_forward", "gdn.forward")
-    for name in _FASTPATH_KERNELS:
-        _patch(_fastpath, name, f"fastpath.{name}")
+    for owner, attr, label in _KERNELS:
+        _patch(owner, attr, label)
 
 
 def _uninstall() -> None:

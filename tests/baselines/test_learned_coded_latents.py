@@ -3,8 +3,11 @@
 ``VAEHyperprior.compress`` returns the integer latents it entropy-codes,
 so compress synthesizes its reconstruction from those and never
 entropy-decodes its own streams; decompress reads the same latents back
-from the streams.  Archives and reconstructions are pinned to the bytes
-written while compress still decoded its own streams.
+from the streams.  Archives are pinned to the bytes written while
+compress still decoded its own streams.  Reconstructions also move when
+training gradients move at rounding level, so the gcd and cdc ones are
+pinned to the fused nn nodes' training (at most 4.6e-12 from the
+op-chain era's floats, cdc-eps on a range of 185; no archive byte moved).
 """
 
 import hashlib
@@ -25,16 +28,16 @@ GOLDEN = {
                "d9f2faff0e00a463f154603ab18e864b"),
     "gcd": ("317725287ad32ff49b2d338914e3cc84"
             "f84b408e6f763f5e60836553a8c8ae8a",
-            "c67161ca6935aec11817c0b295849a2e"
-            "37e44b58faa3e5a6b2723fa514f34c08"),
+            "efd830ad41a55dcd8c02ba99ef7fdfdb"
+            "725f35bd0930fa03534dcdaeadfc10dd"),
     "cdc-eps": ("46af00b5dfec4641e5b20725b0bf9687"
                 "3465d58aadbabee2bfe47300c98e2f8d",
-                "035d6486ec77e26e5e13073cd18aa005"
-                "d0b3062b1b87c96c6ec951acf528c683"),
+                "d9d73eeb7dbd3ab029d0a7e68eb21b64"
+                "ad187520b5c02287b68a67c751aa2e99"),
     "cdc-x": ("46af00b5dfec4641e5b20725b0bf9687"
               "3465d58aadbabee2bfe47300c98e2f8d",
-              "b7e6cb7092ffae4a77fdb7ce0667eea1"
-              "21441e3900a8af094f790080fdf358d3"),
+              "19ea593519faf50eb5a359306f1b989c"
+              "a061970fe3a56ad256299cb2532fd0b7"),
 }
 #: a few large steps, so the latents are mostly nonzero
 TRAIN = {"vae-sr": dict(vae_iters=20, sr_iters=5, lr=1e-2),

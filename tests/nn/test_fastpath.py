@@ -1,28 +1,27 @@
-"""Inference fast path: bitwise equivalence, dispatch, profiler.
+"""Inference path: one forward in both modes, conv dispatch, profiler.
 
-The contract under test (see ``repro.nn.fastpath``): for a fixed
-fast-path switch state, a module's ``no_grad`` forward must be
-**bitwise** equal to its grad-mode forward — the fused kernels mirror
-the autodiff op chains numpy-call for numpy-call.  The im2col and
-tap-loop conv kernels are *different* summation orders, so comparisons
-across the dispatch boundary (fast vs ``fastpath.disabled()``) use
-``allclose`` instead.
+Every module has one forward, so its ``no_grad`` output must be
+**bitwise** equal to its grad-mode output; these cases guard against a
+mode branch coming back.  The im2col and tap-loop conv kernels are
+*different* summation orders, so comparisons across the dispatch
+boundary use ``allclose`` instead.
 """
 
 import numpy as np
 import pytest
 
-from repro.config import DiffusionConfig, VAEConfig
+from repro.config import DiffusionConfig
 from repro.diffusion import ConditionalDDPM, keyframe_spec, splice
 from repro.diffusion.sampler import (_init_windows_batched,
                                      ancestral_sample,
                                      ancestral_sample_batched, ddim_sample,
                                      ddim_sample_batched,
                                      generate_latents_batched)
+from repro.diffusion.unet import _SelfAttention
 from repro.nn import (GDN, Conv2d, ConvTranspose2d, GroupNorm, LayerNorm,
-                      Linear, Sequential, SiLU, Tanh, Tensor, fastpath,
-                      no_grad)
+                      Linear, Sequential, SiLU, Tanh, Tensor, no_grad)
 from repro.nn import conv as conv_mod
+from repro.nn import modules as modules_mod
 from repro.nn import profile as nn_profile
 from repro.nn.attention import scaled_dot_product_attention
 
@@ -92,44 +91,6 @@ class TestModuleEquivalence:
             y_fast = model.unet(Tensor(x), 3).numpy()
         np.testing.assert_array_equal(y_grad, y_fast)
 
-    def test_vae_fast_vs_disabled(self):
-        """Fast VAE transforms match the legacy path to rounding.
-
-        Crossing the dispatch boundary changes the conv kernel (im2col
-        vs tap loop), so this is allclose, not bitwise; the quantized
-        latents must still agree exactly.
-        """
-        from repro.compression import VAEHyperprior
-        cfg = VAEConfig(latent_channels=2, base_filters=4, hyper_filters=4)
-        vae = VAEHyperprior(cfg, rng=np.random.default_rng(0))
-        x = arr(3, 1, 8, 8)
-        y_fast = vae.encode_latents(x)
-        dec_fast = vae.decode_latents(y_fast)
-        with fastpath.disabled():
-            y_legacy = vae.encode_latents(x)
-            dec_legacy = vae.decode_latents(y_legacy)
-        np.testing.assert_array_equal(y_fast, y_legacy)
-        np.testing.assert_allclose(dec_fast, dec_legacy, atol=1e-12)
-
-
-class TestSwitch:
-    def test_active_requires_no_grad(self):
-        assert not fastpath.active()  # grad enabled by default
-        with no_grad():
-            assert fastpath.active()
-            with fastpath.disabled():
-                assert not fastpath.active()
-            assert fastpath.active()
-
-    def test_disabled_nests_and_restores(self):
-        assert fastpath.is_enabled()
-        with fastpath.disabled():
-            assert not fastpath.is_enabled()
-            with fastpath.disabled():
-                assert not fastpath.is_enabled()
-            assert not fastpath.is_enabled()
-        assert fastpath.is_enabled()
-
 
 class TestConvDispatch:
     def test_im2col_matches_taps(self, monkeypatch):
@@ -139,17 +100,6 @@ class TestConvDispatch:
         monkeypatch.setattr(conv_mod, "IM2COL_MAX_BYTES", 0)
         y_taps = conv_mod._conv2d_forward(x, w, stride=2, padding=1)
         np.testing.assert_allclose(y_im2col, y_taps, atol=1e-12)
-
-    def test_disabled_forces_taps(self, monkeypatch):
-        """The byte budget is ignored when the fast path is off."""
-        calls = []
-        orig = conv_mod._conv2d_forward_taps
-        monkeypatch.setattr(
-            conv_mod, "_conv2d_forward_taps",
-            lambda *a, **k: calls.append(1) or orig(*a, **k))
-        with fastpath.disabled():
-            conv_mod._conv2d_forward(arr(1, 2, 5, 5), arr(3, 2, 3, 3), 1, 1)
-        assert calls
 
     def test_1x1_skips_im2col(self):
         assert not conv_mod._use_im2col(2, 3, 4, 4, 1, 1, 8)
@@ -195,16 +145,30 @@ class TestProfiler:
     def test_records_kernels_and_restores(self):
         module = Conv2d(2, 3, 3, padding=1, rng=np.random.default_rng(0))
         x = arr(1, 2, 6, 6)
+        from_op = Tensor.__dict__["_from_op"].__func__
         with nn_profile.profile() as prof:
             with no_grad():
                 module(Tensor(x))
         assert prof.stats["conv2d.forward"].calls == 1
-        assert prof.stats["fastpath.conv2d"].calls == 1
+        assert prof.stats["conv2d"].calls == 1       # the node itself
         assert prof.stats["conv2d.forward"].seconds >= 0.0
         assert prof.stats["conv2d.forward"].peak_bytes == 3 * 6 * 6 * 8
         # patches removed once the outermost profiler exits
-        assert not hasattr(fastpath.conv2d, "__wrapped__")
         assert not hasattr(conv_mod._conv2d_forward, "__wrapped__")
+        assert not hasattr(modules_mod._linear_forward, "__wrapped__")
+        assert Tensor.__dict__["_from_op"].__func__ is from_op
+
+    def test_records_fused_node_kernels(self):
+        attn = _SelfAttention(4, np.random.default_rng(0))
+        with nn_profile.profile() as prof:
+            with no_grad():
+                attn(Tensor(arr(2, 3, 4)))
+        for kernel, calls in (("norm.forward", 1),
+                              ("linear.forward", 2), ("sdpa.forward", 1)):
+            assert prof.stats[kernel].calls == calls, kernel
+        # one census row per fused node, under its op name
+        for op in ("layer_norm", "linear", "sdpa"):
+            assert prof.stats[op].calls >= 1, op
 
     def test_records_grad_mode_op_census(self):
         module = Linear(4, 3, rng=np.random.default_rng(0))
@@ -221,15 +185,15 @@ class TestProfiler:
                 module(Tensor(arr(2, 2)))
                 with nn_profile.profile() as inner:
                     module(Tensor(arr(2, 2)))
-        assert outer.stats["fastpath.silu"].calls == 2
-        assert inner.stats["fastpath.silu"].calls == 1
+        assert outer.stats["silu"].calls == 2
+        assert inner.stats["silu"].calls == 1
 
     def test_module_report_and_top(self):
         with nn_profile.profile():
             with no_grad():
                 SiLU()(Tensor(arr(2, 2)))
         table = nn_profile.report()
-        assert "fastpath.silu" in table
+        assert "silu" in table
         rows = nn_profile.top(3)
         assert rows and all(
             {"op", "calls", "seconds", "peak_bytes"} <= set(r) for r in rows)

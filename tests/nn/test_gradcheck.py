@@ -287,6 +287,19 @@ class TestAttention:
             F.scaled_dot_product_attention,
             [arr(2, 4, 3), arr(2, 4, 3), arr(2, 4, 3)], atol=1e-5)
 
+    def test_sdpa_grad_cross_lengths(self):
+        """Query and key lengths differ, value depth differs from the
+        key depth, and two batch axes lead."""
+        check_gradients(
+            F.scaled_dot_product_attention,
+            [arr(2, 3, 5, 4), arr(2, 3, 6, 4), arr(2, 3, 6, 2)], atol=1e-5)
+
+    def test_sdpa_grad_constant_key_value(self):
+        k, v = arr(2, 5, 3), arr(2, 5, 3)
+        check_gradients(
+            lambda q: F.scaled_dot_product_attention(q, k, v),
+            [arr(2, 4, 3)], atol=1e-5)
+
 
 class TestConvKernelDispatch:
     """Both conv kernels must carry correct gradients.

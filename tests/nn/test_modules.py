@@ -6,9 +6,11 @@ import pytest
 from repro.nn import (Conv2d, ConvTranspose2d, GroupNorm, LayerNorm, Linear,
                       Module, ModuleList, Parameter, Sequential, SiLU, Tensor,
                       no_grad)
+from repro.diffusion.unet import (ResBlock, SpaceTimeAttention,
+                                  TemporalAttention, _SelfAttention)
 from repro.nn import serialization
 
-from .util import check_gradients
+from .util import check_gradients, check_module_gradients
 
 RNG = np.random.default_rng(11)
 
@@ -175,6 +177,57 @@ class TestLayers:
         ln = LayerNorm(5)
         check_gradients(lambda x: ln(x), [RNG.normal(size=(3, 5))],
                         atol=1e-5)
+
+
+def _perturbed(module, seed=0):
+    """Move parameters off their init (unit norm scales, zero biases)."""
+    rng = np.random.default_rng(seed)
+    for p in module.parameters():
+        p.data = p.data + 0.3 * rng.normal(size=p.data.shape)
+    return module
+
+
+class TestModuleGradchecks:
+    """Fused nodes and the composites built on them, over the input and
+    every parameter, against central differences."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_tokens(self, bias):
+        lin = _perturbed(Linear(4, 3, bias=bias,
+                                rng=np.random.default_rng(0)))
+        check_module_gradients(lin, lin, [RNG.normal(size=(2, 3, 4))],
+                               atol=1e-5)
+
+    @pytest.mark.parametrize("groups,shape", [
+        (3, (2, 6, 2, 3)), (2, (2, 4, 5)), (1, (3, 4, 2, 2))])
+    def test_groupnorm(self, groups, shape):
+        gn = _perturbed(GroupNorm(groups, shape[1]), 1)
+        check_module_gradients(gn, gn, [RNG.normal(size=shape)], atol=1e-5)
+
+    def test_layernorm_tokens(self):
+        ln = _perturbed(LayerNorm(5), 2)
+        check_module_gradients(ln, ln, [RNG.normal(size=(2, 3, 5))],
+                               atol=1e-5)
+
+    @pytest.mark.parametrize("out_ch", [6, 4])
+    def test_resblock(self, out_ch):
+        block = _perturbed(ResBlock(4, out_ch, 8, 2,
+                                    np.random.default_rng(3)), 3)
+        check_module_gradients(
+            block, block,
+            [RNG.normal(size=(2, 4, 3, 3)), RNG.normal(size=(2, 8))],
+            atol=1e-5)
+
+    def test_self_attention(self):
+        attn = _perturbed(_SelfAttention(6, np.random.default_rng(4)), 4)
+        check_module_gradients(attn, attn, [RNG.normal(size=(2, 4, 6))],
+                               atol=1e-5)
+
+    @pytest.mark.parametrize("cls", [TemporalAttention, SpaceTimeAttention])
+    def test_factorized_attention(self, cls):
+        attn = _perturbed(cls(4, np.random.default_rng(5)), 5)
+        check_module_gradients(lambda x: attn(x, 2, 3), attn,
+                               [RNG.normal(size=(6, 4, 2, 3))], atol=1e-5)
 
 
 class TestNoGrad:

@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 
 
 def numeric_grad(fn: Callable[..., float], arrays: Sequence[np.ndarray],
@@ -58,3 +58,39 @@ def check_gradients(op: Callable[..., "Tensor"], arrays: Sequence[np.ndarray],
         np.testing.assert_allclose(
             t.grad, expected, atol=atol, rtol=rtol,
             err_msg=f"gradient mismatch for arg {i} of {op}")
+
+
+def check_module_gradients(forward: Callable[..., "Tensor"], module,
+                           arrays: Sequence[np.ndarray], atol: float = 1e-6,
+                           rtol: float = 1e-5) -> None:
+    """:func:`check_gradients` over the inputs of ``forward`` and every
+    parameter of ``module``."""
+    rng = np.random.default_rng(1234)
+    names, params = zip(*module.named_parameters())
+    module.zero_grad()
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    out = forward(*tensors)
+    w = rng.normal(size=out.shape)
+    (out * Tensor(w)).sum().backward()
+    got = [t.grad for t in tensors] + [p.grad for p in params]
+    saved = [p.data for p in params]
+    n = len(arrays)
+
+    def scalar_fn(*raw):
+        for p, r in zip(params, raw[n:]):
+            p.data = r
+        with no_grad():
+            val = forward(*[Tensor(r) for r in raw[:n]])
+        return float((val.data * w).sum())
+
+    labels = [f"input{i}" for i in range(n)] + list(names)
+    try:
+        for i, label in enumerate(labels):
+            expected = numeric_grad(scalar_fn, list(arrays) + saved, i)
+            assert got[i] is not None, f"missing grad for {label}"
+            np.testing.assert_allclose(
+                got[i], expected, atol=atol, rtol=rtol,
+                err_msg=f"gradient mismatch for {label}")
+    finally:
+        for p, data in zip(params, saved):
+            p.data = data
