@@ -22,8 +22,9 @@ True
 
 The same ``compress`` call accepts a registered dataset name (sharded
 sweep over the session's executor backend), a ``{name: stack}``
-mapping (multi-variable archive) or a frame iterator (constant-memory
-streaming) — see :mod:`repro.api`.
+mapping (one named member per variable) or a frame iterator
+(constant-memory streaming, one member per chunk); every multi-member
+result is one shard archive — see :mod:`repro.api`.
 
 Subpackages: :mod:`repro.nn` (NumPy autodiff substrate),
 :mod:`repro.entropy` (arithmetic coding + priors),
@@ -47,10 +48,10 @@ from .metrics import (CompressionAccounting, compression_ratio,
                       temporal_autocorrelation)
 from .pipeline import (ArtifactManifest, ArtifactStore, BatchResult,
                        CodecEngine, CompressedBlob, CompressionResult,
-                       LatentDiffusionCompressor, MultiVarArchive,
-                       MultiVarResult, StreamArchive, TrainingConfig,
-                       TwoStageTrainer, load_artifact, load_bundle,
-                       save_artifact, save_bundle, train_compressor)
+                       LatentDiffusionCompressor, MultiVarResult,
+                       TrainingConfig, TwoStageTrainer, load_artifact,
+                       load_bundle, save_artifact, save_bundle,
+                       train_compressor)
 from .codecs import (Codec, CodecResult, as_codec, get_codec, list_codecs,
                      register_codec)
 from .api import Archive, Bound, Session, SessionError
@@ -70,6 +71,6 @@ __all__ = [
     "CodecEngine", "BatchResult",
     "Codec", "CodecResult", "register_codec", "get_codec", "list_codecs",
     "as_codec",
-    "StreamArchive", "MultiVarArchive", "MultiVarResult",
+    "MultiVarResult",
     "__version__",
 ]

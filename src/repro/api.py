@@ -23,11 +23,13 @@ container formats.  This module folds them behind two types:
 
 :class:`Archive`
     One typed handle over every container format this repo has ever
-    written — raw pipeline blob (``LDCB``), tagged codec envelope
-    (``CDX1``), multi-variable archive (``LDMV`` v1/v2), stream
-    archive (``LDSA`` v1/v2) and shard archive (``SHRD``) —
-    with a single sniffing loader (:meth:`Archive.open`) and uniform
-    ``save``/``to_bytes``/``describe``.
+    written, with a single sniffing loader (:meth:`Archive.open`) and
+    uniform ``save``/``to_bytes``/``describe``.  A single stack is a
+    bare member: a raw pipeline blob (``LDCB``) or a tagged codec
+    envelope (``CDX1``).  Everything with more than one member —
+    shards, dataset sweeps, variable mappings, stream chunks — is a
+    shard archive (``SHRD`` v2) with a CRC-checked footer index.  The
+    older ``LDMV``, ``LDSA`` and ``SHRD`` v1 layouts stay readable.
 
 Bounds are expressed with the first-class :class:`~repro.bound.Bound`
 value type (``Bound.nrmse(1e-3)``, ``Bound.pointwise(0.5)``, ...); the
@@ -54,7 +56,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import os
-import struct
+import time
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
@@ -69,33 +71,37 @@ from .data.registry import (DatasetSpec, get_dataset_spec, list_datasets,
 from .entropy.backend import DEFAULT_BACKEND as DEFAULT_ENTROPY
 from .entropy.backend import get_backend as get_entropy_backend
 from .entropy.backend import using_backend
+from .metrics import CompressionAccounting
 from .pipeline.artifacts import (ArtifactStore, is_artifact,
                                  read_manifest, save_artifact)
 from .pipeline.blob import CompressedBlob
 from .pipeline.container import (MEMBER_ENVELOPE, ArchiveIndexError,
-                                 MemberIndex, as_source, verify_member)
-from .pipeline.engine import BatchResult, CodecEngine
+                                 MemberIndex, as_source)
+from .pipeline.engine import CodecEngine
+from .pipeline.legacy import LEGACY_KINDS, has_footer
 from .runtime import (JournalError, SweepJournal, TaskRuntime, as_runtime,
                       facts_fingerprint)
-from .pipeline.multivar import (MultiVarArchive, MultiVariableCompressor,
-                                read_multivar_index)
+from .pipeline.multivar import MultiVariableCompressor
 from .pipeline.plan import (ShardEntry, ShardPlan, assemble_window,
                             is_shard_archive, pack_shard_archive,
-                            plan_shards, read_shard_index, time_slices,
-                            unpack_shard_archive)
+                            plan_shards, read_members, read_shard_index,
+                            time_slices)
 from .pipeline.sources import (ArrayStackSource, NpyStackSource,
                                as_stack_source)
-from .pipeline.streaming import StreamArchive, StreamingCompressor
+from .pipeline.streaming import StreamingCompressor
 from .postprocess.coding import PAYLOAD_FORMAT
 
 __all__ = ["Session", "Archive", "Bound", "SessionError",
            "ArchiveIndexError", "ARCHIVE_KINDS", "sniff_kind"]
 
-#: container kinds :meth:`Archive.open` recognizes, in sniff order
+#: container kinds :meth:`Archive.open` recognizes, in sniff order;
+#: ``multivar`` and ``stream`` are read-only layouts of earlier
+#: releases (:data:`~repro.pipeline.legacy.LEGACY_KINDS`), indexed
+#: like a shard archive
 ARCHIVE_KINDS = ("shard", "envelope", "multivar", "stream", "blob")
+#: single-member kinds: one stack, no member index
+_BARE_KINDS = ("envelope", "blob")
 
-_MULTIVAR_MAGIC = b"LDMV"
-_STREAM_MAGIC = b"LDSA"
 _BLOB_MAGIC = b"LDCB"
 _NPZ_MAGIC = b"PK\x03\x04"
 
@@ -118,6 +124,13 @@ def _entropy_name(backend: Optional[str], fallback: str) -> str:
         raise SessionError(exc.args[0]) from None
 
 
+def _stack_rows(label: Optional[str], slices) -> List[tuple]:
+    """Member rows of one stack split at ``slices``: keys
+    ``<label>/v0/t<t0>-<t1>`` (``label`` defaults to ``"stack"``)."""
+    stem = label or "stack"
+    return [(f"{stem}/v0/t{a:04d}-{b:04d}", 0, a, b) for a, b in slices]
+
+
 # ----------------------------------------------------------------------
 # Archive: one handle over every container format.
 # ----------------------------------------------------------------------
@@ -133,10 +146,8 @@ def sniff_kind(data: bytes) -> str:
         return "shard"
     if is_envelope(data):
         return "envelope"
-    if head == _MULTIVAR_MAGIC:
-        return "multivar"
-    if head == _STREAM_MAGIC:
-        return "stream"
+    if head in LEGACY_KINDS:
+        return LEGACY_KINDS[head]
     if head == _BLOB_MAGIC:
         return "blob"
     if head == _NPZ_MAGIC:
@@ -269,63 +280,39 @@ class Archive:
 
     # -- member index ---------------------------------------------------
     def index(self) -> List[MemberIndex]:
-        """Per-member byte extents + checksums of a multi-part archive.
+        """Per-member byte extents + checksums of a multi-member
+        archive.
 
-        For indexed containers (SHRD v2, LDMV v3) this reads only the
-        footer — O(1) reads regardless of archive size; legacy
-        versions are scanned once and equivalent rows synthesized.
-        Raises :class:`SessionError` for single-payload kinds, and
-        :class:`ArchiveIndexError` when a footer is truncated or
-        corrupt.
+        A shard archive answers from its footer — O(1) reads
+        regardless of archive size; legacy layouts are turned into
+        equivalent rows (:mod:`repro.pipeline.legacy`).  Raises
+        :class:`SessionError` for single-member kinds, and
+        :class:`ArchiveIndexError` when a header or footer is
+        truncated or corrupt.
         """
         if self._index is None:
-            if self.kind == "shard":
-                self._index = read_shard_index(self.reader())
-            elif self.kind == "multivar":
-                self._index = read_multivar_index(self.reader())
-            else:
+            if self.kind in _BARE_KINDS:
                 raise SessionError(
                     f"{self.kind!r} archives are single-payload and "
                     f"carry no member index")
+            self._index = read_shard_index(self.reader())
         return self._index
 
     def indexed(self) -> bool:
-        """Whether the container carries a seekable footer index.
+        """Whether the member index comes from a seekable footer
+        rather than a scan of a legacy layout.
 
         Raises :class:`ArchiveIndexError` (never a bare
-        ``struct.error``) when the header bytes cannot be read — a
-        container truncated below its fixed header.
+        ``struct.error``) when the container is truncated below its
+        fixed header.
         """
-        try:
-            if self.kind == "shard":
-                version, = struct.unpack_from(
-                    "<H", self.reader().read_at(4, 2))
-                return version >= 2
-            if self.kind == "multivar":
-                return self.reader().read_at(4, 1)[0] >= 3
-        except (struct.error, IndexError):
-            raise ArchiveIndexError(
-                f"{self.kind} container is truncated below its fixed "
-                f"header; cannot read the version field") from None
-        return False
+        return self.kind not in _BARE_KINDS and has_footer(self.reader())
 
     # -- parsed views ---------------------------------------------------
-    def shard_entries(self) -> List[ShardEntry]:
-        self._expect("shard")
-        return unpack_shard_archive(self.data)
-
     def envelope(self):
         """``(codec_name, payload)`` of an envelope archive."""
         self._expect("envelope")
         return unpack_envelope(self.data)
-
-    def multivar(self) -> MultiVarArchive:
-        self._expect("multivar")
-        return MultiVarArchive.from_bytes(self.data)
-
-    def stream(self) -> StreamArchive:
-        self._expect("stream")
-        return StreamArchive.from_bytes(self.data)
 
     def blob(self) -> CompressedBlob:
         self._expect("blob")
@@ -339,21 +326,14 @@ class Archive:
     def codecs(self) -> List[str]:
         """Sorted codec names referenced by this archive.
 
-        Raw blobs and blob entries belong to the pipeline codec
+        Raw blobs and blob members belong to the pipeline codec
         (``"ours"``).
         """
         if self.kind == "blob":
             return [DEFAULT_CODEC]
         if self.kind == "envelope":
             return [self.envelope()[0]]
-        if self.kind in ("shard", "multivar"):
-            return sorted({m.codec or DEFAULT_CODEC
-                           for m in self.index()})
-        st = self.stream()
-        names = {unpack_envelope(env)[0] for _, env in st.envelopes}
-        if st.blobs:
-            names.add(DEFAULT_CODEC)
-        return sorted(names)
+        return sorted({m.codec or DEFAULT_CODEC for m in self.index()})
 
     @staticmethod
     def _member_payload_bytes(m: MemberIndex) -> int:
@@ -366,51 +346,33 @@ class Archive:
     def describe(self) -> dict:
         """Structured summary (what ``repro info`` renders).
 
-        Multi-part kinds answer from the member index — for indexed
-        containers that means header + footer reads only, so ``repro
+        Multi-member kinds answer from the member index — for a shard
+        archive that means header + footer reads only, so ``repro
         info`` on a multi-GB archive stays instant — and report each
-        member's byte extent plus whether a seekable footer is
-        present.
+        member's key, geometry and byte extent plus whether a seekable
+        footer is present.
         """
         out: Dict[str, Any] = {"kind": self.kind,
                                "total_bytes": len(self)}
-        if self.kind == "shard":
+        if self.kind == "envelope":
+            name, payload = self.envelope()
+            out["codec"] = name
+            out["payload_bytes"] = len(payload)
+        elif self.kind == "blob":
+            out["blob"] = self.blob()
+            out["codec"] = DEFAULT_CODEC
+        else:
             members = self.index()
             out["indexed"] = self.indexed()
             out["entries"] = [
                 {"shard_id": m.key,
                  "codec": m.codec or DEFAULT_CODEC,
-                 "t0": m.t0, "t1": m.t1,
+                 "variable": m.variable, "t0": m.t0, "t1": m.t1,
                  "payload_bytes": self._member_payload_bytes(m),
                  "offset": m.offset, "length": m.length,
                  "crc32": m.crc32}
                 for m in members]
             out["variables"] = sorted({m.variable for m in members})
-        elif self.kind == "envelope":
-            name, payload = self.envelope()
-            out["codec"] = name
-            out["payload_bytes"] = len(payload)
-        elif self.kind == "multivar":
-            members = self.index()
-            out["indexed"] = self.indexed()
-            blobs = sorted(m.key for m in members if not m.codec)
-            envs = sorted(m.key for m in members if m.codec)
-            out["variables"] = blobs + envs
-            out["codecs"] = self.codecs()
-            out["entries"] = [
-                {"variable": m.key,
-                 "codec": m.codec or DEFAULT_CODEC,
-                 "offset": m.offset, "length": m.length,
-                 "crc32": m.crc32}
-                for m in members]
-        elif self.kind == "stream":
-            st = self.stream()
-            out["chunks"] = st.num_chunks
-            out["frames"] = st.num_frames
-            out["codecs"] = self.codecs()
-        else:  # blob
-            out["blob"] = self.blob()
-            out["codec"] = DEFAULT_CODEC
         return out
 
 
@@ -639,7 +601,8 @@ class Session:
           blob-native pipeline codec, tagged envelope otherwise); with
           ``shards=N`` the time axis splits into N slices and takes
           the stack-source path below, as one group of every shard
-          (``label`` names the shards, default ``"stack"``);
+          (``label`` names the shards ``<label>/v0/t<t0>-<t1>``,
+          default ``"stack"``);
         * ``.npy`` path / ``np.memmap`` / stack source — *out-of-core*
           sharded compression: frames stream through the engine in
           bounded groups of ``chunk_shards`` shards (default: one per
@@ -653,9 +616,16 @@ class Session:
           dataset from specs, so serial/thread/process archives are
           byte-identical;
         * mapping ``name -> (T, H, W)`` or ``(V, T, H, W)`` array —
-          multi-variable archive (``names`` labels the array form);
+          one named member per variable (``names`` labels the array
+          form), decoded back to ``{name: array}``;
         * any other iterable of ``(H, W)`` frames — constant-memory
-          streaming into a stream archive (``chunk_windows``).
+          streaming, one member per chunk of ``chunk_windows`` codec
+          windows, keyed like shards (``label``); chunks that fall on
+          the slices of ``shards=N`` write the bytes
+          ``compress(frames, shards=N)`` writes.
+
+        Every source with more than one member is written as one shard
+        archive (``kind == "shard"``).
 
         ``bound`` is a :class:`~repro.bound.Bound` (the legacy
         ``error_bound``/``nrmse_bound`` kwargs still work); bounds
@@ -698,7 +668,7 @@ class Session:
                                         entropy)
         if isinstance(source, Iterable):
             return self._compress_stream(source, codec, target, seed,
-                                         chunk_windows, entropy)
+                                         label, chunk_windows, entropy)
         raise SessionError(
             f"cannot compress {type(source).__name__}; pass an array, "
             f"a dataset name/spec, a variable mapping, or a frame "
@@ -727,18 +697,26 @@ class Session:
             "codec": resolved.name, "ratio": result.ratio,
             "nrmse": result.achieved_nrmse, "bytes": len(data)})
 
-    def _pack_shards(self, resolved: Codec, meta, batch) -> Archive:
-        entries = [ShardEntry(shard_id=sid, variable=var, t0=t0, t1=t1,
-                              payload=pack_envelope(resolved.name,
+    def _pack(self, codec: Codec, rows, results, wall_seconds: float,
+              **stats) -> Archive:
+        """The one multi-member writer: a shard archive holding, per
+        ``(key, variable, t0, t1)`` row, the codec envelope of the
+        matching result's payload.  ``stats`` adds per-source keys to
+        the Eq. 11 ratio, worst NRMSE and timing every such archive
+        reports."""
+        entries = [ShardEntry(shard_id=key, variable=var, t0=t0, t1=t1,
+                              payload=pack_envelope(codec.name,
                                                     r.payload))
-                   for (sid, var, t0, t1), r in zip(meta, batch.results)]
+                   for (key, var, t0, t1), r in zip(rows, results)]
         data = pack_shard_archive(entries)
-        acc = batch.accounting()
+        acc = sum((r.accounting for r in results),
+                  CompressionAccounting(0, 0, 0))
         return Archive(data, "shard", stats={
-            "codec": resolved.name, "ratio": acc.ratio,
-            "nrmse": batch.worst_nrmse(), "bytes": len(data),
-            "shards": len(entries), "executor": self.executor.mode,
-            "wall_seconds": batch.wall_seconds})
+            "codec": codec.name, "ratio": acc.ratio,
+            "nrmse": max(r.achieved_nrmse for r in results),
+            "bytes": len(data), "shards": len(entries),
+            "executor": self.executor.mode,
+            "wall_seconds": wall_seconds, **stats})
 
     def _compress_out_of_core(self, src, codec, target, shards, seed,
                               label, chunk_shards,
@@ -781,11 +759,8 @@ class Session:
                 return frozen[a:b]
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
-        stem = label or "stack"
-        meta = [(f"{stem}/v0/t{a:04d}-{b:04d}", 0, a, b)
-                for a, b in slices]
         engine = self._engine(resolved, seed, entropy)
-        reports = []
+        results = []
         wall = 0.0
         for g0 in range(0, len(slices), chunk_shards):
             group = slices[g0:g0 + chunk_shards]
@@ -793,13 +768,11 @@ class Session:
             part = engine.compress(stacks, bound=target,
                                    keep_reconstruction=False,
                                    first_index=g0)
-            reports.extend(part.reports)
+            results.extend(part.results)
             wall += part.wall_seconds
             del stacks, part
-        batch = BatchResult(reports=reports, wall_seconds=wall)
-        archive = self._pack_shards(resolved, meta, batch)
-        archive.stats["chunk_shards"] = chunk_shards
-        return archive
+        return self._pack(resolved, _stack_rows(label, slices), results,
+                          wall, chunk_shards=chunk_shards)
 
     # -- resumable sweeps ------------------------------------------------
     def sweep(self, dataset, *,
@@ -894,40 +867,50 @@ class Session:
         finally:
             if jr is not None:
                 jr.close()
-        meta = [(t.shard_id, t.variable, t.t0, t.t1) for t in plan]
-        archive = self._pack_shards(resolved, meta, batch)
-        archive.stats["resumed_shards"] = batch.replayed
-        archive.stats["computed_shards"] = len(meta) - batch.replayed
+        rows = [(t.shard_id, t.variable, t.t0, t.t1) for t in plan]
+        archive = self._pack(resolved, rows, batch.results,
+                             batch.wall_seconds,
+                             resumed_shards=batch.replayed,
+                             computed_shards=len(rows) - batch.replayed)
         if journal is not None:
             archive.stats["journal"] = os.fspath(journal)
         return archive
 
     def _compress_multivar(self, data, codec, target, names, seed,
                            entropy: str) -> Archive:
+        """One named member per variable: key = name, ``variable`` =
+        position, ``t0 == t1 == 0``."""
         resolved = self.resolve_codec(codec)
         mv = MultiVariableCompressor(resolved, max_workers=self.workers)
+        start = time.perf_counter()
         with using_backend(entropy):
             result = mv.compress(data, names=names, bound=target,
                                  noise_seed=seed)
-            wire = result.archive().to_bytes()
-        return Archive(wire, "multivar", stats={
-            "codec": resolved.name, "ratio": result.ratio,
-            "nrmse": result.worst_nrmse(), "bytes": len(wire),
-            "variables": result.variables})
+        rows = [(name, i, 0, 0) for i, name in enumerate(result.results)]
+        return self._pack(resolved, rows, list(result.results.values()),
+                          time.perf_counter() - start,
+                          variables=result.variables)
 
-    def _compress_stream(self, frames, codec, target, seed,
+    def _compress_stream(self, frames, codec, target, seed, label,
                          chunk_windows, entropy: str) -> Archive:
+        """One member per chunk as it seals; only its payload is kept."""
         resolved = self.resolve_codec(codec)
         sc = StreamingCompressor(
             resolved, chunk_windows=chunk_windows or self.chunk_windows)
+        slices, results = [], []
+        start = time.perf_counter()
         with using_backend(entropy):
-            stream = sc.compress(frames, bound=target, noise_seed=seed)
-            wire = stream.to_bytes()
-        acc = stream.accounting()
-        return Archive(wire, "stream", stats={
-            "codec": resolved.name, "ratio": acc.ratio,
-            "bytes": len(wire), "chunks": stream.num_chunks,
-            "frames": stream.num_frames})
+            for chunk in sc.compress_iter(frames, bound=target,
+                                          noise_seed=seed):
+                res = chunk.result
+                res.payload  # serialize before the detail is dropped
+                res.reconstruction = res.detail = None
+                slices.append((chunk.start_frame,
+                               chunk.start_frame + chunk.num_frames))
+                results.append(res)
+        return self._pack(resolved, _stack_rows(label, slices), results,
+                          time.perf_counter() - start,
+                          chunks=len(slices), frames=slices[-1][1])
 
     # -- decompress -----------------------------------------------------
     def decompress(self, source, *,
@@ -935,62 +918,61 @@ class Session:
                    select=None):
         """Reconstruct any :class:`Archive` (or path / bytes).
 
-        Returns a ``(T, H, W)`` array for blob / envelope / stream
-        archives, ``(T, H, W)`` or ``(V, T, H, W)`` for shard archives
-        (stitched via the recorded geometry), and a ``{name: array}``
-        dict for multi-variable archives.  Codecs are resolved from
-        the streams themselves through the session (so trained state
-        loaded via ``artifact``/``model`` is picked up); with
-        ``expect_codec`` a mismatching stream raises instead.
+        A bare member (blob / envelope) decodes to its ``(T, H, W)``
+        stack.  Every other archive decodes through its member index:
+        index → select → read and verify → decode → assemble.  Timed
+        members are stitched via their recorded geometry into
+        ``(T, H, W)`` (one variable) or ``(V, T, H, W)``; named
+        members (a variable mapping) come back as ``{name: array}``.
+        Every member read is checksum-verified, so a damaged member
+        raises :class:`ArchiveIndexError` rather than decoding into a
+        wrong array.  Codecs are resolved from the streams themselves
+        through the session (so trained state loaded via
+        ``artifact``/``model`` is picked up); with ``expect_codec`` a
+        mismatching stream raises instead.
 
-        Multi-part archives (shard, multivar) always decode through
-        the member index: every member read is checksum-verified, so a
-        damaged member raises :class:`ArchiveIndexError` rather than
-        decoding into a wrong array.  ``select`` turns this into a
-        *partial* decode that touches only the selected members (an
-        indexed archive opened from a path reads O(footer + selected
-        members) bytes):
-
-        * for shard archives — a shard id (``"stack/v0/t0000-0008"``),
-          a variable number (``0``), a ``slice(t0, t1)`` time range
-          (frames outside selected shards are trimmed exactly), or a
-          sequence of shard ids / variables;
-        * for multi-variable archives — a variable name or sequence
-          of names (returns the ``{name: array}`` sub-dict).
+        ``select`` turns this into a *partial* decode that touches
+        only the selected members (an indexed archive opened from a
+        path reads O(footer + selected members) bytes): a member key
+        (``"stack/v0/t0000-0008"``, or a variable name), a variable
+        number (a mapping's variables count by position), a
+        ``slice(t0, t1)`` time range (frames outside selected members
+        are trimmed exactly; named members span no time), or a
+        sequence of keys / variable numbers.
 
         Members decode in parallel on the session's runtime,
         byte-identical to a serial decode of the same members.
         """
         archive = Archive.open(source)
-        if select is not None:
-            if archive.kind == "shard":
-                return self._decompress_shards(archive, expect_codec,
-                                               select=select)
-            if archive.kind == "multivar":
-                return self._decompress_multivar_select(
-                    archive, expect_codec, select)
-            raise SessionError(
-                f"select= needs a multi-part archive (shard or "
-                f"multivar); this archive is {archive.kind!r}")
-        if archive.kind == "shard":
-            return self._decompress_shards(archive, expect_codec)
-        if archive.kind == "envelope":
-            name, payload = archive.envelope()
-            self._check_expected(
-                name, expect_codec,
-                f"stream was written by codec {name!r}, "
-                f"not {expect_codec!r}")
-            return self.resolve_codec(name).decompress(payload)
-        if archive.kind == "blob":
-            if expect_codec and expect_codec != DEFAULT_CODEC:
+        if archive.kind in _BARE_KINDS:
+            if select is not None:
                 raise SessionError(
-                    f"stream is a raw pipeline blob, not a "
-                    f"{expect_codec!r} envelope")
-            return self._ours_codec().decompress(archive.data)
-        if archive.kind == "multivar":
-            return self._decompress_multivar_select(archive,
-                                                    expect_codec)
-        return self._decompress_stream(archive, expect_codec)
+                    f"select= needs a multi-part archive; this archive "
+                    f"is {archive.kind!r}")
+            named = [archive.envelope() if archive.kind == "envelope"
+                     else (None, archive.data)]
+            return self._decode_member_payloads(named, expect_codec,
+                                                context="stream")[0]
+        members = archive.index()
+        if not members:
+            raise SessionError("empty archive")
+        is_named = {m.t1 == 0 for m in members}
+        if len(is_named) > 1:
+            raise ArchiveIndexError("archive mixes named members (no "
+                                    "time range) with timed ones")
+        window = (0, max(m.t1 for m in members))
+        if select is not None:
+            members, window = self._select_members(members, select)
+        arrays = self._decode_member_payloads(
+            self._read_members(archive, members), expect_codec,
+            context="archive member")
+        if is_named == {True}:
+            return {m.key: arr for m, arr in zip(members, arrays)}
+        entries = [ShardEntry(shard_id=m.key, variable=m.variable,
+                              t0=m.t0, t1=m.t1, payload=b"")
+                   for m in members]
+        t0, t1 = window if window is not None else (None, None)
+        return assemble_window(entries, arrays, t0=t0, t1=t1)
 
     @staticmethod
     def _check_expected(name: str, expect: Optional[str],
@@ -1012,12 +994,12 @@ class Session:
     # -- partial / parallel member decode -------------------------------
     @staticmethod
     def _select_members(members: List[MemberIndex], select):
-        """Resolve a shard selector into ``(members, (t0, t1) | None)``.
+        """Resolve a selector into ``(members, (t0, t1) | None)``.
 
-        Accepts a shard id, a variable number, a ``slice`` time range,
-        or a sequence mixing ids and variables.  The returned window
-        is non-None only for time-range selects (callers trim shard
-        overhang to it exactly).
+        Accepts a member key, a variable number, a ``slice`` time
+        range, or a sequence mixing keys and variables.  The returned
+        window is non-None only for time-range selects (callers trim
+        member overhang to it exactly).
         """
         if isinstance(select, slice):
             if select.step not in (None, 1):
@@ -1042,7 +1024,7 @@ class Session:
             if not hits:
                 known = sorted({m.variable for m in members})
                 raise SessionError(
-                    f"no shards for variable {int(select)}; archive "
+                    f"no members for variable {int(select)}; archive "
                     f"holds variables {known}")
             return hits, None
         if isinstance(select, str):
@@ -1050,8 +1032,7 @@ class Session:
             if not hits:
                 keys = [m.key for m in members]
                 raise SessionError(
-                    f"no shard {select!r}; archive holds "
-                    f"{keys}")
+                    f"no member {select!r}; archive holds {keys}")
             return hits, None
         if isinstance(select, Sequence):
             picked: Dict[str, MemberIndex] = {}
@@ -1062,8 +1043,8 @@ class Session:
             ordered = [m for m in members if m.key in picked]
             return ordered, None
         raise SessionError(
-            f"cannot select shards with {type(select).__name__}; pass "
-            f"a shard id, a variable number, a slice, or a sequence "
+            f"cannot select members with {type(select).__name__}; pass "
+            f"a member key, a variable number, a slice, or a sequence "
             f"of those")
 
     def _decode_member_payloads(self, named: List, expect: Optional[str],
@@ -1072,7 +1053,8 @@ class Session:
         per codec on the session executor.
 
         ``None`` names a raw pipeline blob (decoded by the session's
-        ``"ours"`` codec).  Grouping preserves input order in the
+        ``"ours"`` codec); a name no codec is registered under raises
+        :class:`SessionError`.  Grouping preserves input order in the
         returned arrays.  Backends that need spec-portable codecs
         (process pools) fall back to in-process decode when the codec
         cannot be shipped — the session's executor choice must never
@@ -1087,8 +1069,13 @@ class Session:
             groups.setdefault(name, []).append(i)
         out: List[Optional[np.ndarray]] = [None] * len(named)
         for name, idxs in groups.items():
-            codec = (self._ours_codec() if name is None
-                     else self.resolve_codec(name))
+            try:
+                codec = (self._ours_codec() if name is None
+                         else self.resolve_codec(name))
+            except KeyError:
+                raise SessionError(
+                    f"{context} was written by codec {name!r}, which "
+                    f"is not registered") from None
             payloads = [named[i][1] for i in idxs]
             if len(payloads) == 1:
                 arrays = [codec.decompress(payloads[0])]
@@ -1105,87 +1092,11 @@ class Session:
     @staticmethod
     def _read_members(archive: Archive, members: List[MemberIndex]
                       ) -> List[tuple]:
-        """Fetch + checksum-verify each member's stored bytes, as the
-        ``(codec_name | None, payload)`` pairs
-        :meth:`_decode_member_payloads` takes."""
-        src = archive.reader()
-        named = []
-        for m in members:
-            raw = verify_member(src.read_at(m.offset, m.length), m)
-            named.append(unpack_envelope(raw) if m.kind == MEMBER_ENVELOPE
-                         else (None, raw))
-        return named
-
-    def _decompress_shards(self, archive: Archive,
-                           expect: Optional[str],
-                           select=None) -> np.ndarray:
-        members = archive.index()
-        if not members:
-            raise SessionError("empty shard archive")
-        window = None
-        if select is not None:
-            members, window = self._select_members(members, select)
-        arrays = self._decode_member_payloads(
-            self._read_members(archive, members), expect, context="shard")
-        entries = [ShardEntry(shard_id=m.key, variable=m.variable,
-                              t0=m.t0, t1=m.t1, payload=b"")
-                   for m in members]
-        if select is None:
-            return assemble_window(entries, arrays, t0=0,
-                                   t1=max(m.t1 for m in members))
-        t0, t1 = window if window is not None else (None, None)
-        return assemble_window(entries, arrays, t0=t0, t1=t1)
-
-    def _decompress_multivar_select(self, archive: Archive,
-                                    expect: Optional[str], select=None
-                                    ) -> Dict[str, np.ndarray]:
-        """Decode the selected variables (``None``: every index row,
-        in index order) into a ``{name: array}`` dict."""
-        members = archive.index()
-        if select is not None:
-            members = self._select_variables(members, select)
-        arrays = self._decode_member_payloads(
-            self._read_members(archive, members), expect,
-            context="variable")
-        return {m.key: arr for m, arr in zip(members, arrays)}
-
-    @staticmethod
-    def _select_variables(members: List[MemberIndex], select
-                          ) -> List[MemberIndex]:
-        """Resolve a multivar selector (a name or a sequence of names)
-        into index rows, in selector order."""
-        names = ([select] if isinstance(select, str)
-                 else list(select) if isinstance(select, Sequence)
-                 else None)
-        if not names or not all(isinstance(n, str) for n in names):
-            raise SessionError(
-                "multivar select= takes a variable name or a sequence "
-                "of names")
-        by_key = {m.key: m for m in members}
-        try:
-            return [by_key[n] for n in names]
-        except KeyError as exc:
-            raise SessionError(
-                f"no variable {exc.args[0]!r}; archive holds "
-                f"{sorted(by_key)}") from None
-
-    def _decompress_stream(self, archive: Archive,
-                           expect: Optional[str]) -> np.ndarray:
-        st = archive.stream()
-        chunks = []
-        for blob in st.blobs:
-            codec = self._ours_codec()
-            chunks.append(codec.decompress_blob(blob)
-                          if hasattr(codec, "decompress_blob")
-                          else codec.decompress(blob.to_bytes()))
-        for _, env in st.envelopes:
-            name, payload = unpack_envelope(env)
-            self._check_expected(
-                name, expect,
-                f"archive chunk was written by codec {name!r}, "
-                f"not {expect!r}")
-            chunks.append(self.resolve_codec(name).decompress(payload))
-        return np.concatenate(chunks, axis=0)
+        """Each member's ``(codec_name | None, payload)``, read and
+        checksum-verified one at a time, as
+        :meth:`_decode_member_payloads` takes them."""
+        return [(name, payload) for _, name, payload
+                in read_members(archive.reader(), members)]
 
     # -- train ----------------------------------------------------------
     def train(self, codec: str, source, *, save=None,

@@ -334,9 +334,9 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
         return _fail(exc)
     partial = " (partial)" if select is not None else ""
     if isinstance(restored, dict):
-        # multi-variable archives reconstruct to one (V, T, H, W)
-        # stack, variables in sorted-name order
-        names = sorted(restored)
+        # a mapping archive reconstructs to one (V, T, H, W) stack,
+        # variables in archive order (the order they were written in)
+        names = list(restored)
         frames = np.stack([restored[n] for n in names])
         np.save(args.output, frames)
         print(f"wrote {frames.shape} ({', '.join(names)}){partial} to "
@@ -378,43 +378,24 @@ def _render_info(info: dict) -> int:
         print("hint             : re-save with save_bundle to "
               "gain an artifact manifest")
         return 0
-    if kind == "shard":
-        entries = info["entries"]
-        seekable = ("seekable footer index"
-                    if info.get("indexed") else "no footer (v1 scan)")
-        print(f"shard archive    : {len(entries)} shards, "
-              f"{len(info['variables'])} variable(s), {seekable}")
-        print(f"total bytes      : {info['total_bytes']}")
-        for e in entries:
-            print(f"  {e['shard_id']:28s} codec={e['codec']:10s} "
-                  f"frames=[{e['t0']},{e['t1']}) "
-                  f"bytes={e['payload_bytes']} "
-                  f"@{e['offset']}+{e['length']} "
-                  f"crc={e['crc32']:08x}")
-        return 0
     if kind == "envelope":
         print(f"codec            : {info['codec']}")
         print(f"total bytes      : {info['total_bytes']}")
         print(f"  payload        : {info['payload_bytes']}")
         return 0
-    if kind == "multivar":
-        seekable = ("seekable footer index"
-                    if info.get("indexed") else "no footer (legacy)")
-        print(f"multivar archive : {len(info['variables'])} "
-              f"variable(s), codecs {', '.join(info['codecs'])}, "
-              f"{seekable}")
-        print(f"variables        : {', '.join(info['variables'])}")
+    if "entries" in info:
+        entries = info["entries"]
+        seekable = ("seekable footer index" if info["indexed"]
+                    else f"no footer (legacy {kind} layout, scanned)")
+        print(f"shard archive    : {len(entries)} shards, "
+              f"{len(info['variables'])} variable(s), {seekable}")
         print(f"total bytes      : {info['total_bytes']}")
-        for e in info.get("entries", []):
-            print(f"  {e['variable']:16s} codec={e['codec']:10s} "
+        for e in entries:
+            print(f"  {e['shard_id']:28s} codec={e['codec']:10s} "
+                  f"var={e['variable']} frames=[{e['t0']},{e['t1']}) "
+                  f"bytes={e['payload_bytes']} "
                   f"@{e['offset']}+{e['length']} "
                   f"crc={e['crc32']:08x}")
-        return 0
-    if kind == "stream":
-        print(f"stream archive   : {info['chunks']} chunks, "
-              f"{info['frames']} frames, "
-              f"codecs {', '.join(info['codecs'])}")
-        print(f"total bytes      : {info['total_bytes']}")
         return 0
     # raw pipeline blob
     blob = info["blob"]

@@ -333,15 +333,26 @@ def peek_envelope(data: bytes) -> Optional[str]:
 
 
 def unpack_envelope(data: bytes) -> Tuple[str, bytes]:
-    """Inverse of :func:`pack_envelope`; returns ``(name, payload)``."""
+    """Inverse of :func:`pack_envelope`; returns ``(name, payload)``.
+
+    The stored payload length must match the bytes after the header
+    exactly; a damaged header raises
+    :class:`~repro.pipeline.container.ArchiveIndexError`.
+    """
+    from ..pipeline.container import ArchiveIndexError
     if not is_envelope(data):
         raise ValueError("not a codec envelope (bad magic)")
-    tlen, = struct.unpack_from("<B", data, 4)
-    name = data[5:5 + tlen].decode()
-    pos = 5 + tlen
-    n, = struct.unpack_from("<Q", data, pos)
+    try:
+        tlen, = struct.unpack_from("<B", data, 4)
+        name = data[5:5 + tlen].decode()
+        pos = 5 + tlen
+        n, = struct.unpack_from("<Q", data, pos)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise ArchiveIndexError(
+            f"corrupt codec envelope header ({exc})") from None
     pos += 8
-    payload = data[pos:pos + n]
-    if len(payload) != n:
-        raise ValueError("truncated codec envelope")
-    return name, payload
+    if n != len(data) - pos:
+        raise ArchiveIndexError(
+            f"codec envelope promises {n} payload bytes but holds "
+            f"{len(data) - pos}")
+    return name, data[pos:]

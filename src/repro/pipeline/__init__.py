@@ -22,14 +22,17 @@
 * :mod:`repro.pipeline.plan` — the deterministic shard planner turning
   ``dataset x variables x window`` grids into picklable
   :class:`~repro.pipeline.plan.ShardTask` lists, plus the shard
-  archive container;
+  archive, the one container written for every multi-member archive
+  (shards, variable mappings, stream chunks);
 * :mod:`repro.pipeline.streaming` — constant-memory chunked compression
-  of frame iterators into a :class:`~repro.pipeline.streaming.StreamArchive`;
-* :mod:`repro.pipeline.multivar` — multi-variable (V, T, H, W) archives
-  with aggregate Eq. 11 accounting;
-* :mod:`repro.pipeline.container` — the seekable footer index shared by
-  the multi-part containers (member byte extents + CRC-32 checksums,
-  byte sources, the counting reader used to assert partial-decode I/O);
+  of frame iterators, one archive member per chunk;
+* :mod:`repro.pipeline.multivar` — multi-variable (V, T, H, W)
+  compression with aggregate Eq. 11 accounting;
+* :mod:`repro.pipeline.container` — the seekable footer index of the
+  shard archive (member byte extents + CRC-32 checksums, byte sources,
+  the counting reader used to assert partial-decode I/O);
+* :mod:`repro.pipeline.legacy` — read-only index rows for the
+  ``LDMV``/``LDSA``/``SHRD`` v1 layouts of earlier releases;
 * :mod:`repro.pipeline.sources` — bounded-memory stack sources
   (``.npy`` / array adapters) feeding chunked out-of-core ingestion.
 """
@@ -43,14 +46,13 @@ from .container import (ArchiveIndexError, BufferSource, CountingReader,
                         FileObjSource, FileSource, MemberIndex,
                         as_source, read_index, verify_member)
 from .engine import BatchResult, CodecEngine, WindowReport
-from .multivar import (MultiVarArchive, MultiVariableCompressor,
-                       MultiVarResult, read_multivar_index)
+from .multivar import MultiVariableCompressor, MultiVarResult
 from .plan import (ShardEntry, ShardPlan, ShardTask, assemble_shards,
                    assemble_window, is_shard_archive,
-                   pack_shard_archive, plan_shards, read_shard_index,
-                   time_slices, unpack_shard_archive)
+                   pack_shard_archive, plan_shards, read_members,
+                   read_shard_index, time_slices)
 from .sources import ArrayStackSource, NpyStackSource, as_stack_source
-from .streaming import ChunkResult, StreamArchive, StreamingCompressor
+from .streaming import ChunkResult, StreamingCompressor
 from .training import TrainingConfig, TwoStageTrainer, train_compressor
 
 __all__ = [
@@ -61,13 +63,13 @@ __all__ = [
     "ArtifactStore", "ArtifactManifest", "save_artifact",
     "load_artifact", "read_manifest", "is_artifact",
     "ShardTask", "ShardPlan", "ShardEntry", "plan_shards",
-    "time_slices", "pack_shard_archive", "unpack_shard_archive",
-    "is_shard_archive", "assemble_shards", "assemble_window",
-    "read_shard_index", "read_multivar_index",
+    "time_slices", "pack_shard_archive", "is_shard_archive",
+    "assemble_shards", "assemble_window", "read_shard_index",
+    "read_members",
     "ArchiveIndexError", "MemberIndex", "BufferSource", "FileSource",
     "FileObjSource", "CountingReader", "as_source", "read_index",
     "verify_member",
     "NpyStackSource", "ArrayStackSource", "as_stack_source",
-    "StreamingCompressor", "StreamArchive", "ChunkResult",
-    "MultiVariableCompressor", "MultiVarArchive", "MultiVarResult",
+    "StreamingCompressor", "ChunkResult",
+    "MultiVariableCompressor", "MultiVarResult",
 ]

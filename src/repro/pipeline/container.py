@@ -1,9 +1,9 @@
 """Seekable-container machinery: footer indexes and byte sources.
 
-The multi-part containers (``SHRD`` shard archives, ``LDMV``
-multi-variable archives) historically required a full-archive read and
-parse before a single member could be touched.  This module defines
-the *footer index* that makes them seekable:
+Multi-member containers once required a full-archive read and parse
+before a single member could be touched.  This module defines the
+*footer index* that makes the shard archive (``SHRD`` v2, the one
+multi-member container written) seekable:
 
 * every member gets a :class:`MemberIndex` row — key (shard id or
   variable name), entry kind, codec name, time geometry, absolute byte
@@ -16,9 +16,8 @@ the *footer index* that makes them seekable:
 Opening an indexed container therefore costs three tiny reads — head
 (sniff), trailer, footer — independent of archive size, and decoding
 one member costs one ``read_at(offset, length)`` plus its checksum
-verification.  Writers bump their container version when they append
-a footer; old versions remain readable byte-for-byte (readers that
-pre-date the footer simply never seek past the member region).
+verification.  Layouts written before the footer are read by
+:mod:`repro.pipeline.legacy`, which synthesizes the same rows.
 
 Byte access is abstracted behind tiny *sources* (:class:`BufferSource`
 for in-memory archives, :class:`FileSource` for paths,
@@ -39,10 +38,10 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import BinaryIO, List, Optional, Union
+from typing import BinaryIO, List, Optional, Tuple, Union
 
 __all__ = ["ArchiveIndexError", "MemberIndex", "build_index",
-           "parse_index", "read_index", "verify_member",
+           "parse_index", "read_index", "verify_member", "member_kind",
            "BufferSource", "FileSource", "FileObjSource", "as_source",
            "CountingReader", "INDEX_MAGIC", "TRAILER_MAGIC",
            "TRAILER_SIZE", "INDEX_VERSION"]
@@ -75,9 +74,10 @@ class MemberIndex:
 
     ``offset``/``length`` locate the member's stored payload inside
     the container (absolute byte offset); ``crc32`` is the CRC-32 of
-    exactly those bytes.  ``variable`` is ``-1`` and ``t0 == t1 == 0``
-    when the container kind has no time geometry (multi-variable
-    archives).
+    exactly those bytes.  A timed member covers frames ``[t0, t1)``
+    of ``variable``.  A *named* member (one variable of a mapping) has
+    no time geometry: ``t0 == t1 == 0``, ``variable`` is its position,
+    and it decodes to ``{key: array}``.
     """
 
     key: str
@@ -209,6 +209,15 @@ def read_index(source) -> Optional[List[MemberIndex]]:
         raise ArchiveIndexError("container index failed its checksum "
                                 "(truncated or corrupt footer)")
     return parse_index(footer)
+
+
+def member_kind(payload: bytes) -> Tuple[int, str]:
+    """Member kind + codec name for an index row (header peek only)."""
+    from ..codecs import peek_envelope
+    name = peek_envelope(payload)
+    if name is None:
+        return MEMBER_BLOB, ""
+    return MEMBER_ENVELOPE, name
 
 
 def verify_member(payload: bytes, member: MemberIndex) -> bytes:

@@ -3,9 +3,10 @@
 The paper's datasets bundle several physical variables (E3SM: 5 climate
 variables; S3D: 58 species; Table 1), each compressed as its own
 ``(T, H, W)`` stack.  This module drives *any registered codec* across
-a ``(V, T, H, W)`` array (or a mapping of named variables), aggregates
-the Eq. 11 accounting over all variables, and serializes everything
-into one archive.
+a ``(V, T, H, W)`` array (or a mapping of named variables) and
+aggregates the Eq. 11 accounting over all variables.
+:class:`repro.api.Session` writes the results as one shard archive
+with a named member per variable.
 
 A single codec is shared across variables by default — the per-frame
 normalization (Sec. 4.3) maps every variable into the same
@@ -19,16 +20,15 @@ registry name (``"szlike"``), or a native compressor such as a trained
 Variables are independent, so compression fans out over a thread-mode
 :class:`~repro.runtime.TaskRuntime` (``max_workers``) with the
 deterministic per-variable seeding the serial path used — results are
-bit-identical either way.  ``Session.decompress`` does not go through
-:class:`MultiVariableCompressor`: it reads members through the
-CRC-checked footer index (:func:`read_multivar_index`).
+bit-identical either way.  :meth:`MultiVariableCompressor.decompress`
+decodes with per-variable codecs; it reads members through
+:func:`~repro.pipeline.plan.read_members`, as ``Session.decompress``
+does.
 """
 
 from __future__ import annotations
 
-import struct
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -37,21 +37,10 @@ from ..bound import Bound
 from ..entropy.backend import get_default_backend, using_backend
 from ..metrics import CompressionAccounting
 from ..runtime import TaskRuntime
-from .blob import CompressedBlob
 from .compressor import LatentDiffusionCompressor
-from .container import (ArchiveIndexError, MemberIndex, as_source,
-                        index_blob, read_index)
+from .plan import read_members
 
-__all__ = ["MultiVarResult", "MultiVarArchive", "MultiVariableCompressor",
-           "read_multivar_index"]
-
-_MAGIC = b"LDMV"
-_VERSION = 1
-_VERSION_CODEC = 2     # adds envelope (non-blob codec) entries
-_VERSION_INDEXED = 3   # v2 entry layout + footer index + trailer
-
-_ENTRY_BLOB = 0
-_ENTRY_ENVELOPE = 1
+__all__ = ["MultiVarResult", "MultiVariableCompressor"]
 
 #: per-variable seed stride (prime; historical value kept so archives
 #: produced by older revisions stay reproducible)
@@ -83,181 +72,6 @@ class MultiVarResult:
 
     def worst_nrmse(self) -> float:
         return max(r.achieved_nrmse for r in self.results.values())
-
-    def archive(self) -> "MultiVarArchive":
-        """Serializable container; blob-native codecs store their blob,
-        every other codec stores its tagged payload envelope."""
-        from ..codecs import pack_envelope
-        blobs: Dict[str, CompressedBlob] = {}
-        envelopes: Dict[str, bytes] = {}
-        for name, r in self.results.items():
-            blob = getattr(r, "blob", None)
-            if blob is not None:
-                blobs[name] = blob
-            else:
-                envelopes[name] = pack_envelope(r.codec, r.payload)
-        return MultiVarArchive(blobs=blobs, envelopes=envelopes)
-
-
-@dataclass
-class MultiVarArchive:
-    """Named compressed-variable collection with (de)serialization.
-
-    ``blobs`` holds latent-diffusion streams in their native
-    :class:`CompressedBlob` form; ``envelopes`` holds any other codec's
-    payload wrapped in a codec envelope.  The wire format stays at
-    version 1 (bit-compatible with older archives) unless envelope
-    entries are present.
-    """
-
-    blobs: Dict[str, CompressedBlob] = field(default_factory=dict)
-    envelopes: Dict[str, bytes] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.blobs) + len(self.envelopes)
-
-    def to_bytes(self, version: Optional[int] = None) -> bytes:
-        """Serialize; ``version`` pins a legacy wire layout.
-
-        The default writes the indexed v3 container (entry region
-        byte-identical to v2, plus footer index + trailer).  ``1`` and
-        ``2`` reproduce the historical layouts byte-for-byte — v1 is
-        blob-only and rejects envelope entries.
-        """
-        if version is None:
-            version = _VERSION_INDEXED
-        if version not in (_VERSION, _VERSION_CODEC, _VERSION_INDEXED):
-            raise ValueError(f"unsupported archive version {version}")
-        if version == _VERSION and self.envelopes:
-            raise ValueError("envelope entries need archive version "
-                             ">= 2")
-        parts = [_MAGIC, struct.pack("<BI", version, len(self))]
-        pos = 4 + struct.calcsize("<BI")
-        entries = [(name, _ENTRY_BLOB, blob.to_bytes())
-                   for name, blob in self.blobs.items()]
-        entries += [(name, _ENTRY_ENVELOPE, env)
-                    for name, env in self.envelopes.items()]
-        members = []
-        for name, kind, payload in entries:
-            tag = name.encode()
-            if len(tag) > 255:
-                raise ValueError(f"variable name too long: {name!r}")
-            parts.append(struct.pack("<B", len(tag)))
-            parts.append(tag)
-            pos += 1 + len(tag)
-            if version >= _VERSION_CODEC:
-                parts.append(struct.pack("<B", kind))
-                pos += 1
-            parts.append(struct.pack("<I", len(payload)))
-            parts.append(payload)
-            pos += 4
-            if version >= _VERSION_INDEXED:
-                members.append(MemberIndex(
-                    key=name, kind=kind, codec=_entry_codec(kind, payload),
-                    variable=-1, t0=0, t1=0, offset=pos,
-                    length=len(payload), crc32=zlib.crc32(payload)))
-            pos += len(payload)
-        if version >= _VERSION_INDEXED:
-            parts.append(index_blob(members, footer_offset=pos))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "MultiVarArchive":
-        if data[:4] != _MAGIC:
-            raise ValueError("not a multi-variable archive (bad magic)")
-        version, count = struct.unpack_from("<BI", data, 4)
-        if version not in (_VERSION, _VERSION_CODEC, _VERSION_INDEXED):
-            raise ValueError(f"unsupported archive version {version}")
-        pos = 4 + struct.calcsize("<BI")
-        blobs: Dict[str, CompressedBlob] = {}
-        envelopes: Dict[str, bytes] = {}
-        for _ in range(count):
-            tlen, = struct.unpack_from("<B", data, pos)
-            pos += 1
-            name = data[pos:pos + tlen].decode()
-            pos += tlen
-            kind = _ENTRY_BLOB
-            if version >= _VERSION_CODEC:
-                kind, = struct.unpack_from("<B", data, pos)
-                pos += 1
-            n, = struct.unpack_from("<I", data, pos)
-            pos += 4
-            payload = data[pos:pos + n]
-            if len(payload) != n:
-                raise ValueError("truncated archive: entry incomplete")
-            if kind == _ENTRY_BLOB:
-                blobs[name] = CompressedBlob.from_bytes(payload)
-            elif kind == _ENTRY_ENVELOPE:
-                envelopes[name] = payload
-            else:
-                raise ValueError(f"unknown archive entry kind {kind}")
-            pos += n
-        return cls(blobs=blobs, envelopes=envelopes)
-
-
-def _entry_codec(kind: int, payload: bytes) -> str:
-    """Codec name for a footer row; blobs carry no registry name."""
-    if kind != _ENTRY_ENVELOPE:
-        return ""
-    from ..codecs import peek_envelope
-    return peek_envelope(payload) or ""
-
-
-def read_multivar_index(source) -> List[MemberIndex]:
-    """Member index of a multi-variable archive.
-
-    v3 archives answer from the footer in three small reads; legacy
-    v1/v2 archives are scanned once and equivalent rows synthesized.
-    ``variable``/``t0``/``t1`` carry no meaning for this container
-    (``-1``/``0``/``0``); members are keyed by variable name, with
-    ``kind`` separating blob and envelope entries.
-    """
-    source = as_source(source)
-    head_size = 4 + struct.calcsize("<BI")
-    head = source.read_at(0, head_size)
-    if head[:4] != _MAGIC:
-        raise ValueError("not a multi-variable archive (bad magic)")
-    if len(head) < head_size:
-        raise ArchiveIndexError(
-            f"multi-variable archive is truncated below its "
-            f"{head_size}-byte fixed header ({len(head)} bytes)")
-    version, count = struct.unpack_from("<BI", head, 4)
-    if version >= _VERSION_INDEXED:
-        members = read_index(source)
-        if members is None:
-            raise ArchiveIndexError(
-                f"multi-variable archive v{version} is missing its "
-                f"footer index (truncated file?)")
-        if len(members) != count:
-            raise ArchiveIndexError(
-                f"multi-variable archive header promises {count} "
-                f"members but the footer indexes {len(members)}")
-        return members
-    data = source.read_all()
-    if version not in (_VERSION, _VERSION_CODEC):
-        raise ValueError(f"unsupported archive version {version}")
-    members = []
-    pos = 4 + struct.calcsize("<BI")
-    for _ in range(count):
-        tlen, = struct.unpack_from("<B", data, pos)
-        pos += 1
-        name = data[pos:pos + tlen].decode()
-        pos += tlen
-        kind = _ENTRY_BLOB
-        if version >= _VERSION_CODEC:
-            kind, = struct.unpack_from("<B", data, pos)
-            pos += 1
-        n, = struct.unpack_from("<I", data, pos)
-        pos += 4
-        payload = data[pos:pos + n]
-        if len(payload) != n:
-            raise ValueError("truncated archive: entry incomplete")
-        members.append(MemberIndex(
-            key=name, kind=kind, codec=_entry_codec(kind, payload),
-            variable=-1, t0=0, t1=0, offset=pos, length=n,
-            crc32=zlib.crc32(payload)))
-        pos += n
-    return members
 
 
 CodecLike = Union[LatentDiffusionCompressor, str, "object"]
@@ -346,31 +160,21 @@ class MultiVariableCompressor:
         return MultiVarResult(
             results={name: results[name] for name in stacks})
 
-    def decompress(self, archive: MultiVarArchive
-                   ) -> Dict[str, np.ndarray]:
-        """Reconstruct every variable from an archive."""
-        from ..codecs import unpack_envelope
-        jobs = []
-        for name, blob in archive.blobs.items():
-            jobs.append((name, blob, None))
-        for name, env in archive.envelopes.items():
-            jobs.append((name, None, env))
-
-        def task(job):
-            name, blob, env = job
-            codec = self._for(name)
-            if blob is not None:
-                if hasattr(codec, "decompress_blob"):
-                    return name, codec.decompress_blob(blob)
-                return name, codec.decompress(blob.to_bytes())
-            codec_name, payload = unpack_envelope(env)
-            if codec_name != codec.name:
+    def decompress(self, source) -> Dict[str, np.ndarray]:
+        """Reconstruct every member of an archive (bytes, a path or a
+        seekable handle) as ``{key: array}``, each with its variable's
+        configured codec."""
+        def task(member):
+            row, name, payload = member
+            codec = self._for(row.key)
+            if (name or "ours") != codec.name:
                 raise ValueError(
-                    f"variable {name!r} was written by codec "
-                    f"{codec_name!r} but {codec.name!r} is configured")
-            return name, codec.decompress(payload)
+                    f"variable {row.key!r} was written by codec "
+                    f"{name or 'ours'!r} but {codec.name!r} is "
+                    f"configured")
+            return row.key, codec.decompress(payload)
 
-        return dict(self._executor.map(task, jobs))
+        return dict(self._executor.map(task, list(read_members(source))))
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -18,12 +18,17 @@ Determinism guarantees:
 * **stable order** — variables iterate outermost, time windows
   innermost, both ascending.
 
-The module also defines the *shard archive*: a container that holds
-one envelope-wrapped payload per shard plus enough geometry
-(variable, time slice) to stitch the decoded shards back into a
-``(T, H, W)`` or ``(V, T, H, W)`` array.  The CLI writes it for
-``repro compress --dataset ... --shards N`` and auto-detects it on
-decompress.
+The module also defines the *shard archive* (``SHRD`` v2), the one
+container every multi-member archive is written as: an entry region of
+envelope-wrapped members, then a footer index
+(:mod:`repro.pipeline.container`) with each member's key, geometry,
+byte extent and CRC-32.  Sharded stacks and dataset sweeps write one
+timed member per ``(variable, time slice)``, frame streams one per
+sealed chunk, and variable mappings one *named* member per variable
+(``t0 == t1 == 0``).  :func:`read_shard_index` answers for every
+multi-member container, the read-only legacy layouts of
+:mod:`repro.pipeline.legacy` included, and :func:`read_members` reads
+and checks the members one at a time.
 """
 
 from __future__ import annotations
@@ -32,20 +37,22 @@ import struct
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..data.base import SpatiotemporalDataset
 from ..data.registry import (DatasetSpec, dataset_from_spec,
                              get_dataset_spec, spec_of)
-from .container import (MEMBER_BLOB, MEMBER_ENVELOPE, ArchiveIndexError,
-                        MemberIndex, as_source, index_blob, read_index)
+from .container import (MEMBER_ENVELOPE, ArchiveIndexError, MemberIndex,
+                        as_source, index_blob, member_kind, read_index,
+                        verify_member)
+from .legacy import container_layout, read_legacy_index
 
 __all__ = ["ShardTask", "ShardPlan", "plan_shards", "time_slices",
-           "ShardEntry", "pack_shard_archive", "unpack_shard_archive",
-           "is_shard_archive", "assemble_shards", "assemble_window",
-           "read_shard_index", "SHARD_MAGIC", "SHARD_VERSION"]
+           "ShardEntry", "pack_shard_archive", "is_shard_archive",
+           "assemble_shards", "assemble_window", "read_shard_index",
+           "read_members", "SHARD_MAGIC", "SHARD_VERSION"]
 
 #: Per-shard seed stride; must match
 #: :data:`repro.pipeline.engine.SEED_STRIDE` (kept literal here to
@@ -53,10 +60,9 @@ __all__ = ["ShardTask", "ShardPlan", "plan_shards", "time_slices",
 SEED_STRIDE = 7919
 
 SHARD_MAGIC = b"SHRD"
-#: current shard-archive wire version.  v2 appends a footer index
-#: (:mod:`repro.pipeline.container`) after the member region; the
-#: member region itself is byte-identical to v1, so v1 readers of the
-#: entry scan keep working and v1 archives stay fully decodable.
+#: the shard-archive wire version written.  v2 appended the footer
+#: index to v1's member region; v1 archives are read by
+#: :mod:`repro.pipeline.legacy`.
 SHARD_VERSION = 2
 
 _HEAD_FMT = "<HI"
@@ -209,7 +215,12 @@ def plan_shards(dataset: Union[str, DatasetSpec, SpatiotemporalDataset],
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ShardEntry:
-    """One archived shard: geometry plus its (enveloped) payload."""
+    """One archived member: its key, geometry and stored payload.
+
+    ``variable``/``t0``/``t1`` place a timed member in the ``(V, T)``
+    grid; a named member (one variable of a mapping) stores its
+    position as ``variable`` and ``t0 == t1 == 0``.
+    """
 
     shard_id: str
     variable: int
@@ -218,27 +229,14 @@ class ShardEntry:
     payload: bytes
 
 
-def _payload_codec(payload: bytes) -> Tuple[int, str]:
-    """Member kind + codec name for a footer row (header peek only)."""
-    from ..codecs import peek_envelope
-    name = peek_envelope(payload)
-    if name is None:
-        return MEMBER_BLOB, ""
-    return MEMBER_ENVELOPE, name
+def pack_shard_archive(entries: Sequence[ShardEntry]) -> bytes:
+    """Serialize members into a self-contained ``SHRD`` v2 archive.
 
-
-def pack_shard_archive(entries: Sequence[ShardEntry], *,
-                       version: int = SHARD_VERSION) -> bytes:
-    """Serialize shard entries into a self-contained archive.
-
-    ``version=2`` (the default) appends a footer index mapping every
-    shard to its byte extent and CRC-32 so readers can seek straight
-    to one member; ``version=1`` reproduces the legacy layout
-    byte-for-byte.
+    The footer index maps every member to its byte extent and CRC-32,
+    so readers can seek straight to one member and verify it.
     """
-    if version not in (1, SHARD_VERSION):
-        raise ValueError(f"unsupported shard archive version {version}")
-    parts = [SHARD_MAGIC, struct.pack(_HEAD_FMT, version, len(entries))]
+    parts = [SHARD_MAGIC, struct.pack(_HEAD_FMT, SHARD_VERSION,
+                                      len(entries))]
     pos = 4 + struct.calcsize(_HEAD_FMT)
     members = []
     for e in entries:
@@ -251,15 +249,13 @@ def pack_shard_archive(entries: Sequence[ShardEntry], *,
                                  len(e.payload)))
         parts.append(e.payload)
         pos += 2 + len(sid) + struct.calcsize(_ENTRY_GEOM)
-        if version >= 2:
-            kind, codec = _payload_codec(e.payload)
-            members.append(MemberIndex(
-                key=e.shard_id, kind=kind, codec=codec,
-                variable=e.variable, t0=e.t0, t1=e.t1, offset=pos,
-                length=len(e.payload), crc32=zlib.crc32(e.payload)))
+        kind, codec = member_kind(e.payload)
+        members.append(MemberIndex(
+            key=e.shard_id, kind=kind, codec=codec,
+            variable=e.variable, t0=e.t0, t1=e.t1, offset=pos,
+            length=len(e.payload), crc32=zlib.crc32(e.payload)))
         pos += len(e.payload)
-    if version >= 2:
-        parts.append(index_blob(members, footer_offset=pos))
+    parts.append(index_blob(members, footer_offset=pos))
     return b"".join(parts)
 
 
@@ -267,78 +263,50 @@ def is_shard_archive(data: bytes) -> bool:
     return data[:4] == SHARD_MAGIC
 
 
-def unpack_shard_archive(data: bytes) -> List[ShardEntry]:
-    """Inverse of :func:`pack_shard_archive`.
-
-    The sequential entry scan is version-independent — v2's footer
-    sits after the ``count`` scanned entries and is simply not
-    visited, so this reader accepts both versions.
-    """
-    if not is_shard_archive(data):
-        raise ValueError("not a shard archive (bad magic)")
-    version, count = struct.unpack_from(_HEAD_FMT, data, 4)
-    if version not in (1, SHARD_VERSION):
-        raise ValueError(f"unsupported shard archive version {version}")
-    pos = 4 + struct.calcsize(_HEAD_FMT)
-    entries = []
-    for _ in range(count):
-        slen, = struct.unpack_from("<H", data, pos)
-        pos += 2
-        sid = data[pos:pos + slen].decode()
-        pos += slen
-        variable, t0, t1, n = struct.unpack_from(_ENTRY_GEOM, data, pos)
-        pos += struct.calcsize(_ENTRY_GEOM)
-        payload = data[pos:pos + n]
-        if len(payload) != n:
-            raise ValueError("truncated shard archive")
-        pos += n
-        entries.append(ShardEntry(shard_id=sid, variable=variable,
-                                  t0=t0, t1=t1, payload=payload))
-    return entries
-
-
 def read_shard_index(source) -> List[MemberIndex]:
-    """Member index of a shard archive, reading as little as possible.
+    """Member index of a multi-member archive, reading as little as
+    possible.
 
-    For a v2 archive this costs three small reads (head + trailer +
-    footer).  For a legacy v1 archive there is no footer, so the
-    member region is scanned once (a full read) and equivalent index
-    rows are synthesized — same result, linear cost.
+    A ``SHRD`` v2 archive answers from its footer in three small reads
+    (head + trailer + footer), whatever its size.  The legacy layouts
+    (``LDMV``, ``LDSA``, ``SHRD`` v1) are turned into equivalent rows
+    by :func:`~repro.pipeline.legacy.read_legacy_index`.
     """
     source = as_source(source)
-    head_size = 4 + struct.calcsize(_HEAD_FMT)
-    head = source.read_at(0, head_size)
-    if head[:4] != SHARD_MAGIC:
-        raise ValueError("not a shard archive (bad magic)")
-    if len(head) < head_size:
+    magic, version, count = container_layout(source)
+    if (magic, version) != (SHARD_MAGIC, SHARD_VERSION):
+        return read_legacy_index(source)
+    members = read_index(source)
+    if members is None:
         raise ArchiveIndexError(
-            f"shard archive is truncated below its {head_size}-byte "
-            f"fixed header ({len(head)} bytes)")
-    version, count = struct.unpack_from(_HEAD_FMT, head, 4)
-    if version >= 2:
-        members = read_index(source)
-        if members is None:
-            raise ArchiveIndexError(
-                f"shard archive v{version} is missing its footer "
-                f"index (truncated file?)")
-        if len(members) != count:
-            raise ArchiveIndexError(
-                f"shard archive header promises {count} members but "
-                f"the footer indexes {len(members)}")
-        return members
-    data = source.read_all()
-    members = []
-    pos = 4 + struct.calcsize(_HEAD_FMT)
-    for e in unpack_shard_archive(data):
-        sid = e.shard_id.encode()
-        pos += 2 + len(sid) + struct.calcsize(_ENTRY_GEOM)
-        kind, codec = _payload_codec(e.payload)
-        members.append(MemberIndex(
-            key=e.shard_id, kind=kind, codec=codec, variable=e.variable,
-            t0=e.t0, t1=e.t1, offset=pos, length=len(e.payload),
-            crc32=zlib.crc32(e.payload)))
-        pos += len(e.payload)
+            f"shard archive v{version} is missing its footer "
+            f"index (truncated file?)")
+    if len(members) != count:
+        raise ArchiveIndexError(
+            f"shard archive header promises {count} members but "
+            f"the footer indexes {len(members)}")
     return members
+
+
+def read_members(source, members: Optional[Sequence[MemberIndex]] = None
+                 ) -> Iterator[Tuple[MemberIndex, Optional[str], bytes]]:
+    """Yield ``(row, codec name, payload)`` per member, in row order.
+
+    ``members`` defaults to every row of :func:`read_shard_index`.
+    Each member is read on its own and checked against its row
+    (length and CRC-32) before its envelope is opened; ``codec name``
+    is ``None`` for a raw pipeline blob (legacy members only).
+    """
+    from ..codecs import unpack_envelope
+    source = as_source(source)
+    if members is None:
+        members = read_shard_index(source)
+    for m in members:
+        raw = verify_member(source.read_at(m.offset, m.length), m)
+        if m.kind == MEMBER_ENVELOPE:
+            yield (m, *unpack_envelope(raw))
+        else:
+            yield m, None, raw
 
 
 def assemble_shards(entries: Sequence[ShardEntry],

@@ -2,8 +2,9 @@
 
 The paper's datasets are tens of GB (Table 1) — far beyond what a
 compressor should hold in memory at once.  This module feeds a frame
-*iterator* through any registered codec in bounded chunks and packs the
-resulting streams into a self-describing :class:`StreamArchive`:
+*iterator* through any registered codec in bounded chunks;
+:class:`repro.api.Session` writes one shard-archive member per sealed
+chunk:
 
 * memory stays ``O(chunk_frames)`` regardless of simulation length;
 * a chunk is only emitted while at least one more full window of
@@ -16,36 +17,26 @@ resulting streams into a self-describing :class:`StreamArchive`:
   whenever chunk ranges are below the global range).
 
 The compressor may be a trained
-:class:`~repro.pipeline.compressor.LatentDiffusionCompressor` (legacy
-form — chunks are archived as native blobs), any
-:class:`~repro.codecs.base.Codec`, or a registry name; non-blob codecs
-archive their chunks as tagged codec envelopes.
+:class:`~repro.pipeline.compressor.LatentDiffusionCompressor`, any
+:class:`~repro.codecs.base.Codec`, or a registry name.
 
 Decompression is symmetric: :meth:`StreamingCompressor.decompress_stream`
-yields one chunk of frames at a time.
+reads and yields one chunk of frames at a time.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
 import numpy as np
 
 from ..bound import Bound
-from ..metrics import CompressionAccounting
 from .blob import CompressedBlob
 from .engine import SEED_STRIDE
+from .plan import read_members
 
-__all__ = ["StreamArchive", "StreamingCompressor", "ChunkResult"]
-
-_MAGIC = b"LDSA"
-_VERSION = 1
-_VERSION_CODEC = 2     # adds envelope (non-blob codec) entries
-
-_ENTRY_BLOB = 0
-_ENTRY_ENVELOPE = 1
+__all__ = ["StreamingCompressor", "ChunkResult"]
 
 
 @dataclass
@@ -63,94 +54,6 @@ class ChunkResult:
     @property
     def payload(self) -> bytes:
         return self.result.payload if self.result is not None else b""
-
-
-@dataclass
-class StreamArchive:
-    """Ordered collection of chunk streams with aggregate accounting.
-
-    Chunks are either native blobs (latent-diffusion codec) or
-    ``(shape, envelope)`` pairs for any other codec.
-    """
-
-    blobs: List[CompressedBlob] = field(default_factory=list)
-    #: non-blob chunks: ((T, H, W), envelope bytes), in stream order
-    envelopes: List[tuple] = field(default_factory=list)
-    original_dtype_bytes: int = 4
-
-    @property
-    def num_chunks(self) -> int:
-        return len(self.blobs) + len(self.envelopes)
-
-    @property
-    def num_frames(self) -> int:
-        return (sum(b.shape[0] for b in self.blobs)
-                + sum(shape[0] for shape, _ in self.envelopes))
-
-    def accounting(self) -> CompressionAccounting:
-        """Eq. 11 over the whole stream (all headers included)."""
-        original = (sum(int(np.prod(b.shape)) for b in self.blobs)
-                    + sum(int(np.prod(shape))
-                          for shape, _ in self.envelopes)
-                    ) * self.original_dtype_bytes
-        latent = (sum(b.latent_bytes() for b in self.blobs)
-                  + sum(len(env) for _, env in self.envelopes))
-        guarantee = sum(b.guarantee_bytes() for b in self.blobs)
-        return CompressionAccounting(original_bytes=original,
-                                     latent_bytes=latent,
-                                     guarantee_bytes=guarantee)
-
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        version = _VERSION if not self.envelopes else _VERSION_CODEC
-        parts = [_MAGIC, struct.pack("<BII", version, self.num_chunks,
-                                     self.original_dtype_bytes)]
-        entries = [(_ENTRY_BLOB, None, blob.to_bytes())
-                   for blob in self.blobs]
-        entries += [(_ENTRY_ENVELOPE, shape, env)
-                    for shape, env in self.envelopes]
-        for kind, shape, payload in entries:
-            if version == _VERSION_CODEC:
-                parts.append(struct.pack("<B", kind))
-                if kind == _ENTRY_ENVELOPE:
-                    parts.append(struct.pack("<III", *shape))
-            parts.append(struct.pack("<I", len(payload)))
-            parts.append(payload)
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "StreamArchive":
-        if data[:4] != _MAGIC:
-            raise ValueError("not a stream archive (bad magic)")
-        version, count, dtype_bytes = struct.unpack_from("<BII", data, 4)
-        if version not in (_VERSION, _VERSION_CODEC):
-            raise ValueError(f"unsupported archive version {version}")
-        pos = 4 + struct.calcsize("<BII")
-        blobs = []
-        envelopes = []
-        for _ in range(count):
-            kind = _ENTRY_BLOB
-            shape = None
-            if version == _VERSION_CODEC:
-                kind, = struct.unpack_from("<B", data, pos)
-                pos += 1
-                if kind == _ENTRY_ENVELOPE:
-                    shape = struct.unpack_from("<III", data, pos)
-                    pos += struct.calcsize("<III")
-            n, = struct.unpack_from("<I", data, pos)
-            pos += 4
-            payload = data[pos:pos + n]
-            if len(payload) != n:
-                raise ValueError("truncated archive: chunk incomplete")
-            if kind == _ENTRY_BLOB:
-                blobs.append(CompressedBlob.from_bytes(payload))
-            elif kind == _ENTRY_ENVELOPE:
-                envelopes.append((tuple(shape), payload))
-            else:
-                raise ValueError(f"unknown archive entry kind {kind}")
-            pos += n
-        return cls(blobs=blobs, envelopes=envelopes,
-                   original_dtype_bytes=dtype_bytes)
 
 
 class StreamingCompressor:
@@ -184,10 +87,6 @@ class StreamingCompressor:
     @property
     def chunk_frames(self) -> int:
         return self.chunk_windows * self.window
-
-    @property
-    def original_dtype_bytes(self) -> int:
-        return getattr(self.codec.impl, "original_dtype_bytes", 4)
 
     # ------------------------------------------------------------------
     def compress_iter(self, frames: Iterable[np.ndarray],
@@ -232,29 +131,6 @@ class StreamingCompressor:
         chunk = np.stack(buffer)
         yield self._compress_chunk(chunk, index, start, bound, noise_seed)
 
-    def compress(self, frames: Iterable[np.ndarray],
-                 error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None,
-                 noise_seed: int = 0,
-                 bound: Optional[Bound] = None) -> StreamArchive:
-        """Drain :meth:`compress_iter` into a :class:`StreamArchive`."""
-        from ..codecs import pack_envelope
-        archive = StreamArchive(
-            original_dtype_bytes=self.original_dtype_bytes)
-        for res in self.compress_iter(frames, error_bound=error_bound,
-                                      nrmse_bound=nrmse_bound,
-                                      noise_seed=noise_seed,
-                                      bound=bound):
-            if res.blob is not None:
-                archive.blobs.append(res.blob)
-            else:
-                shape = (res.num_frames,
-                         *res.result.reconstruction.shape[1:])
-                archive.envelopes.append(
-                    (shape, pack_envelope(res.result.codec,
-                                          res.result.payload)))
-        return archive
-
     def _compress_chunk(self, chunk: np.ndarray, index: int, start: int,
                         bound: Optional[Bound],
                         noise_seed: int) -> ChunkResult:
@@ -265,24 +141,13 @@ class StreamingCompressor:
                            achieved_nrmse=res.achieved_nrmse, result=res)
 
     # ------------------------------------------------------------------
-    def decompress_stream(self, archive: StreamArchive
-                          ) -> Iterator[np.ndarray]:
-        """Yield reconstructed chunks in order (constant memory)."""
-        from ..codecs import unpack_envelope
-        for blob in archive.blobs:
-            if hasattr(self.codec, "decompress_blob"):
-                yield self.codec.decompress_blob(blob)
-            else:
-                yield self.codec.decompress(blob.to_bytes())
-        for _, env in archive.envelopes:
-            codec_name, payload = unpack_envelope(env)
-            if codec_name != self.codec.name:
+    def decompress_stream(self, source) -> Iterator[np.ndarray]:
+        """Yield reconstructed chunks in order, reading one member at a
+        time from ``source`` (bytes, a path or a seekable handle)."""
+        for _, name, payload in read_members(source):
+            if (name or "ours") != self.codec.name:
                 raise ValueError(
-                    f"archive chunk was written by codec {codec_name!r} "
-                    f"but {self.codec.name!r} is configured")
+                    f"archive chunk was written by codec "
+                    f"{name or 'ours'!r} but {self.codec.name!r} is "
+                    f"configured")
             yield self.codec.decompress(payload)
-
-    def decompress_all(self, archive: StreamArchive) -> np.ndarray:
-        """Concatenate every chunk (convenience; loads everything)."""
-        return np.concatenate(list(self.decompress_stream(archive)),
-                              axis=0)

@@ -1,15 +1,15 @@
 """Archive sniffing/loader tests across every container format,
-including legacy v1 (blob-only) envelope containers and pre-manifest
-model bundles."""
+including the read-only legacy layouts (frozen fixtures) and
+pre-manifest model bundles."""
 
 import numpy as np
 import pytest
 
 from repro.api import ARCHIVE_KINDS, Archive, SessionError, sniff_kind
 from repro.codecs import get_codec, pack_envelope
-from repro.pipeline.multivar import MultiVarArchive
 from repro.pipeline.plan import ShardEntry, pack_shard_archive
-from repro.pipeline.streaming import StreamArchive
+
+from ..pipeline.test_legacy_archives import legacy_archive
 
 
 @pytest.fixture(scope="module")
@@ -45,39 +45,34 @@ class TestSniffing:
         assert archive.codecs() == ["szlike"]
         assert archive.describe()["variables"] == [0]
 
-    def test_multivar_v2(self, szlike_payload):
-        env = pack_envelope("szlike", szlike_payload)
-        data = MultiVarArchive(envelopes={"u": env}).to_bytes()
-        archive = Archive.open(data)
+    def test_multivar_v2(self):
+        archive = Archive.open(legacy_archive("ldmv-v2-szlike"))
         assert archive.kind == "multivar"
         assert archive.codecs() == ["szlike"]
 
-    def test_multivar_v1_legacy(self, ours_blob):
+    def test_multivar_v1_legacy(self):
         """Version-1 container: blob entries only, pre-codec-registry."""
-        data = MultiVarArchive(blobs={"var0": ours_blob}).to_bytes(
-            version=1)
+        data = legacy_archive("ldmv-v1-ours")
         # the v1 wire format has no entry-kind byte
         assert data[4] == 1
         archive = Archive.open(data)
         assert archive.kind == "multivar"
         assert archive.codecs() == ["ours"]
-        assert archive.multivar().blobs["var0"].to_bytes() \
-            == ours_blob.to_bytes()
+        assert [m.key for m in archive.index()] == ["var0", "var1"]
 
-    def test_stream_v2(self, szlike_payload):
-        env = pack_envelope("szlike", szlike_payload)
-        data = StreamArchive(envelopes=[((4, 8, 8), env)]).to_bytes()
-        archive = Archive.open(data)
+    def test_stream_v2(self):
+        archive = Archive.open(legacy_archive("ldsa-v2-szlike"))
         assert archive.kind == "stream"
         assert archive.codecs() == ["szlike"]
 
-    def test_stream_v1_legacy(self, ours_blob):
-        data = StreamArchive(blobs=[ours_blob]).to_bytes()
+    def test_stream_v1_legacy(self):
+        data = legacy_archive("ldsa-v1-ours")
         assert data[4] == 1
         archive = Archive.open(data)
         assert archive.kind == "stream"
         assert archive.codecs() == ["ours"]
-        assert archive.describe()["frames"] == ours_blob.shape[0]
+        # chunk frame counts come from the blob headers
+        assert max(m.t1 for m in archive.index()) == 12
 
     def test_blob(self, ours_blob):
         archive = Archive.open(ours_blob.to_bytes())
@@ -119,8 +114,8 @@ class TestArchiveIO:
 
     def test_wrong_kind_accessor(self, szlike_payload):
         archive = Archive.open(pack_envelope("szlike", szlike_payload))
-        with pytest.raises(SessionError, match="not 'shard'"):
-            archive.shard_entries()
+        with pytest.raises(SessionError, match="not 'blob'"):
+            archive.blob()
 
 
 class TestLegacyBundles:

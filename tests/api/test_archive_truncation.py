@@ -1,7 +1,9 @@
 """Truncated/corrupted lazy archives must fail with the typed
 ArchiveIndexError — never a bare struct.error or silently-short
 bytes.  Covers the file-shrank-under-an-open-Archive race the
-service's cached-object serving path can hit."""
+service's cached-object serving path can hit, for a sharded stack and
+(``*NewKinds`` classes) for a variable mapping and a frame stream,
+which are written as the same shard archive."""
 
 import os
 import struct
@@ -9,21 +11,37 @@ import struct
 import numpy as np
 import pytest
 
-from repro.api import Archive, ArchiveIndexError, Bound, Session
+from repro.api import Archive, ArchiveIndexError, Bound, Session, \
+    SessionError
+
+
+def _write(tmp_path_factory, kind: str) -> str:
+    path = tmp_path_factory.mktemp("trunc") / "archive.bin"
+    frames = np.random.default_rng(0).standard_normal(
+        (6, 16, 16)).astype(np.float32)
+    source, kw = {
+        "shards": (frames, {"shards": 2}),
+        "mapping": ({"u": frames, "v": frames[::-1].copy()}, {}),
+        "stream": (iter(frames), {"chunk_windows": 3}),
+    }[kind]
+    with Session() as session:
+        archive = session.compress(source, codec="szlike",
+                                   bound=Bound.parse("nrmse:0.1"),
+                                   seed=1, **kw)
+        assert len(archive.index()) == 2
+        archive.save(path)
+    return str(path)
 
 
 @pytest.fixture(scope="module")
 def archive_file(tmp_path_factory):
     """A real indexed shard archive on disk."""
-    path = tmp_path_factory.mktemp("trunc") / "archive.bin"
-    frames = np.random.default_rng(0).standard_normal(
-        (6, 16, 16)).astype(np.float32)
-    with Session() as session:
-        archive = session.compress(frames, codec="szlike",
-                                   bound=Bound.parse("nrmse:0.1"),
-                                   shards=2, seed=1)
-        archive.save(path)
-    return str(path)
+    return _write(tmp_path_factory, "shards")
+
+
+@pytest.fixture(scope="module", params=["mapping", "stream"])
+def new_kind_file(request, tmp_path_factory):
+    return _write(tmp_path_factory, request.param)
 
 
 @pytest.fixture()
@@ -99,6 +117,14 @@ class TestTruncationOnOpen:
                     raise AssertionError(
                         f"bare struct.error at cut={cut}: {exc}")
 
+    def test_every_prefix_decodes_to_a_typed_error(self, truncatable):
+        with open(truncatable, "rb") as fh:
+            original = fh.read()
+        with Session(codec="szlike", executor="serial") as session:
+            for cut in range(len(original)):
+                with pytest.raises((ArchiveIndexError, SessionError)):
+                    session.decompress(original[:cut])
+
 
 class TestCorruptedFooter:
     def test_corrupt_footer_crc_is_typed(self, truncatable):
@@ -118,3 +144,26 @@ class TestCorruptedFooter:
             fh.write(b"garbage appended after open")
         with pytest.raises(ArchiveIndexError, match="open time"):
             lazy.to_bytes()
+
+
+class _NewKinds:
+    """Runs a class's tests on a mapping and on a stream archive."""
+
+    @pytest.fixture()
+    def truncatable(self, new_kind_file, tmp_path):
+        import shutil
+        path = tmp_path / "copy.bin"
+        shutil.copy(new_kind_file, path)
+        return str(path)
+
+
+class TestTruncationMidReadNewKinds(_NewKinds, TestTruncationMidRead):
+    pass
+
+
+class TestTruncationOnOpenNewKinds(_NewKinds, TestTruncationOnOpen):
+    pass
+
+
+class TestCorruptedFooterNewKinds(_NewKinds, TestCorruptedFooter):
+    pass

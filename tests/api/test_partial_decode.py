@@ -1,7 +1,7 @@
 """Partial decode through the footer index: ``select=`` semantics,
 executor parity, the bytes-read contract, legacy-version fallback and
-checksum enforcement — plus full multivar decode, which reads every
-member through the same checksummed index."""
+checksum enforcement — plus full mapping and stream decode, which read
+every member through the same checksummed index."""
 
 import hashlib
 
@@ -11,8 +11,8 @@ import pytest
 from repro.api import Archive, ArchiveIndexError, Bound, Session, \
     SessionError
 from repro.pipeline.container import CountingReader
-from repro.pipeline.plan import pack_shard_archive, \
-    unpack_shard_archive
+
+from ..pipeline.test_legacy_archives import legacy_archive
 
 BOUND = Bound.nrmse(1e-3)
 T = 24
@@ -38,6 +38,18 @@ def archive(session, frames):
 @pytest.fixture(scope="module")
 def full(session, archive):
     return session.decompress(archive)
+
+
+@pytest.fixture(scope="module")
+def stream(session, frames):
+    """The frames as a 4-chunk stream (6 frames per chunk)."""
+    return session.compress(iter(frames), bound=BOUND, chunk_windows=6)
+
+
+@pytest.fixture(scope="module")
+def mapping(session, frames):
+    return session.compress({"u": frames, "v": frames * 2.0},
+                            bound=BOUND)
 
 
 class TestSelectMatrix:
@@ -123,26 +135,34 @@ class TestExecutorParity:
 
 class TestBytesReadContract:
     def test_partial_reads_footer_plus_member(self, session, archive,
-                                              tmp_path):
-        path = tmp_path / "a.shrd"
-        archive.save(path)
-        size = path.stat().st_size
-        members = archive.index()
-        target = members[2]
-        overhead = size - max(m.offset + m.length for m in members)
-        with open(path, "rb") as fh:
-            counter = CountingReader(fh)
-            session.decompress(Archive.open(counter), select=target.key)
-            # head sniff + container-header cross-checks +
-            # trailer/footer + exactly one member
-            assert counter.bytes_read <= 64 + overhead + target.length
-            assert counter.bytes_read < size
+                                              stream, mapping, tmp_path):
+        """One shard, one stream chunk and one named variable each cost
+        the footer plus that member."""
+        for written, target in ((archive, archive.index()[2]),
+                                (stream, stream.index()[1]),
+                                (mapping, mapping.index()[1])):
+            path = tmp_path / "a.shrd"
+            written.save(path)
+            size = path.stat().st_size
+            members = written.index()
+            overhead = size - max(m.offset + m.length for m in members)
+            with open(path, "rb") as fh:
+                counter = CountingReader(fh)
+                session.decompress(Archive.open(counter),
+                                   select=target.key)
+                # head sniff + container-header cross-checks +
+                # trailer/footer + exactly one member
+                assert counter.bytes_read <= \
+                    64 + overhead + target.length
+                assert counter.bytes_read < size
 
 
 class TestLegacyAndIntegrity:
+    """The ``SHRD`` v1 fixture is this module's archive as the last
+    release that wrote v1 stored it."""
+
     def test_v1_archive_still_selects(self, session, archive, full):
-        entries = unpack_shard_archive(archive.data)
-        v1 = Archive.open(pack_shard_archive(entries, version=1))
+        v1 = Archive.open(legacy_archive("shrd-v1-szlike"))
         assert not v1.indexed()
         np.testing.assert_array_equal(session.decompress(v1), full)
         window = session.decompress(v1, select=slice(6, 12))
@@ -150,8 +170,8 @@ class TestLegacyAndIntegrity:
 
     def test_indexed_full_decode_matches_v1_decode(self, session,
                                                    archive):
-        entries = unpack_shard_archive(archive.data)
-        v1 = Archive.open(pack_shard_archive(entries, version=1))
+        assert archive.data == legacy_archive("shrd-v2-szlike")
+        v1 = Archive.open(legacy_archive("shrd-v1-szlike"))
         np.testing.assert_array_equal(session.decompress(archive),
                                       session.decompress(v1))
 
@@ -171,28 +191,49 @@ class TestLegacyAndIntegrity:
 
 
 class TestMultivarSelect:
-    @pytest.fixture(scope="class")
-    def mv_archive(self, session, frames):
-        return session.compress({"u": frames, "v": frames * 2.0},
-                                bound=BOUND)
-
-    def test_name_select_matches_full(self, session, mv_archive):
-        assert mv_archive.indexed()
-        full = session.decompress(mv_archive)
-        one = session.decompress(mv_archive, select="u")
+    def test_name_select_matches_full(self, session, mapping):
+        assert mapping.indexed()
+        full = session.decompress(mapping)
+        one = session.decompress(mapping, select="u")
         assert set(one) == {"u"}
         np.testing.assert_array_equal(one["u"], full["u"])
-        both = session.decompress(mv_archive, select=["v", "u"])
+        both = session.decompress(mapping, select=["v", "u"])
         assert set(both) == {"u", "v"}
         np.testing.assert_array_equal(both["v"], full["v"])
 
-    def test_unknown_name(self, session, mv_archive):
+    def test_unknown_name(self, session, mapping):
         with pytest.raises(SessionError, match="archive holds"):
-            session.decompress(mv_archive, select="w")
+            session.decompress(mapping, select="w")
 
-    def test_bad_selector(self, session, mv_archive):
-        with pytest.raises(SessionError, match="variable name"):
-            session.decompress(mv_archive, select=3)
+    def test_bad_selector(self, session, mapping):
+        # variables count by position; there is no fourth one
+        with pytest.raises(SessionError, match="holds variables"):
+            session.decompress(mapping, select=3)
+
+    def test_position_select(self, session, mapping):
+        full = session.decompress(mapping)
+        one = session.decompress(mapping, select=1)
+        assert list(one) == ["v"]
+        np.testing.assert_array_equal(one["v"], full["v"])
+
+    def test_time_range_is_empty_on_named_members(self, session,
+                                                  mapping):
+        with pytest.raises(SessionError, match="empty time range"):
+            session.decompress(mapping, select=slice(0, 4))
+
+
+class TestStreamSelect:
+    def test_stream_is_a_shard_archive(self, archive, stream):
+        # its chunks fall on the slices of shards=4
+        assert stream.kind == "shard"
+        assert stream.data == archive.data
+
+    def test_chunk_and_range_selects(self, session, stream, full):
+        key = stream.index()[2].key
+        np.testing.assert_array_equal(
+            session.decompress(stream, select=key), full[12:18])
+        np.testing.assert_array_equal(
+            session.decompress(stream, select=slice(5, 13)), full[5:13])
 
 
 def _sha(data) -> str:
@@ -206,9 +247,10 @@ class TestMultivarFullDecode:
     #: sha256 of the archive and of each decoded variable, written and
     #: decoded before full decode moved onto the member index; the
     #: archive digests were re-pinned when integer streams moved to
-    #: varint headers, and the decoded digests held
-    ARCHIVE = ("76b38d7f707e22e29a169515ceeebad8"
-               "f6b41bed03132577ce7b952096bd400c")
+    #: varint headers and when mappings moved from ``LDMV`` v3 to the
+    #: shard archive, and the decoded digests held
+    ARCHIVE = ("f2e2fb59dabb86c5dde5cb5433d291d5"
+               "11ce7fccd9bc685ae7e1d7d8f07a2a6f")
     DECODED = {"u": "b77ad58cf2ae45c7991a4f2bfbbd9f57"
                     "6f1b9226d91616b584beefd3ba12ec39",
                "v": "620a3b221cddbbb4a4d9f13225af2dbf"
@@ -229,9 +271,10 @@ class TestMultivarFullDecode:
         assert {k: _sha(v.tobytes()) for k, v in full.items()} == \
             self.DECODED
 
-    def test_every_member_bit_flip_raises(self, session, small):
-        data = small.data
-        members = small.index()
+    @staticmethod
+    def _flip_every_member_bit(session, archive):
+        data = archive.data
+        members = archive.index()
         flips = 0
         for m in members:
             for pos in range(m.offset, m.offset + m.length):
@@ -244,8 +287,18 @@ class TestMultivarFullDecode:
                     flips += 1
         assert flips == 8 * sum(m.length for m in members)
 
+    def test_every_member_bit_flip_raises(self, session, small):
+        self._flip_every_member_bit(session, small)
+
+    def test_every_stream_member_bit_flip_raises(self, session):
+        rng = np.random.default_rng(5)
+        f = np.cumsum(rng.standard_normal((16, 8, 8)), axis=0)
+        stream = session.compress(iter(f), bound=BOUND, chunk_windows=4)
+        assert len(stream.index()) == 4
+        self._flip_every_member_bit(session, stream)
+
     def test_v2_archive_still_decodes(self, session, small):
-        v2 = small.multivar().to_bytes(version=2)
+        v2 = legacy_archive("ldmv-v2-szlike")
         assert _sha(v2) == self.V2
         archive = Archive.open(v2)
         assert not archive.indexed()

@@ -82,7 +82,8 @@ class TestRoundTrips:
         stacks = {"u": frames, "v": frames * 2.0 + 1.0}
         with Session(codec="szlike") as s:
             archive = s.compress(stacks, bound=Bound.nrmse(0.02))
-            assert archive.kind == "multivar"
+            assert archive.kind == "shard"
+            assert archive.stats["variables"] == ["u", "v"]
             out = _roundtrip(s, archive, tmp_path, "multivar.cdx")
         assert sorted(out) == ["u", "v"]
         for name, stack in stacks.items():
@@ -99,11 +100,25 @@ class TestRoundTrips:
     def test_chunk_iterator(self, frames, tmp_path):
         with Session(codec="szlike", chunk_windows=2) as s:
             archive = s.compress(iter(frames), bound=Bound.nrmse(0.02))
-            assert archive.kind == "stream"
+            assert archive.kind == "shard"
             assert archive.stats["frames"] == frames.shape[0]
             out = _roundtrip(s, archive, tmp_path, "stream.cdx")
         assert out.shape == frames.shape
         assert nrmse(frames, out) <= 0.02 * (1 + 1e-9)
+
+    @pytest.mark.parametrize("codec", ["szlike", "dpcm", "zfplike",
+                                       "mgard"])
+    def test_stream_chunks_are_the_shards_of_a_stack(self, codec):
+        """One container: a stream whose chunks fall on the slices of
+        ``shards=4`` writes the archive ``shards=4`` writes."""
+        stack = get_dataset("e3sm", t=16, h=16, w=16, seed=1).frames(0)
+        with Session(codec=codec, executor="serial") as s:
+            streamed = s.compress(iter(stack), bound=Bound.nrmse(1e-2),
+                                  chunk_windows=4)
+            sharded = s.compress(stack, bound=Bound.nrmse(1e-2),
+                                 shards=4)
+        assert streamed.stats["chunks"] == 4
+        assert streamed.data == sharded.data
 
     def test_compress_is_deterministic(self, frames):
         with Session(codec="szlike") as s:

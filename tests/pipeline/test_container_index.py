@@ -175,29 +175,26 @@ class TestIndexReaders:
     """Container-level index readers: footer fast path vs legacy scan."""
 
     def test_shard_v1_scan_matches_v2_footer(self):
-        from repro.pipeline.plan import (ShardEntry, pack_shard_archive,
-                                         read_shard_index)
-        entries = [ShardEntry("d/v0/t0000-0003", 0, 0, 3, b"pay-a"),
-                   ShardEntry("d/v0/t0003-0005", 0, 3, 5, b"pay-bb")]
-        v1 = pack_shard_archive(entries, version=1)
-        v2 = pack_shard_archive(entries)
+        from repro.pipeline.plan import read_shard_index
+
+        from .test_legacy_archives import legacy_archive
+        v1 = legacy_archive("shrd-v1-szlike")
+        v2 = legacy_archive("shrd-v2-szlike")
         assert read_shard_index(BufferSource(v1)) \
             == read_shard_index(BufferSource(v2))
 
     def test_multivar_legacy_scan_matches_v3_footer(self):
-        from repro.codecs import pack_envelope
-        from repro.pipeline.multivar import (MultiVarArchive,
-                                             read_multivar_index)
-        frames = np.random.default_rng(0).normal(size=(4, 8, 8))
-        from repro.codecs import get_codec
-        env = pack_envelope("szlike",
-                            get_codec("szlike").compress(frames, 0.1)
-                            .payload)
-        arc = MultiVarArchive(envelopes={"u": env})
-        v2 = read_multivar_index(BufferSource(arc.to_bytes(version=2)))
-        v3 = read_multivar_index(BufferSource(arc.to_bytes()))
+        from repro.pipeline.plan import read_shard_index
+
+        from .test_legacy_archives import legacy_archive
+        v2 = read_shard_index(BufferSource(
+            legacy_archive("ldmv-v2-szlike")))
+        v3 = read_shard_index(BufferSource(
+            legacy_archive("ldmv-v3-szlike")))
         assert v2 == v3
-        assert [m.codec for m in v3] == ["szlike"]
+        assert [m.codec for m in v3] == ["szlike", "szlike"]
+        assert [(m.variable, m.t0, m.t1) for m in v3] == \
+            [(0, 0, 0), (1, 0, 0)]
 
 
 class TestNpyStackSource:

@@ -8,8 +8,8 @@ import pytest
 from repro.data import get_dataset, get_dataset_spec
 from repro.pipeline.plan import (SEED_STRIDE, ShardEntry, assemble_shards,
                                  is_shard_archive, pack_shard_archive,
-                                 plan_shards, time_slices,
-                                 unpack_shard_archive)
+                                 plan_shards, read_members,
+                                 read_shard_index, time_slices)
 
 
 def test_seed_stride_matches_engine():
@@ -123,7 +123,9 @@ class TestShardArchive:
         entries, _ = self._entries()
         data = pack_shard_archive(entries)
         assert is_shard_archive(data)
-        assert unpack_shard_archive(data) == entries
+        got = [ShardEntry(m.key, m.variable, m.t0, m.t1, payload)
+               for m, _, payload in read_members(data)]
+        assert got == entries
 
     def test_assemble_single_variable(self):
         entries, arrays = self._entries()
@@ -154,20 +156,19 @@ class TestShardArchive:
 
     def test_truncated_archive_detected(self):
         entries, _ = self._entries()
-        # v1: clipping the tail truncates the last member
-        data = pack_shard_archive(entries, version=1)
-        with pytest.raises(ValueError):
-            unpack_shard_archive(data[:-3])
-        # v2: clipping the tail eats the footer (the member scan is
-        # unaffected); the index reader must notice
         from repro.pipeline.container import ArchiveIndexError
         from repro.pipeline.plan import read_shard_index
         indexed = pack_shard_archive(entries)
-        assert unpack_shard_archive(indexed[:-3]) is not None
+        # clipping the tail eats the footer; the index reader notices
         with pytest.raises(ArchiveIndexError):
             read_shard_index(indexed[:-3])
+        # a legacy v1 archive has no footer: clipping its tail
+        # truncates the last member, which the scan notices
+        from .test_legacy_archives import legacy_archive
+        with pytest.raises(ArchiveIndexError, match="truncated"):
+            read_shard_index(legacy_archive("shrd-v1-szlike")[:-3])
 
     def test_not_an_archive(self):
         assert not is_shard_archive(b"CDX1whatever")
         with pytest.raises(ValueError):
-            unpack_shard_archive(b"nope")
+            read_shard_index(b"nope")

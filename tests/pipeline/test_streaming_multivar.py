@@ -1,14 +1,34 @@
 """Streaming and multi-variable pipeline tests (use the shared trained
-tiny pipeline from conftest)."""
+tiny pipeline from conftest).  Both sources are written as shard
+archives: one named member per variable, one member per chunk."""
 
 import numpy as np
 import pytest
 
+from repro.api import Session
+from repro.codecs import as_codec, get_codec, pack_envelope
 from repro.data import E3SMSynthetic
-from repro.pipeline import (MultiVarArchive, MultiVariableCompressor,
-                            StreamArchive, StreamingCompressor)
+from repro.pipeline import (CompressedBlob, MultiVariableCompressor,
+                            ShardEntry, StreamingCompressor,
+                            pack_shard_archive, read_members)
+
+from .test_legacy_archives import legacy_archive
 
 WINDOW = 6  # == tiny().pipeline.window
+
+
+def _mapping_archive(result) -> bytes:
+    """A mapping archive of per-variable results, each member wrapped
+    with the codec that wrote it."""
+    return pack_shard_archive([
+        ShardEntry(name, i, 0, 0, pack_envelope(r.codec, r.payload))
+        for i, (name, r) in enumerate(result.results.items())])
+
+
+def _stream(compressor, frames, **kw):
+    """The frames written by a session's stream path."""
+    with Session(codec=as_codec(compressor), executor="serial") as s:
+        return s.compress(iter(frames), **kw)
 
 
 class TestCodecBackedContainers:
@@ -21,24 +41,25 @@ class TestCodecBackedContainers:
     def test_streaming_with_rule_based_codec(self):
         frames = self._frames()
         sc = StreamingCompressor("szlike", chunk_windows=6)
-        archive = sc.compress(iter(frames), nrmse_bound=0.05)
-        assert archive.num_frames == frames.shape[0]
-        assert not archive.blobs and archive.envelopes
-        restored = StreamArchive.from_bytes(archive.to_bytes())
-        recon = sc.decompress_all(restored)
+        archive = _stream("szlike", frames, nrmse_bound=0.05,
+                          chunk_windows=6)
+        assert archive.stats["frames"] == frames.shape[0]
+        assert {m.codec for m in archive.index()} == {"szlike"}
+        recon = np.concatenate(list(sc.decompress_stream(
+            archive.to_bytes())))
         assert recon.shape == frames.shape
-        assert archive.accounting().ratio > 1.0
+        assert archive.stats["ratio"] > 1.0
         # per-chunk NRMSE bound holds through the codec normalization
         from repro.metrics import nrmse
         assert nrmse(frames, recon) <= 0.05 * (1 + 1e-9)
 
     def test_streaming_codec_mismatch_rejected(self):
         frames = self._frames()
-        archive = StreamingCompressor("szlike", chunk_windows=6).compress(
-            iter(frames), nrmse_bound=0.05)
+        archive = _stream("szlike", frames, nrmse_bound=0.05,
+                          chunk_windows=6)
         other = StreamingCompressor("mgard", chunk_windows=6)
         with pytest.raises(ValueError, match="szlike"):
-            other.decompress_all(archive)
+            list(other.decompress_stream(archive.data))
 
     def test_multivar_with_codec_names(self):
         ds = E3SMSynthetic(t=12, h=16, w=16, seed=3, num_vars=2)
@@ -48,10 +69,10 @@ class TestCodecBackedContainers:
             {"v0": "szlike", "v1": "dpcm"}, max_workers=2)
         result = mv.compress(stacks, nrmse_bound=0.05)
         assert result.worst_nrmse() <= 0.05 * (1 + 1e-9)
-        archive = result.archive()
-        assert set(archive.envelopes) == {"v0", "v1"}
-        restored = MultiVarArchive.from_bytes(archive.to_bytes())
-        out = mv.decompress(restored)
+        archive = _mapping_archive(result)
+        assert [(m.key, name) for m, name, _ in read_members(archive)] \
+            == [("v0", "szlike"), ("v1", "dpcm")]
+        out = mv.decompress(archive)
         for name, stack in stacks.items():
             assert out[name].shape == stack.shape
 
@@ -74,13 +95,15 @@ class TestStreamingCompressor:
         """Streamed decode equals per-chunk batch compression."""
         _, compressor, frames, _ = trained
         sc = StreamingCompressor(compressor, chunk_windows=2)
-        archive = sc.compress(iter(frames))
-        assert archive.num_frames == frames.shape[0]
-        recon = sc.decompress_all(archive)
+        archive = _stream(compressor, frames, chunk_windows=2)
+        assert archive.stats["frames"] == frames.shape[0]
+        recon = np.concatenate(list(sc.decompress_stream(archive.data)))
         assert recon.shape == frames.shape
         # each chunk is an independent blob; its decode must equal the
         # batch pipeline run on that chunk with the same seed
-        blob0 = archive.blobs[0]
+        _, name, payload = next(read_members(archive.data))
+        assert name == "ours"
+        blob0 = CompressedBlob.from_bytes(payload)
         direct = compressor.compress(
             frames[:blob0.shape[0]], noise_seed=blob0.noise_seed)
         np.testing.assert_allclose(recon[:blob0.shape[0]],
@@ -142,25 +165,23 @@ class TestStreamingCompressor:
         global_l2 = float(np.linalg.norm(frames - recon))
         assert global_l2 <= np.sqrt(np.sum(np.square(taus))) * (1 + 1e-9)
 
-    def test_archive_serialization_roundtrip(self, trained):
+    def test_archive_serialization_roundtrip(self, trained, tmp_path):
         _, compressor, frames, _ = trained
         sc = StreamingCompressor(compressor, chunk_windows=2)
-        archive = sc.compress(iter(frames))
-        wire = archive.to_bytes()
-        restored = StreamArchive.from_bytes(wire)
-        assert restored.num_chunks == archive.num_chunks
-        np.testing.assert_allclose(sc.decompress_all(restored),
-                                   sc.decompress_all(archive))
-        # accounting denominator is the real wire size of the blobs
-        acc = archive.accounting()
-        assert acc.ratio > 1.0
+        archive = _stream(compressor, frames, chunk_windows=2)
+        path = archive.save(tmp_path / "stream.shrd")
+        assert len(archive.index()) == archive.stats["chunks"]
+        # a path decodes one member at a time, like the in-memory form
+        np.testing.assert_array_equal(
+            np.concatenate(list(sc.decompress_stream(path))),
+            np.concatenate(list(sc.decompress_stream(archive.data))))
+        assert archive.stats["ratio"] > 1.0
 
     def test_archive_rejects_corruption(self):
+        sc = StreamingCompressor("szlike")
         with pytest.raises(ValueError):
-            StreamArchive.from_bytes(b"XXXX" + b"\x00" * 16)
-        archive = StreamArchive()
-        wire = archive.to_bytes()
-        assert StreamArchive.from_bytes(wire).num_chunks == 0
+            list(sc.decompress_stream(b"XXXX" + b"\x00" * 16))
+        assert list(sc.decompress_stream(pack_shard_archive([]))) == []
 
 
 class TestMultiVariableCompressor:
@@ -176,7 +197,7 @@ class TestMultiVariableCompressor:
         result = mv.compress(stacks)
         assert set(result.variables) == set(stacks)
         assert result.ratio > 1.0
-        out = mv.decompress(result.archive())
+        out = mv.decompress(_mapping_archive(result))
         for name, stack in stacks.items():
             assert out[name].shape == stack.shape
 
@@ -209,9 +230,7 @@ class TestMultiVariableCompressor:
         _, compressor, _, _ = trained
         mv = MultiVariableCompressor(compressor)
         result = mv.compress(self._stacks())
-        wire = result.archive().to_bytes()
-        restored = MultiVarArchive.from_bytes(wire)
-        out = mv.decompress(restored)
+        out = mv.decompress(_mapping_archive(result))
         assert set(out) == set(self._stacks())
 
     def test_per_variable_mapping_missing_raises(self, trained):
@@ -232,14 +251,14 @@ class TestMultiVariableCompressor:
         with pytest.raises(ValueError):
             MultiVariableCompressor({})
         with pytest.raises(ValueError):
-            MultiVarArchive.from_bytes(b"junkjunk")
+            mv.decompress(b"junkjunk")
 
 
 class TestSessionMultivarDecode:
-    """``Session.decompress`` reads every multivar member, blob members
-    included, through the checksummed member index; it returns what the
-    parsed-archive decode (``MultiVariableCompressor.decompress``)
-    returns."""
+    """``Session.decompress`` reads every mapping member through the
+    checksummed member index, as ``MultiVariableCompressor.decompress``
+    does, and returns what it returns.  New members are all envelopes;
+    raw blob members exist only in legacy ``LDMV`` archives."""
 
     def _stacks(self):
         return TestMultiVariableCompressor()._stacks()
@@ -252,27 +271,26 @@ class TestSessionMultivarDecode:
     def test_blob_and_envelope_members_match_parsed_decode(self, trained):
         _, compressor, _, _ = trained
         mv = MultiVariableCompressor({"v0": compressor, "v1": "szlike"})
-        wire = mv.compress(self._stacks(), nrmse_bound=0.05) \
-            .archive().to_bytes()
-        ref = mv.decompress(MultiVarArchive.from_bytes(wire))
+        wire = _mapping_archive(mv.compress(self._stacks(),
+                                            nrmse_bound=0.05))
+        ref = mv.decompress(wire)
         with self._session(compressor) as session:
             full = session.decompress(wire)
             assert list(full) == ["v0", "v1"]
             for name in ref:
                 np.testing.assert_array_equal(full[name], ref[name])
-            # expect_codec now covers blob members too
+            # expect_codec covers the pipeline codec's members too
             from repro.api import SessionError
             with pytest.raises(SessionError, match="'ours'"):
                 session.decompress(wire, expect_codec="szlike")
 
-    def test_v1_blob_archive_still_decodes(self, trained):
-        _, compressor, _, _ = trained
-        mv = MultiVariableCompressor(compressor)
-        archive = mv.compress(self._stacks()).archive()
-        ref = mv.decompress(archive)
-        with self._session(compressor) as session:
-            for version in (1, 3):
-                full = session.decompress(archive.to_bytes(version))
-                assert list(full) == list(ref)
-                for name in ref:
-                    np.testing.assert_array_equal(full[name], ref[name])
+    def test_v1_blob_archive_still_decodes(self):
+        ours = get_codec("ours")
+        data = legacy_archive("ldmv-v1-ours")
+        ref = MultiVariableCompressor(ours).decompress(data)
+        assert list(ref) == ["var0", "var1"]
+        with self._session(ours) as session:
+            full = session.decompress(data)
+        assert list(full) == list(ref)
+        for name in ref:
+            np.testing.assert_array_equal(full[name], ref[name])

@@ -123,3 +123,29 @@ def test_decompress_shard_archive_codec_mismatch(tmp_path, capsys):
                "--codec", "mgard"])
     assert rc == 2
     assert "szlike" in capsys.readouterr().err
+
+
+def test_npy_variable_stack_roundtrip(tmp_path, capsys):
+    """A (V, T, H, W) .npy compresses to one named member per variable,
+    prints the shard line every multi-member archive reports, and
+    decompresses with its variables in their original order (eleven,
+    so name order ``var0, var1, var10, ...`` would differ)."""
+    rng = np.random.default_rng(5)
+    frames = np.stack([v + np.cumsum(rng.standard_normal((4, 8, 8)),
+                                     axis=0) for v in range(0, 110, 10)])
+    data = tmp_path / "vars.npy"
+    np.save(data, frames)
+    stream = tmp_path / "vars.shrd"
+    out = tmp_path / "restored.npy"
+    rc = main(["compress", "-", str(data), str(stream),
+               "--codec", "szlike", "--nrmse-bound", "0.02",
+               "--executor", "serial"])
+    assert rc == 0
+    line = capsys.readouterr().out
+    assert "shards=11 executor=serial" in line and str(stream) in line
+    assert main(["decompress", "-", str(stream), str(out)]) == 0
+    assert "(var0, var1, var2," in capsys.readouterr().out
+    restored = np.load(out)
+    assert restored.shape == frames.shape
+    for v in range(11):
+        assert nrmse(frames[v], restored[v]) <= 0.02 * (1 + 1e-9)
