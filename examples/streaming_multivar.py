@@ -6,11 +6,12 @@ Demonstrates the two deployment-scale input shapes of the
 
 1. **frame iterators** — feed frames one at a time (here from a
    generator that never materializes the full array) and get a
-   self-describing stream archive back, memory bounded by the chunk
-   size;
+   self-describing stream archive back; the session compresses sealed
+   chunks ``workers`` at a time on its executor, so it holds at most
+   ``workers`` sealed chunks in memory;
 2. **variable mappings** — compress several physical variables with
-   one shared trained model and aggregate the Eq. 11 accounting
-   across the dataset.
+   one shared trained model, each variable a task on the session's
+   executor, and aggregate the Eq. 11 accounting across the dataset.
 
 Run time: ~2 minutes on a laptop CPU.
 

@@ -55,8 +55,8 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import itertools
 import os
-import time
 from typing import (Any, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Union)
 
@@ -81,7 +81,7 @@ from .pipeline.engine import CodecEngine
 from .pipeline.legacy import LEGACY_KINDS, has_footer
 from .runtime import (JournalError, SweepJournal, TaskRuntime, as_runtime,
                       facts_fingerprint)
-from .pipeline.multivar import MultiVariableCompressor
+from .pipeline.multivar import VAR_SEED_STRIDE, variable_stacks
 from .pipeline.plan import (ShardEntry, ShardPlan, assemble_window,
                             is_shard_archive, pack_shard_archive,
                             plan_shards, read_members, read_shard_index,
@@ -401,10 +401,11 @@ class Session:
         :class:`~repro.pipeline.artifacts.ArtifactStore` (or its root
         directory) used by :meth:`train` when saving to a store.
     executor:
-        Task runtime for every fan-out (shards, dataset plans, member
-        decode): a mode name, ``"serial"`` / ``"thread"`` /
-        ``"process"``, or a ready :class:`~repro.runtime.TaskRuntime`
-        (which keeps its own width).  Held as :attr:`executor` and
+        Task runtime for every fan-out (shards, dataset plans,
+        variables, stream chunks and member decode): a mode name,
+        ``"serial"`` / ``"thread"`` / ``"process"``, or a ready
+        :class:`~repro.runtime.TaskRuntime` (which keeps its own
+        width).  Held as :attr:`executor` and
         owned by the session — pools stay warm across calls; use the
         session as a context manager (or call :meth:`close`) to
         release them.
@@ -616,13 +617,14 @@ class Session:
           dataset from specs, so serial/thread/process archives are
           byte-identical;
         * mapping ``name -> (T, H, W)`` or ``(V, T, H, W)`` array —
-          one named member per variable (``names`` labels the array
-          form), decoded back to ``{name: array}``;
+          one engine task and one named member per variable (``names``
+          labels the array form), decoded back to ``{name: array}``;
         * any other iterable of ``(H, W)`` frames — constant-memory
           streaming, one member per chunk of ``chunk_windows`` codec
-          windows, keyed like shards (``label``); chunks that fall on
-          the slices of ``shards=N`` write the bytes
-          ``compress(frames, shards=N)`` writes.
+          windows, keyed like shards (``label``); sealed chunks are
+          compressed ``workers`` at a time, so at most that many are
+          resident, and chunks that fall on the slices of ``shards=N``
+          write the bytes ``compress(frames, shards=N)`` writes.
 
         Every source with more than one member is written as one shard
         archive (``kind == "shard"``).
@@ -675,10 +677,10 @@ class Session:
             f"iterator")
 
     # per-source pipelines ------------------------------------------------
-    def _engine(self, codec: Codec, seed: int,
-                entropy: str) -> CodecEngine:
+    def _engine(self, codec: Codec, seed: int, entropy: str,
+                **kwargs) -> CodecEngine:
         return CodecEngine(codec, base_seed=seed, executor=self.executor,
-                           entropy_backend=entropy)
+                           entropy_backend=entropy, **kwargs)
 
     def _compress_stack(self, frames: np.ndarray, codec, target,
                         seed: int, entropy: str) -> Archive:
@@ -759,20 +761,37 @@ class Session:
                 return frozen[a:b]
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
-        engine = self._engine(resolved, seed, entropy)
-        results = []
-        wall = 0.0
-        for g0 in range(0, len(slices), chunk_shards):
-            group = slices[g0:g0 + chunk_shards]
-            stacks = [read(a, b) for a, b in group]
-            part = engine.compress(stacks, bound=target,
-                                   keep_reconstruction=False,
-                                   first_index=g0)
-            results.extend(part.results)
-            wall += part.wall_seconds
-            del stacks, part
+        slices, results, wall = self._compress_groups(
+            self._engine(resolved, seed, entropy),
+            ((a, read(a, b)) for a, b in slices), chunk_shards, target)
         return self._pack(resolved, _stack_rows(label, slices), results,
                           wall, chunk_shards=chunk_shards)
+
+    @staticmethod
+    def _compress_groups(engine: CodecEngine, parts: Iterable, group: int,
+                         target) -> tuple:
+        """The group loop of every time-sliced source.
+
+        ``parts`` yields ``(t0, frames)`` in time order.  They are
+        compressed ``group`` at a time, part ``i`` as window ``i`` of
+        the engine's seeding (via ``first_index``), and each group is
+        dropped before the next one is drawn, so at most ``group``
+        stacks are resident.  Returns ``(slices, results,
+        wall_seconds)``.
+        """
+        parts = iter(parts)
+        slices, results, wall = [], [], 0.0
+        while True:
+            batch = list(itertools.islice(parts, group))
+            if not batch:
+                return slices, results, wall
+            part = engine.compress([f for _, f in batch], bound=target,
+                                   keep_reconstruction=False,
+                                   first_index=len(results))
+            slices.extend((t0, t0 + len(f)) for t0, f in batch)
+            results.extend(part.results)
+            wall += part.wall_seconds
+            del batch, part
 
     # -- resumable sweeps ------------------------------------------------
     def sweep(self, dataset, *,
@@ -879,38 +898,31 @@ class Session:
     def _compress_multivar(self, data, codec, target, names, seed,
                            entropy: str) -> Archive:
         """One named member per variable: key = name, ``variable`` =
-        position, ``t0 == t1 == 0``."""
+        position, ``t0 == t1 == 0``; variable ``i`` is seeded ``seed +
+        VAR_SEED_STRIDE * i``."""
         resolved = self.resolve_codec(codec)
-        mv = MultiVariableCompressor(resolved, max_workers=self.workers)
-        start = time.perf_counter()
-        with using_backend(entropy):
-            result = mv.compress(data, names=names, bound=target,
-                                 noise_seed=seed)
-        rows = [(name, i, 0, 0) for i, name in enumerate(result.results)]
-        return self._pack(resolved, rows, list(result.results.values()),
-                          time.perf_counter() - start,
-                          variables=result.variables)
+        stacks = variable_stacks(data, names)
+        batch = self._engine(resolved, seed, entropy,
+                             seed_stride=VAR_SEED_STRIDE).compress(
+            list(stacks.values()), bound=target,
+            keep_reconstruction=False)
+        rows = [(name, i, 0, 0) for i, name in enumerate(stacks)]
+        return self._pack(resolved, rows, batch.results,
+                          batch.wall_seconds, variables=list(stacks))
 
     def _compress_stream(self, frames, codec, target, seed, label,
                          chunk_windows, entropy: str) -> Archive:
-        """One member per chunk as it seals; only its payload is kept."""
+        """One member per sealed chunk, keyed and seeded like the
+        shards of a stack; chunks are compressed ``workers`` at a time,
+        so at most that many sealed chunks are resident."""
         resolved = self.resolve_codec(codec)
         sc = StreamingCompressor(
             resolved, chunk_windows=chunk_windows or self.chunk_windows)
-        slices, results = [], []
-        start = time.perf_counter()
-        with using_backend(entropy):
-            for chunk in sc.compress_iter(frames, bound=target,
-                                          noise_seed=seed):
-                res = chunk.result
-                res.payload  # serialize before the detail is dropped
-                res.reconstruction = res.detail = None
-                slices.append((chunk.start_frame,
-                               chunk.start_frame + chunk.num_frames))
-                results.append(res)
+        slices, results, wall = self._compress_groups(
+            self._engine(resolved, seed, entropy), sc.chunks(frames),
+            self.workers, target)
         return self._pack(resolved, _stack_rows(label, slices), results,
-                          time.perf_counter() - start,
-                          chunks=len(slices), frames=slices[-1][1])
+                          wall, chunks=len(slices), frames=slices[-1][1])
 
     # -- decompress -----------------------------------------------------
     def decompress(self, source, *,

@@ -39,7 +39,7 @@
 
 from .artifacts import (ArtifactManifest, ArtifactStore, is_artifact,
                         load_artifact, read_manifest, save_artifact)
-from .blob import CompressedBlob, WindowStreams
+from .blob import CompressedBlob
 from .bundle import load_bundle, save_bundle
 from .compressor import CompressionResult, LatentDiffusionCompressor
 from .container import (ArchiveIndexError, BufferSource, CountingReader,
@@ -56,7 +56,7 @@ from .streaming import ChunkResult, StreamingCompressor
 from .training import TrainingConfig, TwoStageTrainer, train_compressor
 
 __all__ = [
-    "CompressedBlob", "WindowStreams", "LatentDiffusionCompressor",
+    "CompressedBlob", "LatentDiffusionCompressor",
     "CompressionResult", "TwoStageTrainer", "TrainingConfig",
     "train_compressor", "save_bundle", "load_bundle",
     "CodecEngine", "BatchResult", "WindowReport",

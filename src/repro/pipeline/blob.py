@@ -37,7 +37,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["WindowStreams", "CompressedBlob"]
+__all__ = ["CompressedBlob"]
 
 _MAGIC = b"LDCB"
 _VERSION = 2
@@ -45,18 +45,6 @@ _VERSION = 2
 #: written when the backend is not the arithmetic default
 _VERSION_TAGGED = 3
 _DEFAULT_ENTROPY = "arithmetic"
-
-
-@dataclass
-class WindowStreams:
-    """Back-compat view of one window's share of the batched stream.
-
-    Retained for introspection/tests; the serialized format stores the
-    batched stream once, not per window.
-    """
-
-    start: int
-    keyframes: int  # number of keyframes this window contributes
 
 
 @dataclass

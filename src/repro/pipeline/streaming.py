@@ -1,15 +1,20 @@
 """Constant-memory streaming compression for long simulations.
 
 The paper's datasets are tens of GB (Table 1) — far beyond what a
-compressor should hold in memory at once.  This module feeds a frame
-*iterator* through any registered codec in bounded chunks;
-:class:`repro.api.Session` writes one shard-archive member per sealed
-chunk:
+compressor should hold in memory at once.  This module cuts a frame
+*iterator* into sealed chunks for any registered codec;
+:class:`repro.api.Session` compresses them in groups of ``workers``
+chunks on the session's runtime and writes one shard-archive member
+per chunk:
 
-* memory stays ``O(chunk_frames)`` regardless of simulation length;
-* a chunk is only emitted while at least one more full window of
+* a ``Session`` stream holds at most ``workers`` sealed chunks, plus
+  the chunk being filled, regardless of simulation length;
+* a chunk is only sealed while at least one more full window of
   frames remains buffered, so the final chunk always has ``>= window``
   frames and no frame is ever dropped or padded;
+* chunk ``i`` is seeded ``seed + SEED_STRIDE * i``, as shard ``i`` of
+  a stack is, so chunks that fall on the slices of ``shards=N`` write
+  the bytes ``Session.compress(frames, shards=N)`` writes;
 * error bounds are enforced **per chunk**; since the chunks partition
   the frames, the global guarantee follows as
   ``||x - x̂||_2 <= sqrt(sum_i tau_i^2)`` (for an NRMSE target each
@@ -19,6 +24,8 @@ chunk:
 The compressor may be a trained
 :class:`~repro.pipeline.compressor.LatentDiffusionCompressor`, any
 :class:`~repro.codecs.base.Codec`, or a registry name.
+:meth:`StreamingCompressor.compress_iter` compresses the same chunks
+one at a time in the caller's thread.
 
 Decompression is symmetric: :meth:`StreamingCompressor.decompress_stream`
 reads and yields one chunk of frames at a time.
@@ -27,7 +34,7 @@ reads and yields one chunk of frames at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,9 +82,6 @@ class StreamingCompressor:
         if chunk_windows < 1:
             raise ValueError("chunk_windows must be >= 1")
         self.codec = as_codec(compressor)
-        # legacy attribute: the native compressor object when one exists
-        self.compressor = (self.codec.impl if self.codec.impl is not None
-                           else self.codec)
         self.chunk_windows = chunk_windows
 
     @property
@@ -89,25 +93,13 @@ class StreamingCompressor:
         return self.chunk_windows * self.window
 
     # ------------------------------------------------------------------
-    def compress_iter(self, frames: Iterable[np.ndarray],
-                      error_bound: Optional[float] = None,
-                      nrmse_bound: Optional[float] = None,
-                      noise_seed: int = 0,
-                      bound: Optional[Bound] = None
-                      ) -> Iterator[ChunkResult]:
-        """Lazily compress an iterable of ``(H, W)`` frames.
-
-        Yields one :class:`ChunkResult` per chunk.  ``bound`` is a
-        first-class :class:`~repro.bound.Bound`; the legacy
-        ``error_bound`` (per-chunk L2) / ``nrmse_bound`` (per-chunk
-        NRMSE) kwargs remain.  Bounds are enforced per chunk (see the
-        module docstring for how the global guarantee follows).
-        """
-        bound = Bound.coalesce(bound=bound, error_bound=error_bound,
-                               nrmse_bound=nrmse_bound)
+    def chunks(self, frames: Iterable[np.ndarray]
+               ) -> Iterator[Tuple[int, np.ndarray]]:
+        """Cut an iterable of ``(H, W)`` frames into sealed ``(T, H, W)``
+        chunks of ``chunk_frames`` frames (the last one takes the tail,
+        ``>= window`` frames), yielded as ``(start_frame, chunk)``."""
         window = self.window
         buffer: List[np.ndarray] = []
-        index = 0
         start = 0
         for frame in frames:
             frame = np.asarray(frame, dtype=np.float64)
@@ -115,30 +107,37 @@ class StreamingCompressor:
                 raise ValueError(
                     f"stream frames must be (H, W), got {frame.shape}")
             buffer.append(frame)
-            # emit only while >= one window remains buffered afterwards,
+            # seal only while >= one window remains buffered afterwards,
             # so the tail chunk can never be shorter than a window
             if len(buffer) >= self.chunk_frames + window:
                 chunk = np.stack(buffer[:self.chunk_frames])
                 buffer = buffer[self.chunk_frames:]
-                yield self._compress_chunk(chunk, index, start, bound,
-                                           noise_seed)
-                start += chunk.shape[0]
-                index += 1
+                yield start, chunk
+                start += self.chunk_frames
         if len(buffer) < window:
             raise ValueError(
                 f"stream tail has {len(buffer)} frames; need >= {window} "
                 "(total stream shorter than one window?)")
-        chunk = np.stack(buffer)
-        yield self._compress_chunk(chunk, index, start, bound, noise_seed)
+        yield start, np.stack(buffer)
 
-    def _compress_chunk(self, chunk: np.ndarray, index: int, start: int,
-                        bound: Optional[Bound],
-                        noise_seed: int) -> ChunkResult:
-        res = self.codec.compress_bounded(
-            chunk, bound=bound, seed=noise_seed + SEED_STRIDE * index)
-        return ChunkResult(index=index, start_frame=start,
-                           num_frames=chunk.shape[0], blob=res.blob,
-                           achieved_nrmse=res.achieved_nrmse, result=res)
+    def compress_iter(self, frames: Iterable[np.ndarray],
+                      noise_seed: int = 0,
+                      bound: Optional[Bound] = None
+                      ) -> Iterator[ChunkResult]:
+        """Lazily compress an iterable of ``(H, W)`` frames.
+
+        Yields one :class:`ChunkResult` per chunk, chunk ``i`` seeded
+        ``noise_seed + SEED_STRIDE * i``.  ``bound`` (a
+        :class:`~repro.bound.Bound`) is enforced per chunk (see the
+        module docstring for how the global guarantee follows).
+        """
+        for index, (start, chunk) in enumerate(self.chunks(frames)):
+            res = self.codec.compress_bounded(
+                chunk, bound=bound, seed=noise_seed + SEED_STRIDE * index)
+            yield ChunkResult(index=index, start_frame=start,
+                              num_frames=chunk.shape[0], blob=res.blob,
+                              achieved_nrmse=res.achieved_nrmse,
+                              result=res)
 
     # ------------------------------------------------------------------
     def decompress_stream(self, source) -> Iterator[np.ndarray]:

@@ -2,15 +2,19 @@
 tiny pipeline from conftest).  Both sources are written as shard
 archives: one named member per variable, one member per chunk."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.api import Session
+from repro.api import Bound, Session
 from repro.codecs import as_codec, get_codec, pack_envelope
-from repro.data import E3SMSynthetic
+from repro.data import E3SMSynthetic, get_dataset
 from repro.pipeline import (CompressedBlob, MultiVariableCompressor,
                             ShardEntry, StreamingCompressor,
                             pack_shard_archive, read_members)
+from repro.pipeline.engine import SEED_STRIDE
+from repro.pipeline.multivar import VAR_SEED_STRIDE
 
 from .test_legacy_archives import legacy_archive
 
@@ -65,9 +69,8 @@ class TestCodecBackedContainers:
         ds = E3SMSynthetic(t=12, h=16, w=16, seed=3, num_vars=2)
         stacks = {f"v{i}": ds.normalized_frames(i) * (2.0 + i)
                   for i in range(2)}
-        mv = MultiVariableCompressor(
-            {"v0": "szlike", "v1": "dpcm"}, max_workers=2)
-        result = mv.compress(stacks, nrmse_bound=0.05)
+        mv = MultiVariableCompressor({"v0": "szlike", "v1": "dpcm"})
+        result = mv.compress(stacks, bound=Bound.nrmse(0.05))
         assert result.worst_nrmse() <= 0.05 * (1 + 1e-9)
         archive = _mapping_archive(result)
         assert [(m.key, name) for m, name, _ in read_members(archive)] \
@@ -76,18 +79,6 @@ class TestCodecBackedContainers:
         for name, stack in stacks.items():
             assert out[name].shape == stack.shape
 
-    def test_multivar_parallel_matches_serial(self, trained):
-        _, compressor, _, _ = trained
-        ds = E3SMSynthetic(t=12, h=16, w=16, seed=3, num_vars=2)
-        stacks = {f"v{i}": ds.normalized_frames(i) * (2.0 + i)
-                  for i in range(2)}
-        serial = MultiVariableCompressor(compressor, max_workers=1) \
-            .compress(stacks, nrmse_bound=0.05)
-        parallel = MultiVariableCompressor(compressor, max_workers=2) \
-            .compress(stacks, nrmse_bound=0.05)
-        for name in stacks:
-            assert serial.results[name].payload == \
-                parallel.results[name].payload
 
 
 class TestStreamingCompressor:
@@ -154,13 +145,14 @@ class TestStreamingCompressor:
         recon_chunks = []
         taus = []
         pos = 0
-        for res in sc.compress_iter(iter(frames), nrmse_bound=bound):
+        for res in sc.compress_iter(iter(frames),
+                                    bound=Bound.nrmse(bound)):
             chunk = frames[pos:pos + res.num_frames]
             pos += res.num_frames
             assert res.achieved_nrmse <= bound * (1 + 1e-9)
             rng_ = chunk.max() - chunk.min()
             taus.append(bound * rng_ * np.sqrt(chunk.size))
-            recon_chunks.append(sc.compressor.decompress(res.blob))
+            recon_chunks.append(sc.codec.decompress(res.payload))
         recon = np.concatenate(recon_chunks)
         global_l2 = float(np.linalg.norm(frames - recon))
         assert global_l2 <= np.sqrt(np.sum(np.square(taus))) * (1 + 1e-9)
@@ -223,7 +215,7 @@ class TestMultiVariableCompressor:
     def test_per_variable_bound(self, trained):
         _, compressor, _, _ = trained
         mv = MultiVariableCompressor(compressor)
-        result = mv.compress(self._stacks(), nrmse_bound=0.05)
+        result = mv.compress(self._stacks(), bound=Bound.nrmse(0.05))
         assert result.worst_nrmse() <= 0.05 * (1 + 1e-9)
 
     def test_archive_serialization(self, trained):
@@ -272,7 +264,7 @@ class TestSessionMultivarDecode:
         _, compressor, _, _ = trained
         mv = MultiVariableCompressor({"v0": compressor, "v1": "szlike"})
         wire = _mapping_archive(mv.compress(self._stacks(),
-                                            nrmse_bound=0.05))
+                                            bound=Bound.nrmse(0.05)))
         ref = mv.decompress(wire)
         with self._session(compressor) as session:
             full = session.decompress(wire)
@@ -294,3 +286,93 @@ class TestSessionMultivarDecode:
         assert list(full) == list(ref)
         for name in ref:
             np.testing.assert_array_equal(full[name], ref[name])
+
+
+def _sha(archive) -> str:
+    return hashlib.sha256(archive.data).hexdigest()
+
+
+class TestSessionArchivePins:
+    """Mapping variables and stream chunks are engine tasks on the
+    session's runtime; every executor writes the same archive bytes,
+    seeded ``seed + VAR_SEED_STRIDE * i`` per variable and ``seed +
+    SEED_STRIDE * i`` per chunk."""
+
+    #: sha256 of the (mapping, stream, named (V, T, H, W)) archives of
+    #: :meth:`_archives`, written before variables and chunks moved
+    #: onto the session runtime
+    PINS = {
+        "szlike": ("0fb2ec77e0fe01b3e7cf956e3c5ecae5"
+                   "12b19ae13bd3092e5c89b0b7ad8e9491",
+                   "15ab63d80ffd677424418c3f6422d0a3"
+                   "dc4dcf130c776372427ff67f3afb8345",
+                   "6d5ae54882058179140f12b79550d424"
+                   "d05aac2ae355ef1bfb0ee520290c3d48"),
+        "dpcm": ("e91a69c8cec247e7163ea0e4c6bb8600"
+                 "e45925c34b2d3bfa73a7bea4b990f645",
+                 "964223785fcc68296a177afd9c8d156a"
+                 "df98cd7a83ad8ff043813f7e91e7c6a5",
+                 "caf3939ae781d019fd2188cabe14fa17"
+                 "36bed6b45614434cfae0463bb7186c2f"),
+        "zfplike": ("ebb75f4aaf4dbfe04da8e5a9af4d25a3"
+                    "ae804abf67d5cd2d6c3b7122096459a6",
+                    "2b58007b15035db70ac92adc4cb25d39"
+                    "cb1a9896bceb4f9cb3faf24d9a301f7b",
+                    "78fa9ad89cc52ca606beabbaabdd2597"
+                    "67fb8946b70706d17b1265a49f1da998"),
+        "mgard": ("9a6616e2a93cde88927ca3e12e1f9361"
+                  "c7ad1f8b1c05f858456da129b46de343",
+                  "f5626d823c471f0eab2de9b4c4c15d61"
+                  "d05950b9bf9d650f8f75e949f391eaa4",
+                  "a4c811f478bcd870f28fbc699bcbb486"
+                  "b2aa5a62cc20b5aaf7a2ba50134cc47d"),
+    }
+
+    @staticmethod
+    def _archives(session, frames, bound, chunk_windows):
+        """A 2-variable mapping, a stream of ``frames[0]`` and a named
+        ``(V, T, H, W)`` array of every variable."""
+        names = ["a", "b", "c"][:len(frames)]
+        return (session.compress({"u": frames[0], "v": frames[1]},
+                                 bound=bound),
+                session.compress(iter(frames[0]), bound=bound,
+                                 chunk_windows=chunk_windows),
+                session.compress(np.stack(frames), names=names,
+                                 bound=bound))
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("codec", list(PINS))
+    def test_rule_based_archives_pinned(self, codec, executor):
+        ds = get_dataset("e3sm", t=20, h=16, w=16, seed=3, num_vars=3)
+        frames = [ds.frames(v) for v in range(3)]
+        with Session(codec=codec, executor=executor, workers=2,
+                     seed=7) as session:
+            archives = self._archives(session, frames, Bound.nrmse(1e-2),
+                                      chunk_windows=3)
+        assert archives[1].stats["chunks"] == 7  # 6 x 3 frames + a tail
+        assert tuple(_sha(a) for a in archives) == self.PINS[codec]
+
+    def test_ours_matches_across_executors(self, trained, tmp_path):
+        """serial = thread = process (workers rebuild the model from an
+        artifact saved here); blob noise seeds are ``seed +
+        VAR_SEED_STRIDE * i`` per variable and ``seed + SEED_STRIDE *
+        i`` per chunk."""
+        _, compressor, frames, _ = trained
+        frames = [frames[:18], frames[18:] * 0.5]
+        codec = as_codec(compressor)
+        codec.save_artifact(str(tmp_path / "ours.npz"))
+        wires = {}
+        for executor in ("serial", "thread", "process"):
+            with Session(codec=codec, executor=executor, workers=2,
+                         seed=5) as session:
+                wires[executor] = [a.data for a in self._archives(
+                    session, frames, Bound.nrmse(0.05),
+                    chunk_windows=1)]
+        assert wires["thread"] == wires["serial"]
+        assert wires["process"] == wires["serial"]
+        mapping, stream, _ = wires["serial"]
+        for stride, wire, count in ((VAR_SEED_STRIDE, mapping, 2),
+                                    (SEED_STRIDE, stream, 3)):
+            seeds = [CompressedBlob.from_bytes(payload).noise_seed
+                     for _, _, payload in read_members(wire)]
+            assert seeds == [5 + stride * i for i in range(count)]
