@@ -118,7 +118,7 @@ def _facade_overhead() -> dict:
 
     def engine_run() -> bytes:
         engine = CodecEngine("szlike", executor="serial")
-        batch = engine.compress_plan(plan, nrmse_bound=REL_BOUND,
+        batch = engine.compress_plan(plan, bound=Bound.nrmse(REL_BOUND),
                                      keep_reconstruction=False)
         entries = [ShardEntry(shard_id=t.shard_id, variable=t.variable,
                               t0=t.t0, t1=t.t1,
@@ -608,12 +608,12 @@ def test_codec_registry_smoke(benchmark, tmp_path):
                 engine = CodecEngine(codec_name, executor=ex)
                 # untimed warmup over the full plan: forks the pool at
                 # full width and fills every worker's generation cache
-                engine.compress_plan(plan, nrmse_bound=REL_BOUND,
+                engine.compress_plan(plan, bound=Bound.nrmse(REL_BOUND),
                                      keep_reconstruction=False)
                 walls = []
                 for _ in range(EXEC_REPS):
                     batch = engine.compress_plan(
-                        plan, nrmse_bound=REL_BOUND,
+                        plan, bound=Bound.nrmse(REL_BOUND),
                         keep_reconstruction=False)
                     walls.append(batch.wall_seconds)
                 per_codec[exec_name] = round(min(walls), 6)

@@ -15,6 +15,7 @@ hand-instantiated datasets, no hand-picked codec imports).
 
 import numpy as np
 
+from repro.bound import Bound
 from repro.codecs import codec_specs, get_codec, list_codecs
 from repro.data import dataset_entries, get_dataset_spec, list_datasets
 from repro.pipeline.engine import CodecEngine
@@ -96,7 +97,7 @@ def test_dataset_codec_grid_through_planner():
                                              keep_reconstruction=False)
             else:
                 batch = engine.compress_plan(plan,
-                                             nrmse_bound=REL_BOUND,
+                                             bound=Bound.nrmse(REL_BOUND),
                                              keep_reconstruction=False)
                 assert batch.worst_nrmse() <= REL_BOUND * (1 + 1e-9), \
                     (ds_name, codec_name)

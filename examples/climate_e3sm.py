@@ -14,7 +14,7 @@ Run time: ~2 minutes on a laptop CPU.
 
 import numpy as np
 
-from repro import TrainingConfig, TwoStageTrainer, tiny
+from repro import Bound, TrainingConfig, TwoStageTrainer, tiny
 from repro.baselines import SZLikeCompressor, ZFPLikeCompressor
 from repro.data import E3SMSynthetic
 from repro.data.base import train_test_windows
@@ -45,7 +45,7 @@ def main() -> None:
     print(f"compressing {num_vars} variables in parallel "
           f"(NRMSE bound {target}) ...")
     engine = CodecEngine(compressor, max_workers=3)
-    batch = engine.compress(stacks, nrmse_bound=target)
+    batch = engine.compress(stacks, bound=Bound.nrmse(target))
     results = [r.detail for r in batch.results]
 
     print(f"\n{'variable':>9} | {'ours CR':>8} | {'SZ3-like CR':>11} | "

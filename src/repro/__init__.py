@@ -35,10 +35,6 @@ artifact store), :mod:`repro.runtime` (task runtime, sweep journal),
 :mod:`repro.baselines`
 (SZ3/ZFP/CDC/GCD/VAE-SR analogues), :mod:`repro.data` (synthetic
 datasets).
-
-Multi-variable and streaming workloads go through
-:meth:`Session.compress`; the ``MultiVariableCompressor`` and
-``StreamingCompressor`` classes live in :mod:`repro.pipeline`.
 """
 
 from .config import (DiffusionConfig, PipelineConfig, ReproConfig, VAEConfig,
@@ -48,10 +44,9 @@ from .metrics import (CompressionAccounting, compression_ratio,
                       temporal_autocorrelation)
 from .pipeline import (ArtifactManifest, ArtifactStore, BatchResult,
                        CodecEngine, CompressedBlob, CompressionResult,
-                       LatentDiffusionCompressor, MultiVarResult,
-                       TrainingConfig, TwoStageTrainer, load_artifact,
-                       load_bundle, save_artifact, save_bundle,
-                       train_compressor)
+                       LatentDiffusionCompressor, TrainingConfig,
+                       TwoStageTrainer, load_artifact, load_bundle,
+                       save_artifact, save_bundle, train_compressor)
 from .codecs import (Codec, CodecResult, as_codec, get_codec, list_codecs,
                      register_codec)
 from .api import Archive, Bound, Session, SessionError
@@ -71,6 +66,5 @@ __all__ = [
     "CodecEngine", "BatchResult",
     "Codec", "CodecResult", "register_codec", "get_codec", "list_codecs",
     "as_codec",
-    "MultiVarResult",
     "__version__",
 ]

@@ -1,12 +1,9 @@
 """``repro.api`` — the one front door to the compression platform.
 
 The platform layers beneath this module (codec/dataset registries, the
-shard planner, the task runtime, the artifact store) are stable, but
-historically every workload talked to a different surface:
-``LatentDiffusionCompressor`` for single stacks, ``CodecEngine`` for
-sweeps, ``MultiVariableCompressor`` for variable sets,
-``StreamingCompressor`` for iterators, and a CLI that hand-wired five
-container formats.  This module folds them behind two types:
+shard planner, the task runtime, the artifact store) are stable; this
+module is the one surface every workload talks to — single stacks,
+sweeps, variable sets and frame iterators alike — through two types:
 
 :class:`Session`
     Owns the registry lookups, codec cache, task runtime and seeds.
@@ -77,18 +74,17 @@ from .pipeline.artifacts import (ArtifactStore, is_artifact,
 from .pipeline.blob import CompressedBlob
 from .pipeline.container import (MEMBER_ENVELOPE, ArchiveIndexError,
                                  MemberIndex, as_source)
-from .pipeline.engine import CodecEngine
+from .pipeline.engine import VAR_SEED_STRIDE, CodecEngine
 from .pipeline.legacy import LEGACY_KINDS, has_footer
 from .runtime import (JournalError, SweepJournal, TaskRuntime, as_runtime,
                       facts_fingerprint)
-from .pipeline.multivar import VAR_SEED_STRIDE, variable_stacks
 from .pipeline.plan import (ShardEntry, ShardPlan, assemble_window,
                             is_shard_archive, pack_shard_archive,
                             plan_shards, read_members, read_shard_index,
                             time_slices)
 from .pipeline.sources import (ArrayStackSource, NpyStackSource,
-                               as_stack_source)
-from .pipeline.streaming import StreamingCompressor
+                               as_stack_source, stream_chunks,
+                               variable_stacks)
 from .postprocess.coding import PAYLOAD_FORMAT
 
 __all__ = ["Session", "Archive", "Bound", "SessionError",
@@ -733,9 +729,9 @@ class Session:
         next group loads, so peak RSS tracks the group size for files
         and memmaps.  A resident array needs no bounded groups, so its
         default group is every shard (one fan-out), and a C-contiguous
-        one is handed over as read-only views, not copies.
-        Reconstructions are never retained, and the archive does not
-        depend on the grouping.
+        one reaches the engine as read-only views, not copies (see
+        :class:`ArrayStackSource`).  Reconstructions are never
+        retained, and the archive does not depend on the grouping.
         """
         try:
             source = as_stack_source(src)
@@ -751,19 +747,12 @@ class Session:
                     and not isinstance(src, np.memmap))
         if chunk_shards is None:
             chunk_shards = len(slices) if resident else max(1, self.workers)
-        read = source.read
-        if resident and src.flags.c_contiguous:
-            # a resident array's shards are read-only views, not copies
-            frozen = src.view()
-            frozen.flags.writeable = False
-
-            def read(a, b):
-                return frozen[a:b]
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
         slices, results, wall = self._compress_groups(
             self._engine(resolved, seed, entropy),
-            ((a, read(a, b)) for a, b in slices), chunk_shards, target)
+            ((a, source.read(a, b)) for a, b in slices), chunk_shards,
+            target)
         return self._pack(resolved, _stack_rows(label, slices), results,
                           wall, chunk_shards=chunk_shards)
 
@@ -902,6 +891,8 @@ class Session:
         VAR_SEED_STRIDE * i``."""
         resolved = self.resolve_codec(codec)
         stacks = variable_stacks(data, names)
+        if not stacks:
+            raise SessionError("no variables to compress")
         batch = self._engine(resolved, seed, entropy,
                              seed_stride=VAR_SEED_STRIDE).compress(
             list(stacks.values()), bound=target,
@@ -912,14 +903,20 @@ class Session:
 
     def _compress_stream(self, frames, codec, target, seed, label,
                          chunk_windows, entropy: str) -> Archive:
-        """One member per sealed chunk, keyed and seeded like the
-        shards of a stack; chunks are compressed ``workers`` at a time,
-        so at most that many sealed chunks are resident."""
+        """One member per sealed chunk of ``chunk_windows`` codec
+        windows (see :func:`~repro.pipeline.sources.stream_chunks`),
+        keyed and seeded like the shards of a stack; chunks are
+        compressed ``workers`` at a time, so at most that many sealed
+        chunks are resident, plus the chunk being filled."""
+        if chunk_windows is None:
+            chunk_windows = self.chunk_windows
+        if chunk_windows < 1:
+            raise SessionError("chunk_windows must be >= 1")
         resolved = self.resolve_codec(codec)
-        sc = StreamingCompressor(
-            resolved, chunk_windows=chunk_windows or self.chunk_windows)
+        window = max(resolved.window, resolved.min_frames, 1)
         slices, results, wall = self._compress_groups(
-            self._engine(resolved, seed, entropy), sc.chunks(frames),
+            self._engine(resolved, seed, entropy),
+            stream_chunks(frames, window, chunk_windows * window),
             self.workers, target)
         return self._pack(resolved, _stack_rows(label, slices), results,
                           wall, chunks=len(slices), frames=slices[-1][1])

@@ -16,25 +16,23 @@
   layer; legacy pre-manifest bundles still load);
 * :mod:`repro.pipeline.engine` — the batched parallel execution engine
   that runs any registered codec over windows/variables with
-  deterministic seeding and per-window accounting, dispatching every
-  batch through one :class:`repro.runtime.TaskRuntime` (serial /
-  thread / process mode);
+  deterministic seeding (the shard and variable seed strides) and
+  per-window accounting, dispatching every batch through one
+  :class:`repro.runtime.TaskRuntime` (serial / thread / process mode);
 * :mod:`repro.pipeline.plan` — the deterministic shard planner turning
   ``dataset x variables x window`` grids into picklable
   :class:`~repro.pipeline.plan.ShardTask` lists, plus the shard
   archive, the one container written for every multi-member archive
   (shards, variable mappings, stream chunks);
-* :mod:`repro.pipeline.streaming` — constant-memory chunked compression
-  of frame iterators, one archive member per chunk;
-* :mod:`repro.pipeline.multivar` — multi-variable (V, T, H, W)
-  compression with aggregate Eq. 11 accounting;
 * :mod:`repro.pipeline.container` — the seekable footer index of the
   shard archive (member byte extents + CRC-32 checksums, byte sources,
   the counting reader used to assert partial-decode I/O);
 * :mod:`repro.pipeline.legacy` — read-only index rows for the
   ``LDMV``/``LDSA``/``SHRD`` v1 layouts of earlier releases;
-* :mod:`repro.pipeline.sources` — bounded-memory stack sources
-  (``.npy`` / array adapters) feeding chunked out-of-core ingestion.
+* :mod:`repro.pipeline.sources` — the parts ``Session.compress`` cuts
+  its sources into: bounded-memory stack sources (``.npy`` / array
+  adapters) feeding chunked out-of-core ingestion, the per-variable
+  stacks of a mapping, and the sealed chunks of a frame stream.
 """
 
 from .artifacts import (ArtifactManifest, ArtifactStore, is_artifact,
@@ -46,13 +44,11 @@ from .container import (ArchiveIndexError, BufferSource, CountingReader,
                         FileObjSource, FileSource, MemberIndex,
                         as_source, read_index, verify_member)
 from .engine import BatchResult, CodecEngine, WindowReport
-from .multivar import MultiVariableCompressor, MultiVarResult
 from .plan import (ShardEntry, ShardPlan, ShardTask, assemble_shards,
                    assemble_window, is_shard_archive,
                    pack_shard_archive, plan_shards, read_members,
                    read_shard_index, time_slices)
 from .sources import ArrayStackSource, NpyStackSource, as_stack_source
-from .streaming import ChunkResult, StreamingCompressor
 from .training import TrainingConfig, TwoStageTrainer, train_compressor
 
 __all__ = [
@@ -70,6 +66,4 @@ __all__ = [
     "FileObjSource", "CountingReader", "as_source", "read_index",
     "verify_member",
     "NpyStackSource", "ArrayStackSource", "as_stack_source",
-    "StreamingCompressor", "ChunkResult",
-    "MultiVariableCompressor", "MultiVarResult",
 ]

@@ -41,6 +41,10 @@ __all__ = ["CodecEngine", "BatchResult", "WindowReport"]
 #: Default per-window seed stride (prime, matches the historical
 #: window-parallel seeding so archives stay reproducible).
 SEED_STRIDE = 7919
+#: Per-variable seed stride of a mapping archive (prime; historical
+#: value kept so archives produced by older revisions stay
+#: reproducible).
+VAR_SEED_STRIDE = 104729
 
 
 @dataclass
@@ -109,8 +113,9 @@ class _WindowJob:
 
     index: int
     seed: int
-    #: a live Codec (serial/thread) or its spec dict (process)
-    codec_ref: Any
+    #: a live Codec, or its spec dict for a process pool (set by
+    #: :meth:`CodecEngine._execute` once the batch size is known)
+    codec_ref: Any = None
     #: materialized frames, or None when ``source`` generates them
     stack: Optional[np.ndarray] = None
     #: object with ``materialize() -> ndarray`` (a ShardTask)
@@ -119,8 +124,6 @@ class _WindowJob:
     #: codec-native float, or a picklable :class:`Bound` the worker
     #: normalizes against its own stack (matching serial semantics)
     bound: Union[None, float, Bound] = None
-    error_bound: Optional[float] = None
-    nrmse_bound: Optional[float] = None
     keep_reconstruction: bool = True
     #: entropy-backend name the worker scopes around the compress call
     #: (the selection is per thread, so it rides in the job)
@@ -160,14 +163,8 @@ def _run_window_job(job: _WindowJob) -> WindowReport:
         if isinstance(job.bound, Bound):
             res = codec.compress_bounded(stack, bound=job.bound,
                                          seed=job.seed)
-        elif job.bound is not None or (job.error_bound is None
-                                       and job.nrmse_bound is None):
-            res = codec.compress(stack, job.bound, seed=job.seed)
         else:
-            res = codec.compress_bounded(stack,
-                                         error_bound=job.error_bound,
-                                         nrmse_bound=job.nrmse_bound,
-                                         seed=job.seed)
+            res = codec.compress(stack, job.bound, seed=job.seed)
     if not job.keep_reconstruction:
         res.payload  # force lazy serialization before detail is dropped
         res.reconstruction = None
@@ -275,13 +272,16 @@ class CodecEngine:
     def seed_for(self, index: int) -> int:
         return self.base_seed + self.seed_stride * index
 
-    def _codec_ref(self):
-        """The codec as this runtime wants it shipped: process workers
-        rebuild it from a picklable spec."""
+    def _codec_ref(self, count: int):
+        """The codec as a batch of ``count`` jobs wants it shipped:
+        process-pool workers rebuild it from a picklable spec, and a
+        batch the runtime runs inline gets the live codec.  A process
+        runtime builds the spec either way, so a codec that cannot ship
+        is refused whatever the batch size."""
         if self.executor.mode != "process":
             return self.codec
         try:
-            return self.codec.to_spec()
+            spec = self.codec.to_spec()
         except TypeError as exc:
             raise TypeError(
                 f"codec {self.codec.name!r} cannot be shipped to a "
@@ -290,24 +290,17 @@ class CodecEngine:
                 f"first, or use the serial or thread backend for "
                 f"stateful codecs"
             ) from None
-
-    @staticmethod
-    def _check_bounds(bound, error_bound, nrmse_bound):
-        if bound is not None and (error_bound is not None
-                                  or nrmse_bound is not None):
-            raise ValueError("give bound or error_bound/nrmse_bound, "
-                             "not both")
+        return spec if self.executor.pool_width(count) else self.codec
 
     def _execute(self, jobs: List[_WindowJob], journal=None,
                  on_event=None) -> BatchResult:
         t0 = time.perf_counter()
         by_index: Dict[int, WindowReport] = {}
         replayed = 0
-        remaining: List[Task] = []
+        pending: List[_WindowJob] = []
         completed = journal.completed() if journal is not None else {}
         for job in jobs:
-            task_id = _journal_task_id(job)
-            entry = completed.get(task_id)
+            entry = completed.get(_journal_task_id(job))
             if entry is not None and int(entry.meta.get("seed", -1)) == job.seed:
                 payload = journal.payload(entry)
                 if payload is not None:
@@ -316,9 +309,14 @@ class CodecEngine:
                     replayed += 1
                     continue
             # damaged object / seed drift / never completed: recompute
-            remaining.append(Task(task_id=task_id, fn=_run_window_job,
-                                  payload=job, index=job.index,
-                                  seed=job.seed))
+            pending.append(job)
+        ref = self._codec_ref(len(pending))
+        remaining: List[Task] = []
+        for job in pending:
+            job.codec_ref = ref
+            remaining.append(Task(task_id=_journal_task_id(job),
+                                  fn=_run_window_job, payload=job,
+                                  index=job.index, seed=job.seed))
 
         def _record(outcome) -> None:
             report: WindowReport = outcome.value
@@ -336,16 +334,13 @@ class CodecEngine:
     # ------------------------------------------------------------------
     def compress(self, stacks: Sequence[np.ndarray],
                  bound: Union[None, float, Bound] = None,
-                 error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None,
                  keep_reconstruction: bool = True,
                  first_index: int = 0,
                  journal=None, on_event=None) -> BatchResult:
         """Compress every stack; bounds apply per stack.
 
         ``bound`` is a :class:`~repro.bound.Bound` — or a raw float in
-        the codec's native metric; ``error_bound`` / ``nrmse_bound``
-        use the legacy vocabulary.  Non-native bounds are normalized
+        the codec's native metric.  Non-native bounds are normalized
         per stack via :meth:`Codec.native_bound` (an NRMSE target uses
         each stack's own range, matching the serial pipeline).
         ``keep_reconstruction=False`` drops reconstructions (and
@@ -364,15 +359,10 @@ class CodecEngine:
         durably before their ``completed`` event fires.  ``on_event``
         observes runtime :class:`~repro.runtime.TaskEvent`s.
         """
-        self._check_bounds(bound, error_bound, nrmse_bound)
-        ref = self._codec_ref()
         backend = get_backend(self.entropy_backend).name
         jobs = [_WindowJob(index=first_index + j,
                            seed=self.seed_for(first_index + j),
-                           codec_ref=ref,
                            stack=np.asarray(stack), bound=bound,
-                           error_bound=error_bound,
-                           nrmse_bound=nrmse_bound,
                            keep_reconstruction=keep_reconstruction,
                            entropy_backend=backend)
                 for j, stack in enumerate(stacks)]
@@ -381,8 +371,6 @@ class CodecEngine:
     # ------------------------------------------------------------------
     def compress_plan(self, plan: Iterable,
                       bound: Union[None, float, Bound] = None,
-                      error_bound: Optional[float] = None,
-                      nrmse_bound: Optional[float] = None,
                       keep_reconstruction: bool = True,
                       journal=None, on_event=None) -> BatchResult:
         """Compress every shard of a :class:`ShardPlan`.
@@ -399,13 +387,9 @@ class CodecEngine:
         under ``Session.sweep(..., journal=...)`` / ``repro sweep
         --resume``.
         """
-        self._check_bounds(bound, error_bound, nrmse_bound)
-        ref = self._codec_ref()
         backend = get_backend(self.entropy_backend).name
-        jobs = [_WindowJob(index=i, seed=task.seed, codec_ref=ref,
-                           source=task, shard_id=task.shard_id,
-                           bound=bound, error_bound=error_bound,
-                           nrmse_bound=nrmse_bound,
+        jobs = [_WindowJob(index=i, seed=task.seed, source=task,
+                           shard_id=task.shard_id, bound=bound,
                            keep_reconstruction=keep_reconstruction,
                            entropy_backend=backend)
                 for i, task in enumerate(plan)]
@@ -414,6 +398,6 @@ class CodecEngine:
     # ------------------------------------------------------------------
     def decompress(self, payloads: Sequence[bytes]) -> List[np.ndarray]:
         """Decode every payload (ordered, parallel)."""
-        ref = self._codec_ref()
+        ref = self._codec_ref(len(payloads))
         jobs = [_DecodeJob(codec_ref=ref, payload=p) for p in payloads]
         return self.executor.map(_run_decode_job, jobs)

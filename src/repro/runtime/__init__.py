@@ -8,8 +8,8 @@ worker threads share this package:
   :class:`TaskOutcome` results.
 * :mod:`repro.runtime.runtime` — :class:`TaskRuntime`, the dispatcher:
   serial/thread/process modes behind one ``run()``/``map()`` surface,
-  per-task retry with exponential backoff, completion events, and a
-  queue-pump mode (``start_workers``) for long-lived services;
+  lifecycle events, and a queue-pump mode (``start_workers``) for
+  long-lived services;
   :func:`as_runtime` resolves every ``executor=`` argument (a name in
   :data:`MODES` or a ready runtime).
 * :mod:`repro.runtime.journal` — :class:`SweepJournal`, a crash-safe

@@ -4,10 +4,9 @@ Two operating styles share one object:
 
 * **batch** — :meth:`TaskRuntime.run` takes a list of :class:`Task`
   records, dispatches them on the configured backend
-  (serial/thread/process), retries failures with exponential backoff,
-  emits :class:`TaskEvent`s, and returns ordered
-  :class:`TaskOutcome`s.  :meth:`map` is thin ordered-map sugar over
-  :meth:`run`.
+  (serial/thread/process), emits :class:`TaskEvent`s, and returns
+  ordered :class:`TaskOutcome`s; the first failing task raises.
+  :meth:`map` is thin ordered-map sugar over :meth:`run`.
 * **pump** — :meth:`start_workers` spawns daemon threads that drain a
   queue-like source (anything with ``get(timeout) -> item|None`` and a
   ``closed`` property, i.e. the service's ``JobQueue``) into a handler,
@@ -51,11 +50,12 @@ def default_workers() -> int:
     return os.cpu_count() or 4
 
 
-def _resolve_mp_context(name: Optional[str]) -> str:
-    if name is not None:
-        return name
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else \
-        multiprocessing.get_start_method()
+def _start_method() -> str:
+    """Process-pool start method: ``fork`` where the platform has it,
+    else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return multiprocessing.get_start_method()
 
 
 class TaskRuntime:
@@ -63,12 +63,7 @@ class TaskRuntime:
 
     def __init__(self, mode: str = "thread",
                  max_workers: Optional[int] = None,
-                 retries: int = 0,
-                 backoff: float = 0.05,
-                 backoff_limit: float = 2.0,
-                 mp_context: Optional[str] = None,
                  name: str = "repro-runtime",
-                 on_event: Optional[EventFn] = None,
                  before_task: Optional[Callable[[Task], None]] = None):
         if mode not in MODES:
             raise ValueError(
@@ -80,12 +75,7 @@ class TaskRuntime:
             raise ValueError("max_workers must be >= 1")
         self.mode = mode
         self.max_workers = max_workers
-        self.retries = int(retries)
-        self.backoff = float(backoff)
-        self.backoff_limit = float(backoff_limit)
-        self.mp_context = _resolve_mp_context(mp_context)
         self.name = name
-        self.on_event = on_event
         #: parent-side hook called before each task is dispatched; a
         #: raising hook aborts the batch — the fault-injection seam the
         #: crash-resume tests use.
@@ -98,13 +88,6 @@ class TaskRuntime:
         self._pump_stop = threading.Event()
         self._inflight = 0
         self._inflight_lock = threading.Lock()
-
-    # -- events ---------------------------------------------------------
-    def _emit(self, extra: Optional[EventFn], event: TaskEvent) -> None:
-        if self.on_event is not None:
-            self.on_event(event)
-        if extra is not None:
-            extra(event)
 
     # -- pools ----------------------------------------------------------
     def _get_pool(self, workers: int):
@@ -120,13 +103,22 @@ class TaskRuntime:
         if self._process_pool is None or self._pool_workers < workers:
             if self._process_pool is not None:
                 self._process_pool.shutdown(wait=True)
-            ctx = multiprocessing.get_context(self.mp_context)
+            ctx = multiprocessing.get_context(_start_method())
             self._process_pool = ProcessPoolExecutor(
                 max_workers=workers, mp_context=ctx)
             self._pool_workers = workers
         return self._process_pool
 
     # -- batch dispatch -------------------------------------------------
+    def pool_width(self, count: int) -> int:
+        """Workers a batch of ``count`` tasks runs on: ``0`` when
+        :meth:`run` runs it inline in the calling thread (serial mode,
+        or a batch a pool of one would serve), else its pool width."""
+        workers = min(self.max_workers, count)
+        if self.mode == "process":
+            workers = min(workers, default_workers())
+        return 0 if self.mode == "serial" or workers <= 1 else workers
+
     def run(self, tasks: Sequence[Task],
             on_result: Optional[ResultFn] = None,
             on_event: Optional[EventFn] = None) -> List[TaskOutcome]:
@@ -136,17 +128,14 @@ class TaskRuntime:
         *before* the task's ``completed`` event — so a journal write
         hooked on ``on_result`` is durable by the time any
         ``on_event`` observer (including a fault injector) sees the
-        completion.  A task that exhausts its retries raises its last
-        exception after a ``failed`` event; remaining futures are
-        cancelled best-effort.
+        completion.  A failing task raises its exception after a
+        ``failed`` event; remaining futures are cancelled best-effort.
         """
         tasks = list(tasks)
         if not tasks:
             return []
-        workers = min(self.max_workers, len(tasks))
-        if self.mode == "process":
-            workers = min(workers, default_workers())
-        if self.mode == "serial" or workers <= 1:
+        workers = self.pool_width(len(tasks))
+        if not workers:
             return self._run_inline(tasks, on_result, on_event)
         return self._run_pool(tasks, workers, on_result, on_event)
 
@@ -156,13 +145,21 @@ class TaskRuntime:
                  for i, item in enumerate(items)]
         return [outcome.value for outcome in self.run(tasks)]
 
-    def _task_retries(self, task: Task) -> int:
-        return self.retries if task.max_retries is None else task.max_retries
+    @staticmethod
+    def _emit(on_event: Optional[EventFn], event: TaskEvent) -> None:
+        if on_event is not None:
+            on_event(event)
 
-    def _sleep_backoff(self, attempt: int) -> None:
-        delay = min(self.backoff * (2 ** attempt), self.backoff_limit)
-        if delay > 0:
-            time.sleep(delay)
+    def _complete(self, task: Task, value: Any, seconds: float,
+                  on_result: Optional[ResultFn],
+                  on_event: Optional[EventFn]) -> TaskOutcome:
+        outcome = TaskOutcome(task.task_id, task.index, value,
+                              seconds=seconds)
+        if on_result is not None:
+            on_result(outcome)
+        self._emit(on_event, TaskEvent(
+            "completed", task.task_id, task.index, seconds=seconds))
+        return outcome
 
     def _run_inline(self, tasks: List[Task],
                     on_result: Optional[ResultFn],
@@ -173,31 +170,14 @@ class TaskRuntime:
                 self.before_task(task)
             self._emit(on_event, TaskEvent(
                 "submitted", task.task_id, task.index))
-            attempt = 0
-            while True:
-                try:
-                    value, seconds = run_task(task.fn, task.payload)
-                    break
-                except Exception as exc:
-                    if attempt < self._task_retries(task):
-                        self._emit(on_event, TaskEvent(
-                            "retrying", task.task_id, task.index,
-                            attempt=attempt, error=str(exc)))
-                        self._sleep_backoff(attempt)
-                        attempt += 1
-                        continue
-                    self._emit(on_event, TaskEvent(
-                        "failed", task.task_id, task.index,
-                        attempt=attempt, error=str(exc)))
-                    raise
-            outcome = TaskOutcome(task.task_id, task.index, value,
-                                  seconds=seconds, attempts=attempt + 1)
-            outcomes.append(outcome)
-            if on_result is not None:
-                on_result(outcome)
-            self._emit(on_event, TaskEvent(
-                "completed", task.task_id, task.index,
-                attempt=attempt, seconds=seconds))
+            try:
+                value, seconds = run_task(task.fn, task.payload)
+            except Exception as exc:
+                self._emit(on_event, TaskEvent(
+                    "failed", task.task_id, task.index, error=str(exc)))
+                raise
+            outcomes.append(self._complete(task, value, seconds,
+                                           on_result, on_event))
         return outcomes
 
     def _run_pool(self, tasks: List[Task], workers: int,
@@ -206,21 +186,13 @@ class TaskRuntime:
         pool = self._get_pool(workers)
         results: Dict[int, TaskOutcome] = {}
         pending: Dict[Future, int] = {}
-        attempts = [0] * len(tasks)
-
-        def submit(i: int) -> None:
-            task = tasks[i]
-            if self.before_task is not None:
-                self.before_task(task)
-            fut = pool.submit(run_task, task.fn, task.payload)
-            pending[fut] = i
-            self._emit(on_event, TaskEvent(
-                "submitted", task.task_id, task.index,
-                attempt=attempts[i]))
-
         try:
-            for i in range(len(tasks)):
-                submit(i)
+            for i, task in enumerate(tasks):
+                if self.before_task is not None:
+                    self.before_task(task)
+                pending[pool.submit(run_task, task.fn, task.payload)] = i
+                self._emit(on_event, TaskEvent(
+                    "submitted", task.task_id, task.index))
             while pending:
                 done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
                 for fut in done:
@@ -229,27 +201,12 @@ class TaskRuntime:
                     try:
                         value, seconds = fut.result()
                     except Exception as exc:
-                        if attempts[i] < self._task_retries(task):
-                            self._emit(on_event, TaskEvent(
-                                "retrying", task.task_id, task.index,
-                                attempt=attempts[i], error=str(exc)))
-                            self._sleep_backoff(attempts[i])
-                            attempts[i] += 1
-                            submit(i)
-                            continue
                         self._emit(on_event, TaskEvent(
                             "failed", task.task_id, task.index,
-                            attempt=attempts[i], error=str(exc)))
+                            error=str(exc)))
                         raise
-                    outcome = TaskOutcome(
-                        task.task_id, task.index, value,
-                        seconds=seconds, attempts=attempts[i] + 1)
-                    results[i] = outcome
-                    if on_result is not None:
-                        on_result(outcome)
-                    self._emit(on_event, TaskEvent(
-                        "completed", task.task_id, task.index,
-                        attempt=attempts[i], seconds=seconds))
+                    results[i] = self._complete(task, value, seconds,
+                                                on_result, on_event)
         except BaseException:
             for fut in pending:
                 fut.cancel()
@@ -350,7 +307,7 @@ class TaskRuntime:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<TaskRuntime mode={self.mode!r} "
-                f"max_workers={self.max_workers} retries={self.retries}>")
+                f"max_workers={self.max_workers}>")
 
 
 def as_runtime(executor: Union[str, TaskRuntime],

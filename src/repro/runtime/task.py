@@ -1,9 +1,9 @@
 """Task records for the shared runtime.
 
 A :class:`Task` is a picklable unit of work: a module-level callable
-plus one payload argument, a deterministic ``task_id`` (the journal
-key), and an optional per-task retry override.  The runtime reports
-progress as :class:`TaskEvent`s and returns :class:`TaskOutcome`s.
+plus one payload argument and a deterministic ``task_id`` (the journal
+key).  The runtime reports progress as :class:`TaskEvent`s and returns
+:class:`TaskOutcome`s.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional, Tuple
 __all__ = ["Task", "TaskEvent", "TaskOutcome", "run_task"]
 
 #: lifecycle event kinds emitted by the runtime, in order of occurrence
-EVENT_KINDS = ("submitted", "completed", "retrying", "failed")
+EVENT_KINDS = ("submitted", "completed", "failed")
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,7 @@ class Task:
     ``fn`` must be picklable (module-level) for the process mode.
     ``task_id`` is the durable identity — the journal keys on it, so it
     must be deterministic across runs for resumption to work.  ``seed``
-    is carried for provenance (journal replay cross-checks it);
-    ``max_retries=None`` defers to the runtime default.
+    is carried for provenance (journal replay cross-checks it).
     """
 
     task_id: str
@@ -34,30 +33,27 @@ class Task:
     payload: Any = None
     index: int = 0
     seed: Optional[int] = None
-    max_retries: Optional[int] = None
 
 
 @dataclass(frozen=True)
 class TaskEvent:
-    """A lifecycle notification: submitted/completed/retrying/failed."""
+    """A lifecycle notification: submitted/completed/failed."""
 
     kind: str
     task_id: str
     index: int
-    attempt: int = 0
     seconds: float = 0.0
     error: Optional[str] = None
 
 
 @dataclass(frozen=True)
 class TaskOutcome:
-    """The result of one task: its value plus timing/attempt facts."""
+    """The result of one task: its value plus its compute time."""
 
     task_id: str
     index: int
     value: Any
     seconds: float = 0.0
-    attempts: int = 1
 
 
 def run_task(fn: Callable[[Any], Any], payload: Any) -> Tuple[Any, float]:

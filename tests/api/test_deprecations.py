@@ -9,9 +9,8 @@ class TestTopLevelShims:
     def test_pipeline_import_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.pipeline import (MultiVariableCompressor,
-                                        StreamingCompressor)
-            assert MultiVariableCompressor and StreamingCompressor
+            from repro.pipeline import CodecEngine, read_members
+            assert CodecEngine and read_members
 
     def test_star_import_does_not_warn(self):
         with warnings.catch_warnings():
@@ -19,7 +18,9 @@ class TestTopLevelShims:
             namespace = {}
             exec("from repro import *", namespace)
         assert "Session" in namespace
-        assert "StreamingCompressor" not in namespace
+        for retired in ("StreamingCompressor", "MultiVariableCompressor",
+                        "MultiVarResult"):
+            assert retired not in namespace
 
     def test_unknown_attribute_still_raises(self):
         import repro

@@ -8,7 +8,10 @@ A mapping, a frame stream and a sharded stack all fan out as
 * a process session runs variables and stream chunks in its worker
   processes;
 * a codec that cannot ship as a spec is refused by a process session
-  for every source, with the engine's ``TypeError``.
+  for every source, with the engine's ``TypeError``;
+* a one-member source, whose single task the runtime runs inline,
+  gets the session's live codec: nothing is rebuilt from a spec in the
+  parent.
 """
 
 import multiprocessing
@@ -19,6 +22,8 @@ import pytest
 
 from repro.api import Bound, Session
 from repro.codecs import SZCodec, get_codec
+from repro.pipeline import engine
+from repro.pipeline.sources import ArrayStackSource
 
 BOUND = Bound.nrmse(1e-2)
 
@@ -30,9 +35,16 @@ SOURCES = {
     "shards": (lambda f: f, {"shards": 2}),
 }
 
+#: the same sources holding one member each
+SINGLE_SOURCES = {
+    "mapping": (lambda f: {"u": f}, {}),
+    "stream": (iter, {"chunk_windows": 8}),
+    "shards": (ArrayStackSource, {"shards": 1}),
+}
 
-def _compress(session, source):
-    build, kwargs = SOURCES[source]
+
+def _compress(session, source, sources=SOURCES):
+    build, kwargs = sources[source]
     frames = np.cumsum(np.random.default_rng(3).standard_normal(
         (8, 8, 8)), axis=0)
     return session.compress(build(frames), bound=BOUND, **kwargs)
@@ -73,3 +85,20 @@ def test_process_session_refuses_unshippable_codec(source):
                  workers=2) as session:
         with pytest.raises(TypeError, match="serial or thread"):
             _compress(session, source)
+
+
+@pytest.mark.parametrize("source", list(SINGLE_SOURCES))
+def test_process_session_hands_inline_batches_the_live_codec(source,
+                                                              monkeypatch):
+    """The parent rebuilds no codec from its spec (the per-process spec
+    cache stays empty) and writes the serial archive."""
+    monkeypatch.setattr(engine, "_SPEC_CACHE", {})
+    wires = {}
+    for executor in ("serial", "process"):
+        with Session(codec="szlike", executor=executor,
+                     workers=2) as session:
+            archive = _compress(session, source, SINGLE_SOURCES)
+        assert archive.stats["shards"] == 1
+        wires[executor] = archive.data
+    assert engine._SPEC_CACHE == {}
+    assert wires["process"] == wires["serial"]

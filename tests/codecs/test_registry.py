@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import TrainingConfig, TwoStageTrainer, tiny
+from repro.bound import Bound
 from repro.codecs import (Codec, LatentDiffusionCodec, as_codec,
                           codec_specs, get_codec, list_codecs,
                           register_codec)
@@ -127,9 +128,9 @@ def test_parallel_engine_bit_identical(name, codecs_by_name, frames):
     codec = codecs_by_name[name]
     stacks = [frames, frames * 0.5 + 2.0]
     serial = CodecEngine(codec, max_workers=1, base_seed=11).compress(
-        stacks, nrmse_bound=0.1)
+        stacks, bound=Bound.nrmse(0.1))
     parallel = CodecEngine(codec, max_workers=3, base_seed=11).compress(
-        stacks, nrmse_bound=0.1)
+        stacks, bound=Bound.nrmse(0.1))
     assert len(serial.results) == len(parallel.results) == 2
     for a, b in zip(serial.results, parallel.results):
         assert a.payload == b.payload

@@ -244,15 +244,34 @@ class TestNpyStackSource:
             NpyStackSource(fortran)
 
     def test_array_source_copies(self):
+        """A non-contiguous array is copied out into writable buffers
+        (a C-contiguous one is viewed: see the next test)."""
         from repro.pipeline.sources import ArrayStackSource
-        arr = np.arange(24.0).reshape(4, 3, 2)
+        arr = np.arange(48.0).reshape(4, 3, 4)[:, :, ::2]
         src = ArrayStackSource(arr)
         got = src.read(1, 3)
         got[:] = -1
-        np.testing.assert_array_equal(src.read(1, 3),
-                                      np.arange(24.0).reshape(4, 3, 2)[1:3])
+        np.testing.assert_array_equal(
+            src.read(1, 3), np.arange(48.0).reshape(4, 3, 4)[1:3, :, ::2])
         with pytest.raises(ValueError, match="T, H, W"):
             ArrayStackSource(np.zeros((4, 4)))
+
+    def test_array_source_views_only_plain_contiguous_arrays(self,
+                                                             tmp_path):
+        from repro.pipeline.sources import ArrayStackSource
+        arr = np.arange(24.0).reshape(4, 3, 2)
+        got = ArrayStackSource(arr).read(1, 3)
+        np.testing.assert_array_equal(got, arr[1:3])
+        assert np.shares_memory(got, arr)
+        assert not got.flags.writeable
+        assert arr.flags.writeable
+        # a memmap of the same C-contiguous frames is copied
+        np.save(tmp_path / "a.npy", arr)
+        mapped = np.load(tmp_path / "a.npy", mmap_mode="r")
+        got = ArrayStackSource(mapped).read(1, 3)
+        np.testing.assert_array_equal(got, arr[1:3])
+        assert not np.shares_memory(got, mapped)
+        assert got.flags.writeable
 
     def test_as_stack_source_dispatch(self, tmp_path):
         from repro.pipeline.sources import (ArrayStackSource,

@@ -10,6 +10,7 @@ argument validation.
 import numpy as np
 import pytest
 
+from repro.bound import Bound
 from repro.codecs import get_codec
 from repro.pipeline.engine import SEED_STRIDE, BatchResult, CodecEngine
 
@@ -24,7 +25,7 @@ def stacks():
 @pytest.fixture(scope="module")
 def batch(stacks):
     engine = CodecEngine("szlike", max_workers=3, base_seed=4)
-    return engine.compress(stacks, nrmse_bound=0.05)
+    return engine.compress(stacks, bound=Bound.nrmse(0.05))
 
 
 class TestCodecEngine:
@@ -63,9 +64,13 @@ class TestCodecEngine:
                 0.01 * (1 + 1e-9)
 
     def test_conflicting_bounds_raise(self, stacks):
+        """The engine speaks one bound vocabulary: the legacy kwargs,
+        alone or next to ``bound``, are refused."""
         engine = CodecEngine("szlike")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             engine.compress(stacks[:1], bound=0.1, nrmse_bound=0.1)
+        with pytest.raises(TypeError):
+            engine.compress(stacks[:1], nrmse_bound=0.1)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -85,12 +90,14 @@ class TestCodecEngine:
             engine.compress([np.zeros((4, 4, 4)), np.zeros((4, 4, 4))])
 
     def test_bound_object_matches_legacy_kwargs(self, stacks):
-        from repro.bound import Bound
-        engine = CodecEngine("szlike", max_workers=2, base_seed=4)
-        legacy = engine.compress(stacks, nrmse_bound=0.05)
+        """A typed bound writes what the codec's legacy kwargs write."""
+        codec = get_codec("szlike")
+        engine = CodecEngine(codec, max_workers=2, base_seed=4)
         typed = engine.compress(stacks, bound=Bound.nrmse(0.05))
-        for a, b in zip(legacy.results, typed.results):
-            assert a.payload == b.payload
+        for i, (stack, r) in enumerate(zip(stacks, typed.results)):
+            legacy = codec.compress_bounded(stack, nrmse_bound=0.05,
+                                            seed=engine.seed_for(i))
+            assert r.payload == legacy.payload
 
 
 def test_parallel_map_removed():

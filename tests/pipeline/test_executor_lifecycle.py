@@ -11,6 +11,7 @@ its pool for the next batch.
 import numpy as np
 import pytest
 
+from repro.bound import Bound
 from repro.pipeline.engine import CodecEngine
 
 BACKENDS = {"SerialExecutor": "serial", "ThreadExecutor": "thread",
@@ -42,9 +43,9 @@ def test_map_after_close_rebuilds(mode):
     engine = _engine(mode)
     rng = np.random.default_rng(0)
     stacks = [rng.standard_normal((4, 8, 8)) for _ in range(2)]
-    before = engine.compress(stacks, nrmse_bound=0.05)
+    before = engine.compress(stacks, bound=Bound.nrmse(0.05))
     engine.executor.close()
-    after = engine.compress(stacks, nrmse_bound=0.05)
+    after = engine.compress(stacks, bound=Bound.nrmse(0.05))
     assert [r.result.payload for r in after.reports] == \
         [r.result.payload for r in before.reports]
     engine.executor.close()

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import nrmse
-from repro.api import Session
+from repro.api import Bound, Session
 from repro.codecs import Codec, codec_from_spec, get_codec
 from repro.pipeline.engine import CodecEngine
 from repro.pipeline.plan import plan_shards
@@ -51,7 +51,7 @@ class TestExecutorEquivalence:
                          process_executor):
             engine = CodecEngine(codec, executor=executor)
             batches[executor.mode] = engine.compress_plan(
-                plan, nrmse_bound=0.05)
+                plan, bound=Bound.nrmse(0.05))
 
         ref = batches["serial"]
         for name in ("thread", "process"):
@@ -74,9 +74,11 @@ class TestExecutorEquivalence:
         stacks = [rng.normal(size=(5, 12, 12)).cumsum(axis=0)
                   for _ in range(3)]
         ref = CodecEngine("szlike", executor="serial",
-                          base_seed=7).compress(stacks, nrmse_bound=0.05)
+                          base_seed=7).compress(
+            stacks, bound=Bound.nrmse(0.05))
         got = CodecEngine("szlike", executor=process_executor,
-                          base_seed=7).compress(stacks, nrmse_bound=0.05)
+                          base_seed=7).compress(
+            stacks, bound=Bound.nrmse(0.05))
         assert [r.payload for r in got.results] == \
             [r.payload for r in ref.results]
 
@@ -84,7 +86,7 @@ class TestExecutorEquivalence:
                                                    process_executor):
         plan = PLANS["e3sm"]
         batch = CodecEngine("szlike", executor="serial").compress_plan(
-            plan, nrmse_bound=0.05)
+            plan, bound=Bound.nrmse(0.05))
         payloads = [r.payload for r in batch.results]
         ref = CodecEngine("szlike", executor="serial").decompress(payloads)
         got = CodecEngine("szlike",
@@ -222,7 +224,7 @@ class TestTrainedCodecExecutorEquivalence:
                          process_executor):
             engine = CodecEngine(codec, executor=executor, base_seed=13)
             batches[executor.mode] = engine.compress(
-                stacks, nrmse_bound=0.05)
+                stacks, bound=Bound.nrmse(0.05))
         ref = batches["serial"]
         for name in ("thread", "process"):
             got = batches[name]

@@ -1,4 +1,4 @@
-"""TaskRuntime: modes, ordering, retry, events, pump workers."""
+"""TaskRuntime: modes, ordering, events, pump workers."""
 
 import threading
 import time
@@ -14,28 +14,6 @@ def _square(x):
 
 def _boom(x):
     raise RuntimeError(f"boom {x}")
-
-
-class _Flaky:
-    """Callable failing the first ``fails`` calls per payload.
-
-    Thread-backed runtimes share this object; process mode cannot (the
-    failure count must be observed by the parent), so retry tests run
-    on serial/thread.
-    """
-
-    def __init__(self, fails):
-        self.fails = fails
-        self.calls = {}
-        self.lock = threading.Lock()
-
-    def __call__(self, x):
-        with self.lock:
-            n = self.calls.get(x, 0)
-            self.calls[x] = n + 1
-        if n < self.fails:
-            raise RuntimeError(f"flaky {x} attempt {n}")
-        return x * 10
 
 
 class TestModes:
@@ -93,7 +71,6 @@ class TestRun:
             outcomes = rt.run(tasks)
         assert [o.task_id for o in outcomes] == [t.task_id for t in tasks]
         assert [o.value for o in outcomes] == [i * i for i in range(8)]
-        assert all(o.attempts == 1 for o in outcomes)
 
     @pytest.mark.parametrize("mode", ["serial", "thread"])
     def test_on_result_fires_before_completed_event(self, mode):
@@ -127,34 +104,20 @@ class TestRun:
         assert kinds.count("completed") == 3
 
     @pytest.mark.parametrize("mode", ["serial", "thread"])
-    def test_retry_then_success(self, mode):
-        flaky = _Flaky(fails=2)
-        tasks = [Task(task_id=f"t{i}", fn=flaky, payload=i, index=i)
-                 for i in range(3)]
+    def test_failed_task_raises_after_failed_event(self, mode):
+        """A failing task raises on its first error, after a ``failed``
+        event naming it; nothing is retried."""
         events = []
-        with TaskRuntime(mode=mode, max_workers=2, retries=3,
-                         backoff=0.0) as rt:
-            outcomes = rt.run(tasks, on_event=events.append)
-        assert [o.value for o in outcomes] == [0, 10, 20]
-        assert all(o.attempts == 3 for o in outcomes)
-        assert sum(e.kind == "retrying" for e in events) == 6
-
-    def test_retries_exhausted_raises_with_failed_event(self):
-        flaky = _Flaky(fails=5)
-        events = []
-        with TaskRuntime(mode="serial", retries=2, backoff=0.0) as rt:
-            with pytest.raises(RuntimeError, match="flaky"):
-                rt.run([Task(task_id="t", fn=flaky, payload=0)],
-                       on_event=events.append)
-        assert [e.kind for e in events][-1] == "failed"
-        assert flaky.calls[0] == 3  # initial + 2 retries
-
-    def test_per_task_retry_override(self):
-        flaky = _Flaky(fails=1)
-        with TaskRuntime(mode="serial", retries=0, backoff=0.0) as rt:
-            out = rt.run([Task(task_id="t", fn=flaky, payload=0,
-                               max_retries=2)])
-        assert out[0].value == 0 and out[0].attempts == 2
+        tasks = [Task(task_id=f"t{i}", fn=_boom, payload=i, index=i)
+                 for i in range(2)]
+        with TaskRuntime(mode=mode, max_workers=2) as rt:
+            with pytest.raises(RuntimeError, match="boom"):
+                rt.run(tasks, on_event=events.append)
+        failed = [e for e in events if e.kind == "failed"]
+        assert len(failed) == 1 and "boom" in failed[0].error
+        assert events[-1] == failed[0]
+        assert {e.kind for e in events} <= {"submitted", "completed",
+                                            "failed"}
 
     def test_before_task_hook_aborts(self):
         seen = []
