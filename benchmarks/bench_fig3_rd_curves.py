@@ -20,27 +20,21 @@ import numpy as np
 import pytest
 
 from repro import nrmse
+from repro.bound import Bound
+from repro.codecs import as_codec
 
 from .conftest import save_json
 
 BOUNDS = (0.05, 0.02, 0.01)
 
 
-def _ours_curve(comp, frames):
-    rows = []
-    for b in BOUNDS:
-        res = comp.compress(frames, nrmse_bound=b)
-        rows.append({"bound": b, "nrmse": res.achieved_nrmse,
-                     "ratio": res.ratio,
-                     "latent_bytes": res.accounting.latent_bytes,
-                     "guarantee_bytes": res.accounting.guarantee_bytes})
-    return rows
-
-
 def _learned_curve(model, frames):
+    """Bounded compression through the model's codec at every bound
+    (ours and the every-frame learned baselines alike)."""
+    codec = as_codec(model)
     rows = []
     for b in BOUNDS:
-        res = model.compress(frames, nrmse_bound=b)
+        res = codec.compress_bounded(frames, bound=Bound.nrmse(b))
         rows.append({"bound": b, "nrmse": res.achieved_nrmse,
                      "ratio": res.ratio,
                      "latent_bytes": res.accounting.latent_bytes,
@@ -83,7 +77,7 @@ def test_fig3_rd_curves(key, frames_by_dataset, ours_by_dataset,
                         vaesr_by_dataset, cdc_pair_e3sm, gcd_e3sm,
                         rule_based, benchmark):
     frames = frames_by_dataset[key]
-    curves = {"Ours": _ours_curve(ours_by_dataset[key], frames)}
+    curves = {"Ours": _learned_curve(ours_by_dataset[key], frames)}
     curves["VAE-SR"] = _learned_curve(vaesr_by_dataset[key], frames)
     if key == "e3sm":
         curves["CDC-eps"] = _learned_curve(cdc_pair_e3sm["eps"], frames)
@@ -140,7 +134,8 @@ def test_fig3_rd_curves(key, frames_by_dataset, ours_by_dataset,
         print(f"  ours / {rb} ratio advantage: {factor:.2f}x")
 
     # benchmark: one bounded compression pass
-    comp = ours_by_dataset[key]
+    codec = as_codec(ours_by_dataset[key])
     benchmark.pedantic(
-        lambda: comp.compress(frames, nrmse_bound=BOUNDS[0]),
+        lambda: codec.compress_bounded(frames,
+                                       bound=Bound.nrmse(BOUNDS[0])),
         rounds=1, iterations=1)

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from repro import LatentDiffusionCompressor, tiny
+from repro.bound import Bound
+from repro.codecs import as_codec
 from repro.nn.serialization import state_from_bytes, state_to_bytes
 
 from .conftest import TRAIN_CFG, dataset_frames, save_json, split, train_ours
@@ -53,7 +55,8 @@ def test_fig5_denoising_steps(step_models, benchmark):
     for steps in STEP_GRID:
         comp = models[steps]
         t0 = time.perf_counter()
-        res = comp.compress(frames, nrmse_bound=0.02)
+        res = as_codec(comp).compress_bounded(frames,
+                                              bound=Bound.nrmse(0.02))
         elapsed = time.perf_counter() - t0
         results[steps] = {"nrmse": res.achieved_nrmse,
                           "ratio": float(res.ratio),

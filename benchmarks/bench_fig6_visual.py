@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import nrmse
+from repro.codecs import as_codec
 
 from .conftest import dataset_frames, save_json, OUT_DIR
 
@@ -54,9 +55,9 @@ def test_fig6_visual_comparison(frames_by_dataset, ours_by_dataset,
     target_ratio = res.ratio
     recons = {"Ours": (res.reconstruction, res.ratio)}
 
-    vr = vaesr_by_dataset["e3sm"].compress(frames)
+    vr = as_codec(vaesr_by_dataset["e3sm"]).compress(frames)
     recons["VAE-SR"] = (vr.reconstruction, vr.ratio)
-    cd = cdc_pair_e3sm["eps"].compress(frames)
+    cd = as_codec(cdc_pair_e3sm["eps"]).compress(frames)
     recons["CDC"] = (cd.reconstruction, cd.ratio)
     for name, model in rule_based.items():
         recon, ratio = _match_ratio_rule(model, frames, target_ratio)

@@ -30,7 +30,7 @@ import json
 import shutil
 import time
 
-from repro.api import Session
+from repro.api import Bound, Session
 from repro.pipeline.plan import _variable_frames
 
 from .bench_codec_registry import _append_trajectory, _prior_record
@@ -52,7 +52,7 @@ SWEEP_REPS = 5  # min-of-reps after an untimed warmup pass
 #: ~2.6x; 2.0x leaves room for replay/verify overhead.
 RESUME_SPEEDUP_FLOOR = 2.0
 
-SWEEP_KW = dict(nrmse_bound=REL_BOUND, window=SWEEP_WINDOW,
+SWEEP_KW = dict(bound=Bound.nrmse(REL_BOUND), window=SWEEP_WINDOW,
                 seed=SWEEP_SEED, variables=[0],
                 dataset_overrides={"t": SWEEP_T, "h": SWEEP_H,
                                    "w": SWEEP_W})

@@ -15,6 +15,8 @@ Run time: ~2 minutes on a laptop CPU.
 import numpy as np
 
 from repro import TrainingConfig, TwoStageTrainer, tiny
+from repro.bound import Bound
+from repro.codecs import as_codec
 from repro.data import S3DSynthetic
 from repro.data.base import train_test_windows
 from repro.pipeline.compressor import window_starts
@@ -40,8 +42,9 @@ def main() -> None:
     print("\nNRMSE bound sweep (the paper's Fig. 3b procedure):")
     print(f"{'bound':>10} | {'ratio':>8} | {'achieved':>10}")
     print("-" * 34)
+    codec = as_codec(compressor)
     for bound in (0.05, 0.02, 0.01, 0.005):
-        res = compressor.compress(frames, nrmse_bound=bound)
+        res = codec.compress_bounded(frames, bound=Bound.nrmse(bound))
         print(f"{bound:>10.3f} | {res.ratio:8.1f} | "
               f"{res.achieved_nrmse:10.5f}")
 

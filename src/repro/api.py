@@ -29,8 +29,7 @@ sweeps, variable sets and frame iterators alike — through two types:
     older ``LDMV``, ``LDSA`` and ``SHRD`` v1 layouts stay readable.
 
 Bounds are expressed with the first-class :class:`~repro.bound.Bound`
-value type (``Bound.nrmse(1e-3)``, ``Bound.pointwise(0.5)``, ...); the
-legacy ``error_bound``/``nrmse_bound`` kwargs remain as thin aliases.
+value type (``Bound.nrmse(1e-3)``, ``Bound.pointwise(0.5)``, ...).
 
 Everything stays spec-portable: a ``Session(executor="process")``
 sweep ships codec + dataset specs to pool workers and produces
@@ -60,6 +59,7 @@ from typing import (Any, Dict, Iterable, List, Mapping, Optional,
 import numpy as np
 
 from .bound import Bound
+from .codecs.base import check_bound
 from .codecs import (Codec, LatentDiffusionCodec, as_codec, get_codec,
                      is_envelope, pack_envelope, unpack_envelope)
 from .data.base import SpatiotemporalDataset, train_test_windows
@@ -134,7 +134,7 @@ def sniff_kind(data: bytes) -> str:
     """Identify a compressed container from its magic bytes.
 
     Returns one of :data:`ARCHIVE_KINDS`, or ``"model"`` for ``.npz``
-    files (model artifacts / legacy bundles, which are not archives).
+    files (model artifacts, which are not archives).
     Raises :class:`SessionError` for unrecognized data.
     """
     head = bytes(data[:4])
@@ -579,8 +579,6 @@ class Session:
     def compress(self, source, *,
                  codec: Union[str, Codec, object, None] = None,
                  bound: Optional[Bound] = None,
-                 error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None,
                  names: Optional[Sequence[str]] = None,
                  variables: Optional[Sequence[int]] = None,
                  shards: Optional[int] = None,
@@ -602,8 +600,9 @@ class Session:
           default ``"stack"``);
         * ``.npy`` path / ``np.memmap`` / stack source — *out-of-core*
           sharded compression: frames stream through the engine in
-          bounded groups of ``chunk_shards`` shards (default: one per
-          worker), so peak RSS is O(chunk), not O(dataset), and the
+          bounded groups of ``chunk_shards`` shards (default: as many
+          as the runtime runs at once, one for a serial session), so
+          peak RSS is O(chunk), not O(dataset), and the
           archive is byte-identical to compressing the same array
           in-memory with the same ``shards``/``label``/``seed``
           (``shards`` defaults to one shard per 16 frames);
@@ -618,27 +617,25 @@ class Session:
         * any other iterable of ``(H, W)`` frames — constant-memory
           streaming, one member per chunk of ``chunk_windows`` codec
           windows, keyed like shards (``label``); sealed chunks are
-          compressed ``workers`` at a time, so at most that many are
+          compressed as many at a time as the runtime runs at once
+          (one for a serial session), so at most that many are
           resident, and chunks that fall on the slices of ``shards=N``
           write the bytes ``compress(frames, shards=N)`` writes.
 
         Every source with more than one member is written as one shard
         archive (``kind == "shard"``).
 
-        ``bound`` is a :class:`~repro.bound.Bound` (the legacy
-        ``error_bound``/``nrmse_bound`` kwargs still work); bounds
-        apply per window/variable/chunk, each normalized against its
-        own data statistics.  ``entropy_backend`` overrides the
-        session's entropy-coder selection for this call.
+        ``bound`` is a :class:`~repro.bound.Bound`; it applies per
+        window/variable/chunk, each converted against its own data
+        statistics.  ``entropy_backend`` overrides the session's
+        entropy-coder selection for this call.
         """
-        target = Bound.coalesce(bound=bound, error_bound=error_bound,
-                                nrmse_bound=nrmse_bound)
         seed = self.seed if seed is None else seed
         entropy = _entropy_name(entropy_backend, self.entropy_backend)
 
         if isinstance(source, Mapping) or (
                 isinstance(source, np.ndarray) and source.ndim == 4):
-            return self._compress_multivar(source, codec, target, names,
+            return self._compress_multivar(source, codec, bound, names,
                                            seed, entropy)
         sharded_array = (isinstance(source, np.ndarray)
                          and source.ndim == 3
@@ -649,10 +646,10 @@ class Session:
                 or (isinstance(source, str)
                     and source.endswith(".npy"))):
             return self._compress_out_of_core(
-                source, codec, target, shards, seed, label,
+                source, codec, bound, shards, seed, label,
                 chunk_shards, entropy)
         if isinstance(source, (str, DatasetSpec, SpatiotemporalDataset)):
-            return self.sweep(source, codec=codec, bound=target,
+            return self.sweep(source, codec=codec, bound=bound,
                               variables=variables, shards=shards or 1,
                               seed=seed,
                               dataset_overrides=dataset_overrides,
@@ -662,10 +659,10 @@ class Session:
                 raise SessionError(
                     f"expected a (T, H, W) or (V, T, H, W) array, got "
                     f"shape {source.shape}")
-            return self._compress_stack(source, codec, target, seed,
+            return self._compress_stack(source, codec, bound, seed,
                                         entropy)
         if isinstance(source, Iterable):
-            return self._compress_stream(source, codec, target, seed,
+            return self._compress_stream(source, codec, bound, seed,
                                          label, chunk_windows, entropy)
         raise SessionError(
             f"cannot compress {type(source).__name__}; pass an array, "
@@ -673,16 +670,22 @@ class Session:
             f"iterator")
 
     # per-source pipelines ------------------------------------------------
+    @property
+    def _group_width(self) -> int:
+        """Parts a time-sliced source hands the engine per call: as
+        many as the runtime runs at once, one when it runs inline."""
+        return max(1, self.executor.pool_width(self.workers))
+
     def _engine(self, codec: Codec, seed: int, entropy: str,
                 **kwargs) -> CodecEngine:
         return CodecEngine(codec, base_seed=seed, executor=self.executor,
                            entropy_backend=entropy, **kwargs)
 
-    def _compress_stack(self, frames: np.ndarray, codec, target,
+    def _compress_stack(self, frames: np.ndarray, codec, bound,
                         seed: int, entropy: str) -> Archive:
         resolved = self.resolve_codec(codec)
         with using_backend(entropy):
-            result = resolved.compress_bounded(frames, bound=target,
+            result = resolved.compress_bounded(frames, bound=bound,
                                                seed=seed)
         # blob-native codecs write their raw wire format (the legacy
         # single-file layout); everything else gets a tagged envelope
@@ -716,7 +719,7 @@ class Session:
             "executor": self.executor.mode,
             "wall_seconds": wall_seconds, **stats})
 
-    def _compress_out_of_core(self, src, codec, target, shards, seed,
+    def _compress_out_of_core(self, src, codec, bound, shards, seed,
                               label, chunk_shards,
                               entropy: str) -> Archive:
         """Sharded compression of a stack source: a file, a memmap or
@@ -746,19 +749,19 @@ class Session:
         resident = (isinstance(src, np.ndarray)
                     and not isinstance(src, np.memmap))
         if chunk_shards is None:
-            chunk_shards = len(slices) if resident else max(1, self.workers)
+            chunk_shards = len(slices) if resident else self._group_width
         if chunk_shards < 1:
             raise SessionError("chunk_shards must be >= 1")
         slices, results, wall = self._compress_groups(
             self._engine(resolved, seed, entropy),
             ((a, source.read(a, b)) for a, b in slices), chunk_shards,
-            target)
+            bound)
         return self._pack(resolved, _stack_rows(label, slices), results,
                           wall, chunk_shards=chunk_shards)
 
     @staticmethod
     def _compress_groups(engine: CodecEngine, parts: Iterable, group: int,
-                         target) -> tuple:
+                         bound) -> tuple:
         """The group loop of every time-sliced source.
 
         ``parts`` yields ``(t0, frames)`` in time order.  They are
@@ -774,7 +777,7 @@ class Session:
             batch = list(itertools.islice(parts, group))
             if not batch:
                 return slices, results, wall
-            part = engine.compress([f for _, f in batch], bound=target,
+            part = engine.compress([f for _, f in batch], bound=bound,
                                    keep_reconstruction=False,
                                    first_index=len(results))
             slices.extend((t0, t0 + len(f)) for t0, f in batch)
@@ -786,8 +789,6 @@ class Session:
     def sweep(self, dataset, *,
               codec: Union[str, Codec, object, None] = None,
               bound: Optional[Bound] = None,
-              error_bound: Optional[float] = None,
-              nrmse_bound: Optional[float] = None,
               variables: Optional[Sequence[int]] = None,
               shards: Optional[int] = None,
               window: Optional[int] = None,
@@ -823,8 +824,6 @@ class Session:
         :class:`~repro.runtime.TaskEvent`s (progress reporting, fault
         injection in tests).
         """
-        target = Bound.coalesce(bound=bound, error_bound=error_bound,
-                                nrmse_bound=nrmse_bound)
         seed = self.seed if seed is None else seed
         entropy = _entropy_name(entropy_backend, self.entropy_backend)
         resolved = self.resolve_codec(codec)
@@ -846,8 +845,8 @@ class Session:
                 codec_spec = {"codec": resolved.name}
             facts = {"dataset": dataclasses.asdict(spec),
                      "codec": codec_spec,
-                     "bound": (None if target is None
-                               else [target.kind, target.value]),
+                     "bound": (None if check_bound(bound) is None
+                               else [bound.kind, bound.value]),
                      "entropy_backend": entropy,
                      "payload_format": PAYLOAD_FORMAT,
                      "seed": seed, "shards": shards, "window": window,
@@ -869,7 +868,7 @@ class Session:
 
         engine = self._engine(resolved, seed, entropy)
         try:
-            batch = engine.compress_plan(plan, bound=target,
+            batch = engine.compress_plan(plan, bound=bound,
                                          keep_reconstruction=False,
                                          journal=jr, on_event=on_event)
         finally:
@@ -884,7 +883,7 @@ class Session:
             archive.stats["journal"] = os.fspath(journal)
         return archive
 
-    def _compress_multivar(self, data, codec, target, names, seed,
+    def _compress_multivar(self, data, codec, bound, names, seed,
                            entropy: str) -> Archive:
         """One named member per variable: key = name, ``variable`` =
         position, ``t0 == t1 == 0``; variable ``i`` is seeded ``seed +
@@ -895,19 +894,19 @@ class Session:
             raise SessionError("no variables to compress")
         batch = self._engine(resolved, seed, entropy,
                              seed_stride=VAR_SEED_STRIDE).compress(
-            list(stacks.values()), bound=target,
+            list(stacks.values()), bound=bound,
             keep_reconstruction=False)
         rows = [(name, i, 0, 0) for i, name in enumerate(stacks)]
         return self._pack(resolved, rows, batch.results,
                           batch.wall_seconds, variables=list(stacks))
 
-    def _compress_stream(self, frames, codec, target, seed, label,
+    def _compress_stream(self, frames, codec, bound, seed, label,
                          chunk_windows, entropy: str) -> Archive:
         """One member per sealed chunk of ``chunk_windows`` codec
         windows (see :func:`~repro.pipeline.sources.stream_chunks`),
         keyed and seeded like the shards of a stack; chunks are
-        compressed ``workers`` at a time, so at most that many sealed
-        chunks are resident, plus the chunk being filled."""
+        compressed :attr:`_group_width` at a time, so at most that many
+        sealed chunks are resident, plus the chunk being filled."""
         if chunk_windows is None:
             chunk_windows = self.chunk_windows
         if chunk_windows < 1:
@@ -917,7 +916,7 @@ class Session:
         slices, results, wall = self._compress_groups(
             self._engine(resolved, seed, entropy),
             stream_chunks(frames, window, chunk_windows * window),
-            self.workers, target)
+            self._group_width, bound)
         return self._pack(resolved, _stack_rows(label, slices), results,
                           wall, chunks=len(slices), frames=slices[-1][1])
 
@@ -1239,8 +1238,8 @@ class Session:
 
         Returns ``{"kind": ..., ...}`` — an archive's
         :meth:`Archive.describe` output, or ``kind="artifact"`` with
-        the provenance manifest, or ``kind="bundle"`` for legacy
-        pre-manifest model bundles.
+        the provenance manifest.  Any other ``.npz`` raises
+        :class:`SessionError`.
         """
         path = os.fspath(path)
         with open(path, "rb") as fh:
@@ -1251,9 +1250,5 @@ class Session:
             return Archive.open(path).describe()
         if is_artifact(path):
             return {"kind": "artifact", "manifest": read_manifest(path)}
-        with np.load(path) as npz:
-            if "config_json" in npz.files:
-                arrays = [k for k in npz.files if k != "config_json"]
-                return {"kind": "bundle", "state_arrays": len(arrays)}
-        raise SessionError(".npz file is neither a model artifact nor "
-                           "a legacy bundle")
+        raise SessionError(f"{path!r} is a .npz file but not a model "
+                           f"artifact (no manifest)")

@@ -3,24 +3,22 @@
 All three learned baselines (CDC, GCD, VAE-SR) follow the same
 storage pattern the paper contrasts with ours: a VAE+hyperprior codes
 the latents of **every** frame, and a learned decoder reconstructs.
-This module centralizes frame normalization, latent stream accounting,
-error-bound correction and the result container so each baseline file
-only implements its decoder and training loop.
+This module centralizes frame normalization, latent stream accounting
+and the error-bound corrector's fit, so each baseline file only
+implements its decoder and training loop.  Compression and its bound
+go through the registered codecs (:mod:`repro.codecs.learned`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..compression import VAEHyperprior
-from ..metrics import CompressionAccounting, nrmse
 from ..pipeline.compressor import LatentDiffusionCompressor
 from ..postprocess import ErrorBoundCorrector, ResidualPCA
 
-__all__ = ["BaselineResult", "LearnedBaseline", "normalize_frames",
+__all__ = ["LearnedBaseline", "normalize_frames",
            "denormalize_frames", "stream_bytes"]
 
 # Re-use the pipeline's exact per-frame normalization.
@@ -36,19 +34,6 @@ HEADER_BYTES = 64
 def stream_bytes(streams: Dict) -> int:
     """Actual coded bytes of a VAE compress() stream bundle."""
     return len(streams["y_stream"]) + len(streams["z_stream"])
-
-
-@dataclass
-class BaselineResult:
-    """Compression outcome of a baseline (mirrors CompressionResult)."""
-
-    reconstruction: np.ndarray
-    accounting: CompressionAccounting
-    achieved_nrmse: float
-
-    @property
-    def ratio(self) -> float:
-        return self.accounting.ratio
 
 
 class LearnedBaseline:
@@ -106,38 +91,6 @@ class LearnedBaseline:
         return (self._synthesize(latents, frames_norm.shape[0], seed),
                 streams)
 
-    # -- shared pipeline -----------------------------------------------------
-    def compress(self, frames: np.ndarray,
-                 error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None,
-                 seed: int = 0) -> BaselineResult:
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 3:
-            raise ValueError(f"expected (T, H, W), got {frames.shape}")
-        norm, norms = normalize_frames(frames)
-        recon_norm, streams = self._reconstruct(norm, seed)
-        recon = denormalize_frames(recon_norm, norms)
-        latent_bytes = (sum(stream_bytes(s) for s in streams)
-                        + HEADER_BYTES + norms.size * 4)
-
-        tau = error_bound
-        if nrmse_bound is not None:
-            rng_ = float(frames.max() - frames.min())
-            tau = nrmse_bound * rng_ * np.sqrt(frames.size)
-        guarantee = 0
-        if tau is not None:
-            if self.corrector is None:
-                raise ValueError(f"{self.name} has no fitted corrector")
-            res = self.corrector.correct(frames, recon, tau)
-            recon = res.corrected
-            guarantee = res.payload_bytes
-
-        acc = CompressionAccounting(
-            original_bytes=frames.size * self.original_dtype_bytes,
-            latent_bytes=latent_bytes, guarantee_bytes=guarantee)
-        return BaselineResult(reconstruction=recon, accounting=acc,
-                              achieved_nrmse=nrmse(frames, recon))
-
     # -- persistence ---------------------------------------------------------
     def state_dict(self) -> Dict[str, np.ndarray]:
         """Full trained state as flat ``{name: array}`` (real arrays,
@@ -184,9 +137,10 @@ class LearnedBaseline:
                       rank: int = 8, max_windows: int = 4) -> None:
         residuals: List[np.ndarray] = []
         for wdw in list(windows)[:max_windows]:
-            wdw = np.asarray(wdw)
-            res = self.compress(wdw)
-            residuals.append(wdw - res.reconstruction)
+            wdw = np.asarray(wdw, dtype=np.float64)
+            norm, norms = normalize_frames(wdw)
+            recon_norm, _ = self._reconstruct(norm, 0)
+            residuals.append(wdw - denormalize_frames(recon_norm, norms))
         pca = ResidualPCA(block=block, rank=rank)
         pca.fit(np.concatenate(residuals, axis=0))
         self.corrector = ErrorBoundCorrector(pca)

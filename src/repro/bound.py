@@ -4,12 +4,8 @@ Every compressor family in this repo guarantees its error in a
 different metric — the rule-based coders bound the **pointwise** max
 abs error, TTHRESH bounds the **RMSE**, the diffusion pipelines bound
 the absolute **L2** norm (the paper's ``tau``) — and callers usually
-think in a fourth, the relative **NRMSE** of Eq. 12.  Historically the
-conversions lived in a table inside ``codecs/base.py`` and every layer
-(engine, multivar, streaming, CLI) threaded the same
-``error_bound``/``nrmse_bound`` kwarg pair through its signatures.
-
-:class:`Bound` replaces that vocabulary with one value object::
+think in a fourth, the relative **NRMSE** of Eq. 12.  :class:`Bound`
+states any of them as one value object::
 
     Bound.nrmse(1e-3)        # relative: NRMSE <= 1e-3
     Bound.pointwise(0.5)     # max |x - x_hat| <= 0.5
@@ -25,9 +21,7 @@ converted target, when enforced, always implies the original one, in
 both directions:
 
 * *to* ``pointwise`` (from any metric): enforce ``max|err| <= rmse
-  target`` — holds because ``rmse <= max|err|``; same formulas as the
-  legacy table, so archives produced through :class:`Bound` are
-  byte-identical to the kwargs era;
+  target`` — holds because ``rmse <= max|err|``;
 * *from* ``pointwise`` (to any metric): route through the L2 norm —
   ``max|err| <= ||err||_2``, so enforcing ``l2 <= v`` (equivalently
   ``rmse <= v / sqrt(n)``) guarantees ``max|err| <= v``.
@@ -37,14 +31,16 @@ Because conservative maps contract, a round-trip through
 ``rmse``/``l2``/``nrmse`` subgroup round-trips exactly.
 
 This module is dependency-free (NumPy only) so every layer — codecs,
-pipeline containers, the execution engine, the :mod:`repro.api`
-facade — can share the one conversion table without import cycles.
+the execution engine, the :mod:`repro.api` facade — can share the one
+conversion table without import cycles.  :meth:`Bound.to` is the only
+code that converts a bound; a codec reaches it through
+:meth:`~repro.codecs.base.Codec.native_bound`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -109,9 +105,6 @@ class Bound:
         """Absolute L2-norm bound (the paper's ``tau``)."""
         return cls("l2", value)
 
-    #: alias matching the paper's symbol for the L2 guarantee
-    tau = l2
-
     @classmethod
     def nrmse(cls, value: float) -> "Bound":
         """Relative bound: NRMSE (RMSE over the data range, Eq. 12)."""
@@ -129,51 +122,6 @@ class Bound:
             kind, _, value = text.partition(":")
             return cls(kind.strip().lower(), float(value))
         return cls("nrmse", float(text))
-
-    # -- legacy interop ---------------------------------------------------
-    @staticmethod
-    def coalesce(bound: Optional[Union["Bound", float]] = None,
-                 error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None
-                 ) -> Optional["Bound"]:
-        """Normalize the legacy kwarg vocabulary onto one ``Bound``.
-
-        ``error_bound`` is the historical absolute L2 ``tau``;
-        ``nrmse_bound`` the historical relative target.  ``bound`` must
-        already be a :class:`Bound`.  Giving more than one is an
-        error; giving none returns ``None`` (unbounded).
-        """
-        given = [b for b in (bound, error_bound, nrmse_bound)
-                 if b is not None]
-        if len(given) > 1:
-            raise ValueError("give one of bound / error_bound / "
-                             "nrmse_bound, not several")
-        if bound is not None:
-            if not isinstance(bound, Bound):
-                raise TypeError(
-                    f"bound must be a Bound (e.g. Bound.nrmse(1e-3)), "
-                    f"got {type(bound).__name__}; codec-native floats "
-                    f"go to Codec.compress directly")
-            return bound
-        if error_bound is not None:
-            return Bound.l2(error_bound)
-        if nrmse_bound is not None:
-            return Bound.nrmse(nrmse_bound)
-        return None
-
-    def legacy_kwargs(self, frames=None) -> dict:
-        """The ``error_bound``/``nrmse_bound`` pair this bound means.
-
-        NRMSE and L2 map directly onto the legacy vocabulary;
-        pointwise/RMSE bounds need ``frames`` (for ``sqrt(n)``) and
-        convert to the absolute L2 form.
-        """
-        if self.kind == "nrmse":
-            return {"error_bound": None, "nrmse_bound": self.value}
-        if self.kind == "l2":
-            return {"error_bound": self.value, "nrmse_bound": None}
-        return {"error_bound": self.to("l2", frames=frames).value,
-                "nrmse_bound": None}
 
     # -- conversions --------------------------------------------------
     def to(self, kind: str, *, frames=None, n: Optional[int] = None,

@@ -48,7 +48,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .api import Archive, Session, SessionError
+from .api import Archive, Bound, Session, SessionError
 from .codecs import codec_specs, get_codec, list_codecs
 from .data.registry import (dataset_entries, get_dataset_spec,
                             list_datasets)
@@ -96,6 +96,25 @@ def _parse_select(text: str):
     if text.lstrip("-").isdigit():
         return int(text)
     return text
+
+
+def _bound(args: argparse.Namespace, codec) -> Optional[Bound]:
+    """The :class:`Bound` that ``--error-bound`` (the L2 ``tau``) or
+    ``--nrmse-bound`` states.  A codec that requires a bound gets
+    ``--nrmse-bound 0.01`` on a dataset and is refused on a file."""
+    if args.error_bound is not None:
+        return Bound.l2(args.error_bound)
+    if args.nrmse_bound is not None:
+        return Bound.nrmse(args.nrmse_bound)
+    if not codec.capabilities.requires_bound:
+        return None
+    if args.dataset is None:
+        raise SessionError(f"codec {codec.name!r} requires --error-bound "
+                           f"or --nrmse-bound")
+    # dataset sweeps default to the benchmarks' relative bound
+    print(f"note: codec {codec.name!r} requires a bound; defaulting to "
+          f"--nrmse-bound 0.01")
+    return Bound.nrmse(1e-2)
 
 
 def _session(args: argparse.Namespace, **extra) -> Session:
@@ -225,23 +244,13 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     # an artifact names its own codec; downstream reporting and the
     # default output name follow the loaded codec
     args.codec = codec.name
-    if (codec.capabilities.requires_bound and args.error_bound is None
-            and args.nrmse_bound is None):
-        if args.dataset is None:
-            print(f"error: codec {args.codec!r} requires --error-bound "
-                  f"or --nrmse-bound", file=sys.stderr)
-            return 2
-        # dataset sweeps default to the benchmarks' relative bound
-        args.nrmse_bound = 1e-2
-        print(f"note: codec {args.codec!r} requires a bound; "
-              f"defaulting to --nrmse-bound 0.01")
 
     try:
+        bound = _bound(args, codec)
         if args.dataset is not None:
             overrides = _parse_shape(args.shape) if args.shape else None
             archive = session.compress(
-                args.dataset, error_bound=args.error_bound,
-                nrmse_bound=args.nrmse_bound,
+                args.dataset, bound=bound,
                 variables=[args.variable], shards=args.shards,
                 dataset_overrides=overrides)
             output = args.output or f"{args.dataset}-{args.codec}.cdx"
@@ -251,15 +260,13 @@ def _cmd_compress(args: argparse.Namespace) -> int:
                 # out-of-core: hand the path to the session so frames
                 # stream through in bounded shard groups
                 archive = session.compress(
-                    args.data, error_bound=args.error_bound,
-                    nrmse_bound=args.nrmse_bound,
+                    args.data, bound=bound,
                     shards=args.shards if args.shards > 1 else None,
                     chunk_shards=args.chunk_shards, label=stem)
             else:
                 frames = np.load(args.data)
                 archive = session.compress(
-                    frames, error_bound=args.error_bound,
-                    nrmse_bound=args.nrmse_bound,
+                    frames, bound=bound,
                     shards=args.shards if args.shards > 1 else None,
                     label=stem)
             output = args.output
@@ -289,17 +296,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except _USER_ERRORS as exc:
         return _fail(exc)
     args.codec = codec.name
-    if (codec.capabilities.requires_bound and args.error_bound is None
-            and args.nrmse_bound is None):
-        # dataset sweeps default to the benchmarks' relative bound
-        args.nrmse_bound = 1e-2
-        print(f"note: codec {args.codec!r} requires a bound; "
-              f"defaulting to --nrmse-bound 0.01")
     try:
         overrides = _parse_shape(args.shape) if args.shape else None
         archive = session.sweep(
-            args.dataset, error_bound=args.error_bound,
-            nrmse_bound=args.nrmse_bound,
+            args.dataset, bound=_bound(args, codec),
             variables=args.variable or None,
             shards=args.shards, window=args.window,
             journal=args.journal, resume=args.resume,
@@ -371,12 +371,6 @@ def _render_info(info: dict) -> int:
               f"{_fmt_provenance(spec_params) if spec_params else '<defaults>'}")
         print(f"training         : {_fmt_provenance(m.training)}")
         print(f"dataset          : {_fmt_provenance(m.dataset)}")
-        return 0
-    if kind == "bundle":
-        print("model bundle     : ours (legacy, no manifest)")
-        print(f"state arrays     : {info['state_arrays']}")
-        print("hint             : re-save with save_bundle to "
-              "gain an artifact manifest")
         return 0
     if kind == "envelope":
         print(f"codec            : {info['codec']}")
@@ -501,6 +495,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
+def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--nrmse-bound", type=float, default=None,
+                       help="relative bound: NRMSE (Eq. 12)")
+    group.add_argument("--error-bound", type=float, default=None,
+                       help="absolute L2 bound tau (converted onto the "
+                            "codec's native bound metric)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="repro", description=__doc__,
@@ -590,10 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--workers", type=int, default=None,
                    help="pool width (default: one per CPU, clamped to "
                         "the shard count)")
-    c.add_argument("--nrmse-bound", type=float, default=None)
-    c.add_argument("--error-bound", type=float, default=None,
-                   help="absolute L2 bound tau (normalized onto the "
-                        "codec's native bound metric)")
+    _add_bound_flags(c)
     c.add_argument("--entropy-backend", default=None,
                    choices=list_entropy_backends(),
                    help="entropy coder for every written stream "
@@ -649,10 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--workers", type=int, default=None,
                    help="pool width (default: one per CPU, clamped to "
                         "the shard count)")
-    w.add_argument("--nrmse-bound", type=float, default=None)
-    w.add_argument("--error-bound", type=float, default=None,
-                   help="absolute L2 bound tau (normalized onto the "
-                        "codec's native bound metric)")
+    _add_bound_flags(w)
     w.add_argument("--entropy-backend", default=None,
                    choices=list_entropy_backends(),
                    help="entropy coder for every written stream "

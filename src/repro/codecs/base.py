@@ -1,34 +1,19 @@
 """The unified codec contract every compressor in this repo satisfies.
 
-Historically each baseline exposed a slightly different ad-hoc
-``compress`` signature: pointwise coders took ``error_bound`` and
-returned raw ``bytes``, TTHRESH took ``rmse_bound``, the learned
-baselines took ``error_bound``/``nrmse_bound`` and returned a result
-object without any serialized stream, and the latent-diffusion pipeline
-took ``noise_seed`` and returned a :class:`~repro.pipeline.blob.
-CompressedBlob`.  Benchmarks and the CLI hand-wired every one of them.
-
-This module defines the single contract that replaces that divergence:
-
 * :class:`Codec` — ``compress(frames, bound) -> CodecResult`` and
   ``decompress(payload) -> frames``, where ``payload`` is always a
-  self-contained byte string and ``bound`` is expressed in the codec's
+  self-contained byte string and ``bound`` is a float in the codec's
   *native* guarantee metric (declared by its capabilities);
 * :class:`CodecCapabilities` — what kind of bound the codec guarantees
   (``pointwise`` / ``rmse`` / ``l2``), whether it needs training,
   whether decoding is deterministic;
-* :meth:`Codec.compress_bounded` — the one place where caller-side
-  bound vocabulary (a first-class :class:`~repro.bound.Bound`, or the
-  legacy ``error_bound`` / ``nrmse_bound`` kwargs) is normalized onto
-  each codec's native bound, so callers never special-case bound
-  semantics again;
+* :meth:`Codec.compress_bounded` — :meth:`Codec.compress` under a
+  :class:`~repro.bound.Bound`, which :meth:`Codec.native_bound` turns
+  into the native float through :meth:`Bound.to
+  <repro.bound.Bound.to>`, so callers never special-case bound
+  semantics;
 * a tiny *envelope* format that tags a payload with its codec name, so
   archives and the CLI can dispatch streams back to the right codec.
-
-The conversion table itself lives in :mod:`repro.bound` — one place,
-shared by every layer.  The legacy kwargs map onto it exactly
-(``error_bound`` -> ``Bound.l2``, ``nrmse_bound`` -> ``Bound.nrmse``),
-so streams produced either way are byte-identical.
 """
 
 from __future__ import annotations
@@ -125,6 +110,17 @@ class CodecResult:
         return getattr(self.detail, "blob", None)
 
 
+def check_bound(bound: Optional[Bound]) -> Optional[Bound]:
+    """``bound`` unchanged when it is a :class:`Bound` or ``None``;
+    anything else (a codec-native float, say) raises ``TypeError``."""
+    if bound is not None and not isinstance(bound, Bound):
+        raise TypeError(
+            f"bound must be a Bound (e.g. Bound.nrmse(1e-3)), "
+            f"got {type(bound).__name__}; codec-native floats "
+            f"go to Codec.compress directly")
+    return bound
+
+
 class Codec(abc.ABC):
     """Abstract compressor contract (see module docstring).
 
@@ -179,32 +175,20 @@ class Codec(abc.ABC):
 
     # ------------------------------------------------------------------
     def native_bound(self, frames: np.ndarray,
-                     error_bound: Optional[float] = None,
-                     nrmse_bound: Optional[float] = None,
                      bound: Optional[Bound] = None) -> Optional[float]:
-        """Map caller bound vocabulary onto this codec's native metric.
-
-        ``bound`` is a first-class :class:`~repro.bound.Bound`;
-        ``error_bound`` is the legacy absolute L2 ``tau`` and
-        ``nrmse_bound`` the legacy NRMSE target (Eq. 12).  The
-        conversion table lives in :mod:`repro.bound`.
-        """
-        target = Bound.coalesce(bound=bound, error_bound=error_bound,
-                                nrmse_bound=nrmse_bound)
-        if target is None:
+        """``bound`` in this codec's native metric for ``frames``
+        (``None`` stays unbounded)."""
+        if check_bound(bound) is None:
             return None
-        return target.native_for(self, frames)
+        return bound.native_for(self, frames)
 
     def compress_bounded(self, frames: np.ndarray,
-                         error_bound: Optional[float] = None,
-                         nrmse_bound: Optional[float] = None,
-                         seed: int = 0, *,
-                         bound: Optional[Bound] = None) -> CodecResult:
-        """:meth:`compress` with a :class:`Bound` (or the legacy
-        kwargs), normalized onto the native metric."""
-        native = self.native_bound(frames, error_bound=error_bound,
-                                   nrmse_bound=nrmse_bound, bound=bound)
-        return self.compress(frames, native, seed=seed)
+                         bound: Optional[Bound] = None, *,
+                         seed: int = 0) -> CodecResult:
+        """:meth:`compress` under a :class:`Bound`, converted onto the
+        native metric by :meth:`native_bound`."""
+        return self.compress(frames, self.native_bound(frames, bound),
+                             seed=seed)
 
     # ------------------------------------------------------------------
     def to_spec(self) -> dict:

@@ -2,9 +2,8 @@
 
 ``get_codec("ours")`` wraps a :class:`~repro.pipeline.compressor.
 LatentDiffusionCompressor`.  The codec payload is simply the
-:class:`~repro.pipeline.blob.CompressedBlob` wire format, so streams
-written by the legacy pipeline APIs decode through the codec and vice
-versa.  An untrained tiny/small-preset compressor is constructed when
+:class:`~repro.pipeline.blob.CompressedBlob` wire format.  An
+untrained tiny/small-preset compressor is constructed when
 none is supplied (useful for smoke tests); production use wraps a
 trained compressor or loads one with :meth:`LatentDiffusionCodec.
 from_bundle`.
@@ -59,20 +58,16 @@ class LatentDiffusionCodec(Codec):
     def from_bundle(cls, path: str) -> "LatentDiffusionCodec":
         """Load a trained model bundle (see ``repro.pipeline.bundle``).
 
-        Artifact-format bundles come back *spec-portable* (the codec
-        remembers the artifact path, so process-pool sweeps work);
-        legacy pre-manifest ``.npz`` bundles load as wrapped
-        compressors.
+        The codec comes back *spec-portable* (it remembers the
+        artifact path, so process-pool sweeps work).  A ``.npz``
+        without an artifact manifest raises ``ValueError``.
         """
-        from ..pipeline.artifacts import is_artifact, load_artifact
-        if is_artifact(path):
-            codec = load_artifact(path)
-            if not isinstance(codec, cls):
-                raise ValueError(f"{path!r} is a {codec.name!r} "
-                                 f"artifact, not an 'ours' bundle")
-            return codec
-        from ..pipeline.bundle import load_bundle
-        return cls(compressor=load_bundle(path))
+        from ..pipeline.artifacts import load_artifact
+        codec = load_artifact(path)
+        if not isinstance(codec, cls):
+            raise ValueError(f"{path!r} is a {codec.name!r} "
+                             f"artifact, not an 'ours' bundle")
+        return codec
 
     # -- trained-state artifacts ----------------------------------------
     def artifact_state(self) -> dict:
@@ -117,6 +112,13 @@ class LatentDiffusionCodec(Codec):
         return self._impl.config.window
 
     # ------------------------------------------------------------------
+    def native_bound(self, frames: np.ndarray,
+                     bound: Optional[Bound] = None) -> Optional[float]:
+        # the pipeline takes an NRMSE target's data range in float64,
+        # whatever the input dtype (a float32 range can round)
+        return super().native_bound(np.asarray(frames, dtype=np.float64),
+                                    bound)
+
     def compress(self, frames: np.ndarray, bound: Optional[float] = None,
                  *, seed: int = 0) -> CodecResult:
         t0 = time.perf_counter()
@@ -135,33 +137,3 @@ class LatentDiffusionCodec(Codec):
     def decompress_blob(self, blob: CompressedBlob) -> np.ndarray:
         """Decode an in-memory blob without re-serializing it."""
         return self._impl.decompress(blob)
-
-    # ------------------------------------------------------------------
-    def compress_bounded(self, frames: np.ndarray,
-                         error_bound: Optional[float] = None,
-                         nrmse_bound: Optional[float] = None,
-                         seed: int = 0, *,
-                         bound: Optional[Bound] = None) -> CodecResult:
-        """Exact legacy bound semantics (delegates both kwargs).
-
-        A :class:`Bound` maps onto the pipeline's own vocabulary:
-        ``nrmse`` stays relative (the compressor normalizes per
-        window), everything else becomes the absolute L2 ``tau``.
-        """
-        target = Bound.coalesce(bound=bound, error_bound=error_bound,
-                                nrmse_bound=nrmse_bound)
-        error_bound = nrmse_bound = None
-        if target is not None:
-            kwargs = target.legacy_kwargs(frames)
-            error_bound = kwargs["error_bound"]
-            nrmse_bound = kwargs["nrmse_bound"]
-        t0 = time.perf_counter()
-        res = self._impl.compress(frames, error_bound=error_bound,
-                                  nrmse_bound=nrmse_bound,
-                                  noise_seed=seed)
-        seconds = time.perf_counter() - t0
-        return CodecResult(codec=self.name,
-                           reconstruction=res.reconstruction,
-                           accounting=res.accounting,
-                           achieved_nrmse=res.achieved_nrmse,
-                           seed=seed, encode_seconds=seconds, detail=res)

@@ -1,10 +1,8 @@
 """Learned codecs: CDC (eps/X), GCD and VAE-SR under the Codec contract.
 
-The learned baselines historically had *no* decompressor: ``compress``
-simulated the reconstruction in-process and returned a result object,
-so nothing could be archived or decoded later.  The codec layer fixes
-that by serializing everything the decode needs into a self-contained
-payload:
+The learned baselines (:mod:`repro.baselines`) hold the models and
+their training loops; these codecs are their only compress path.  The
+payload serializes everything the decode needs:
 
 ``LCS1 | T H W | seed | n_streams | VAE stream bundles | frame norms |
 bound payload``
@@ -168,8 +166,8 @@ class LearnedCodec(Codec):
         payload = b"".join(parts)
         seconds = time.perf_counter() - t0
 
-        # keep byte parity with the legacy BaselineResult accounting:
-        # coded streams + fixed header charge + normalization constants
+        # Eq. 11 accounting: coded streams + fixed header charge +
+        # normalization constants
         coded = sum(stream_bytes(s) for s in streams)
         acc = CompressionAccounting(
             original_bytes=frames.size * self._impl.original_dtype_bytes,

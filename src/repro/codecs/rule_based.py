@@ -89,14 +89,11 @@ class RuleBasedCodec(Codec):
 
     # ------------------------------------------------------------------
     def native_bound(self, frames: np.ndarray,
-                     error_bound: Optional[float] = None,
-                     nrmse_bound: Optional[float] = None,
                      bound: Optional[Bound] = None) -> Optional[float]:
         # reject non-finite data before an NRMSE target turns it into
         # a NaN bound and blames the bound
         _require_finite(self.name, frames)
-        return super().native_bound(frames, error_bound=error_bound,
-                                    nrmse_bound=nrmse_bound, bound=bound)
+        return super().native_bound(frames, bound)
 
     def compress(self, frames: np.ndarray, bound: Optional[float] = None,
                  *, seed: int = 0) -> CodecResult:

@@ -14,7 +14,7 @@ Three presets are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 __all__ = ["VAEConfig", "DiffusionConfig", "PipelineConfig", "ReproConfig",
            "tiny", "small", "paper"]
@@ -84,7 +84,6 @@ class PipelineConfig:
     # sampling over the fine-tuned schedule.  "ddim" instead skips steps
     # of the long schedule without retraining.
     sampler: str = "ancestral"   # | "ddim" | "dpm"
-    error_bound: Optional[float] = None  # L2 target tau for postprocessing
     pca_block: int = 8           # spatial block edge for residual PCA
     pca_rank: int = 32           # retained PCA basis size
     coeff_quant_bits: int = 10   # quantizer resolution for coefficients
@@ -98,6 +97,14 @@ class PipelineConfig:
             raise ValueError("keyframe_interval must be >= 1")
         if self.window < 2:
             raise ValueError("window must be >= 2")
+
+    @classmethod
+    def from_saved(cls, saved: dict) -> "PipelineConfig":
+        """Rebuild from a saved ``dataclasses.asdict`` dict.  Configs
+        saved before the unread ``error_bound`` field was removed still
+        carry it (as ``null``); it is dropped."""
+        return cls(**{k: v for k, v in saved.items()
+                      if k != "error_bound"})
 
 
 @dataclass(frozen=True)

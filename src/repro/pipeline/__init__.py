@@ -13,7 +13,7 @@
   manifests and spec-portability for process-pool sweeps;
 * :mod:`repro.pipeline.bundle` — single-file persistence of a trained
   latent-diffusion compressor (a thin adapter over the artifact
-  layer; legacy pre-manifest bundles still load);
+  layer);
 * :mod:`repro.pipeline.engine` — the batched parallel execution engine
   that runs any registered codec over windows/variables with
   deterministic seeding (the shard and variable seed strides) and

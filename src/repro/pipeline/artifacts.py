@@ -26,9 +26,8 @@ content-addressed artifact layer any trainable codec plugs into:
   workers rebuild them from ``spec + artifact path`` instead of
   raising.
 
-Legacy ``save_bundle``/``load_bundle`` ``.npz`` files predate the
-manifest; :mod:`repro.pipeline.bundle` is now a thin adapter that
-writes artifacts and still reads both formats.
+``save_bundle``/``load_bundle`` (:mod:`repro.pipeline.bundle`) are a
+thin adapter that writes and reads ``"ours"`` artifacts.
 """
 
 from __future__ import annotations

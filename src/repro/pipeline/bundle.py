@@ -1,11 +1,10 @@
 """Model-bundle persistence for the latent-diffusion compressor.
 
 A bundle is a single ``.npz`` that moves a trained compressor between
-machines.  This module is now a thin adapter over the codec-agnostic
+machines.  This module is a thin adapter over the codec-agnostic
 artifact layer (:mod:`repro.pipeline.artifacts`): :func:`save_bundle`
 writes a standard codec artifact (state arrays + provenance manifest)
-and :func:`load_bundle` reads both the artifact format and the legacy
-pre-manifest layout, so every bundle ever written keeps loading.
+and :func:`load_bundle` reads one back.
 
 The split of the state (de)serialization into
 :func:`compressor_state` / :func:`compressor_from_state` is what lets
@@ -71,7 +70,7 @@ def compressor_from_state(state: Dict[str, np.ndarray]
     diff_cfg = DiffusionConfig(
         **{k: tuple(v) if k == "channel_mults" else v
            for k, v in cfg["diffusion"].items()})
-    pipe_cfg = PipelineConfig(**cfg["pipeline"])
+    pipe_cfg = PipelineConfig.from_saved(cfg["pipeline"])
     vae = VAEHyperprior(vae_cfg)
     vae.load_state_dict({k[len("vae/"):]: state[k]
                          for k in state if k.startswith("vae/")})
@@ -104,10 +103,7 @@ def save_bundle(path: str, compressor: LatentDiffusionCompressor) -> None:
 
 
 def load_bundle(path: str) -> LatentDiffusionCompressor:
-    """Inverse of :func:`save_bundle` (legacy bundles included)."""
-    from .artifacts import is_artifact, load_artifact
-    if is_artifact(path):
-        return load_artifact(path).compressor
-    with np.load(path) as archive:
-        return compressor_from_state(
-            {k: archive[k] for k in archive.files})
+    """Inverse of :func:`save_bundle`; a ``.npz`` without an artifact
+    manifest raises ``ValueError``."""
+    from ..codecs.diffusion import LatentDiffusionCodec
+    return LatentDiffusionCodec.from_bundle(path).compressor

@@ -108,19 +108,17 @@ class LatentDiffusionCompressor:
     # ------------------------------------------------------------------
     def compress(self, frames: np.ndarray,
                  error_bound: Optional[float] = None,
-                 nrmse_bound: Optional[float] = None,
                  noise_seed: int = 0) -> CompressionResult:
         """Compress a ``(T, H, W)`` frame stack.
 
-        ``error_bound`` is the absolute L2 bound ``tau`` of Sec. 3.5;
-        ``nrmse_bound`` instead derives ``tau`` from a target NRMSE
-        (Eq. 12).  With neither, no correction payload is produced.
+        ``error_bound`` is the absolute L2 bound ``tau`` of Sec. 3.5
+        (the ``"ours"`` codec converts any other
+        :class:`~repro.bound.Bound` to it); without one, no correction
+        payload is produced.
         """
         frames = np.asarray(frames, dtype=np.float64)
         if frames.ndim != 3:
             raise ValueError(f"expected (T, H, W), got {frames.shape}")
-        if error_bound is not None and nrmse_bound is not None:
-            raise ValueError("give either error_bound or nrmse_bound")
         T, H, W = frames.shape
         spec = self.spec()
         cfg = self.config
@@ -155,15 +153,11 @@ class LatentDiffusionCompressor:
             y_shape=streams["y_shape"], z_shape=streams["z_shape"],
             entropy_backend=streams.get("entropy_backend", "arithmetic"))
 
-        tau = error_bound
-        if nrmse_bound is not None:
-            data_range = float(frames.max() - frames.min())
-            tau = nrmse_bound * data_range * np.sqrt(frames.size)
-        if tau is not None:
+        if error_bound is not None:
             if self.corrector is None:
                 raise ValueError(
                     "error-bounded compression requires a fitted corrector")
-            res = self.corrector.correct(frames, recon, tau)
+            res = self.corrector.correct(frames, recon, error_bound)
             blob.bound_payload = res.payload
             recon = res.corrected
 

@@ -121,9 +121,9 @@ class _WindowJob:
     #: object with ``materialize() -> ndarray`` (a ShardTask)
     source: Any = None
     shard_id: Optional[str] = None
-    #: codec-native float, or a picklable :class:`Bound` the worker
-    #: normalizes against its own stack (matching serial semantics)
-    bound: Union[None, float, Bound] = None
+    #: picklable :class:`Bound` the worker converts against its own
+    #: stack (matching serial semantics)
+    bound: Optional[Bound] = None
     keep_reconstruction: bool = True
     #: entropy-backend name the worker scopes around the compress call
     #: (the selection is per thread, so it rides in the job)
@@ -160,11 +160,7 @@ def _run_window_job(job: _WindowJob) -> WindowReport:
     stack = np.asarray(stack)
     t0 = time.perf_counter()
     with using_backend(job.entropy_backend):
-        if isinstance(job.bound, Bound):
-            res = codec.compress_bounded(stack, bound=job.bound,
-                                         seed=job.seed)
-        else:
-            res = codec.compress(stack, job.bound, seed=job.seed)
+        res = codec.compress_bounded(stack, bound=job.bound, seed=job.seed)
     if not job.keep_reconstruction:
         res.payload  # force lazy serialization before detail is dropped
         res.reconstruction = None
@@ -333,16 +329,16 @@ class CodecEngine:
 
     # ------------------------------------------------------------------
     def compress(self, stacks: Sequence[np.ndarray],
-                 bound: Union[None, float, Bound] = None,
+                 bound: Optional[Bound] = None,
                  keep_reconstruction: bool = True,
                  first_index: int = 0,
                  journal=None, on_event=None) -> BatchResult:
         """Compress every stack; bounds apply per stack.
 
-        ``bound`` is a :class:`~repro.bound.Bound` — or a raw float in
-        the codec's native metric.  Non-native bounds are normalized
-        per stack via :meth:`Codec.native_bound` (an NRMSE target uses
-        each stack's own range, matching the serial pipeline).
+        ``bound`` is a :class:`~repro.bound.Bound`, converted per stack
+        via :meth:`Codec.native_bound` (an NRMSE target uses each
+        stack's own range, matching the serial pipeline); a
+        codec-native float goes to :meth:`Codec.compress` directly.
         ``keep_reconstruction=False`` drops reconstructions (and
         codec-native detail objects) from the reports once payloads and
         metrics are computed — essential for large sweeps and for
@@ -370,7 +366,7 @@ class CodecEngine:
 
     # ------------------------------------------------------------------
     def compress_plan(self, plan: Iterable,
-                      bound: Union[None, float, Bound] = None,
+                      bound: Optional[Bound] = None,
                       keep_reconstruction: bool = True,
                       journal=None, on_event=None) -> BatchResult:
         """Compress every shard of a :class:`ShardPlan`.

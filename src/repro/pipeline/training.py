@@ -277,7 +277,7 @@ class TwoStageTrainer:
                 diffusion=DiffusionConfig(
                     **{k: tuple(v) if k == "channel_mults" else v
                        for k, v in cfg["diffusion"].items()}),
-                pipeline=PipelineConfig(**cfg["pipeline"]))
+                pipeline=PipelineConfig.from_saved(cfg["pipeline"]))
             trainer = cls(config, TrainingConfig(**cfg["train"]),
                           seed=int(cfg["seed"]))
             trainer.vae.load_state_dict(

@@ -121,15 +121,14 @@ class TestArchiveIO:
 class TestLegacyBundles:
     def test_pre_manifest_bundle_detected_by_info(self, tmp_path,
                                                   trained_compressor):
-        """Legacy (pre-manifest) bundles are models, not archives —
-        Session.info identifies them and Archive.open refuses."""
+        """Legacy (pre-manifest) bundles are neither archives nor
+        model artifacts — Session.info and Archive.open refuse them."""
         from repro.api import Session
         from repro.pipeline.bundle import compressor_state
         path = tmp_path / "legacy.npz"
         np.savez_compressed(path, **compressor_state(trained_compressor))
-        info = Session().info(path)
-        assert info["kind"] == "bundle"
-        assert info["state_arrays"] > 0
+        with pytest.raises(SessionError, match="legacy.npz.*no manifest"):
+            Session().info(path)
         with pytest.raises(SessionError, match="not an archive"):
             Archive.open(path.read_bytes())
 

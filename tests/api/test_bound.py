@@ -1,4 +1,4 @@
-"""Bound value-type tests: constructors, conversions, legacy interop."""
+"""Bound value-type tests: constructors, conversions, the codec check."""
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ class TestConstructors:
         assert Bound.pointwise(0.5).kind == "pointwise"
         assert Bound.rmse(0.1).kind == "rmse"
         assert Bound.l2(25.0).kind == "l2"
-        assert Bound.tau(25.0) == Bound.l2(25.0)  # paper alias
         assert Bound.nrmse(1e-3).kind == "nrmse"
 
     def test_invalid_kind_rejected(self):
@@ -134,39 +133,59 @@ class TestConversions:
         assert b.native_for(tt, frames) == pytest.approx(0.01 * rng_)
 
     def test_native_bound_delegates_to_bound(self, frames):
-        """Codec.native_bound keeps its legacy semantics exactly."""
+        """Codec.native_bound is Bound.to onto the native metric."""
         from repro.codecs import get_codec
         codec = get_codec("szlike")
-        legacy = codec.native_bound(frames, nrmse_bound=0.02)
-        typed = codec.native_bound(frames, bound=Bound.nrmse(0.02))
-        assert legacy == typed
+        b = Bound.nrmse(0.02)
+        assert codec.native_bound(frames, b) \
+            == b.to("pointwise", frames=frames).value
+        assert codec.native_bound(frames) is None
 
-
-class TestCoalesce:
-    def test_single_source(self):
-        assert Bound.coalesce(error_bound=5.0) == Bound.l2(5.0)
-        assert Bound.coalesce(nrmse_bound=0.1) == Bound.nrmse(0.1)
-        b = Bound.pointwise(1.0)
-        assert Bound.coalesce(bound=b) is b
-        assert Bound.coalesce() is None
-
-    def test_multiple_sources_rejected(self):
-        with pytest.raises(ValueError, match="not several"):
-            Bound.coalesce(error_bound=1.0, nrmse_bound=0.1)
-        with pytest.raises(ValueError, match="not several"):
-            Bound.coalesce(bound=Bound.l2(1.0), nrmse_bound=0.1)
-
-    def test_raw_float_rejected_with_hint(self):
+    def test_raw_float_rejected_with_hint(self, frames):
+        from repro.codecs import get_codec
         with pytest.raises(TypeError, match="Codec.compress"):
-            Bound.coalesce(bound=0.5)
+            get_codec("szlike").native_bound(frames, 0.5)
 
-    def test_legacy_kwargs(self):
-        frames = np.zeros((2, 4, 4)) + np.arange(2)[:, None, None]
-        assert Bound.nrmse(0.1).legacy_kwargs() == {
-            "error_bound": None, "nrmse_bound": 0.1}
-        assert Bound.l2(5.0).legacy_kwargs() == {
-            "error_bound": 5.0, "nrmse_bound": None}
-        kw = Bound.rmse(0.5).legacy_kwargs(frames)
-        assert kw["nrmse_bound"] is None
-        assert kw["error_bound"] == pytest.approx(
-            0.5 * np.sqrt(frames.size))
+
+class TestOursRangeIsFloat64:
+    """``ours`` takes an NRMSE target's data range in float64 whatever
+    the input dtype.  A float32 stack holding 1.0 and -2**-25 has a
+    range of 1.0 in float32 and 1.0000000298 in float64, and the two
+    taus write different payloads."""
+
+    #: sha256 of the archive a Session writes at NRMSE 0.05
+    PIN = ("8ffa0f3252322ddcc8cb9d162ad09e43"
+           "74b0c356979825cd8a75fe4a7713ae00")
+
+    @staticmethod
+    def _codec_and_stack():
+        from repro import TrainingConfig, TwoStageTrainer, tiny
+        from repro.codecs import LatentDiffusionCodec
+        from repro.data import E3SMSynthetic
+        from repro.data.base import train_test_windows
+        cfg = tiny()
+        x = E3SMSynthetic(t=16, h=16, w=16, seed=4).frames(0)
+        train, _ = train_test_windows(x, window=cfg.pipeline.window,
+                                      train_fraction=0.5, stride=2)
+        # untrained weights (seeded init) with a fitted corrector
+        comp = TwoStageTrainer(cfg, TrainingConfig(),
+                               seed=0).build_compressor(train)
+        f = ((x - x.min()) / (x.max() - x.min())).astype(np.float32)
+        f.flat[np.argmin(f)] = -2.0 ** -25
+        return LatentDiffusionCodec(compressor=comp), f
+
+    def test_session_archive_pinned(self):
+        import hashlib
+
+        from repro.api import Session
+        codec, f = self._codec_and_stack()
+        wide = f.astype(np.float64)
+        r32 = float(f.max() - f.min())
+        r64 = float(wide.max() - wide.min())
+        assert r32 == 1.0 and r64 > r32
+        with Session(codec=codec, seed=3) as session:
+            data = session.compress(f, bound=Bound.nrmse(0.05)).data
+        assert hashlib.sha256(data).hexdigest() == self.PIN
+        taus = {r: 0.05 * r * np.sqrt(f.size) for r in (r32, r64)}
+        assert codec.compress(f, taus[r64], seed=3).payload == data
+        assert codec.compress(f, taus[r32], seed=3).payload != data

@@ -193,11 +193,15 @@ class TestDefaultsAndErrors:
 
     def test_default_chunk_shards_tracks_workers(self, npy_path,
                                                  in_memory):
-        with Session(codec="szlike", executor="serial",
-                     workers=2) as ses:
-            archive = ses.compress(str(npy_path), bound=BOUND, shards=6)
-            assert archive.stats["chunk_shards"] == 2
-            assert archive.data == in_memory.data
+        """The default group is the width the runtime runs a batch on:
+        ``workers`` on threads, one shard at a time when serial."""
+        for executor, width in (("serial", 1), ("thread", 2)):
+            with Session(codec="szlike", executor=executor,
+                         workers=2) as ses:
+                archive = ses.compress(str(npy_path), bound=BOUND,
+                                       shards=6)
+                assert archive.stats["chunk_shards"] == width
+                assert archive.data == in_memory.data
 
     def test_bad_chunk_shards(self, session, npy_path):
         with pytest.raises(SessionError, match="chunk_shards"):

@@ -126,11 +126,23 @@ class TestRoundTrips:
             b = s.compress(frames, bound=Bound.nrmse(0.02))
         assert a.to_bytes() == b.to_bytes()
 
-    def test_legacy_kwargs_equal_bound_object(self, frames):
-        with Session(codec="szlike") as s:
-            typed = s.compress(frames, bound=Bound.nrmse(0.02))
-            legacy = s.compress(frames, nrmse_bound=0.02)
-        assert typed.to_bytes() == legacy.to_bytes()
+    def test_bound_is_the_only_vocabulary(self, frames, tmp_path):
+        """A float ``bound=`` meets the one TypeError of
+        Codec.native_bound, journaled or not; the retired
+        ``nrmse_bound=``/``error_bound=`` kwargs are unknown."""
+        small = {"t": 8, "h": 8, "w": 8}
+        with Session(codec="szlike", executor="serial") as s:
+            with pytest.raises(TypeError, match="must be a Bound"):
+                s.compress(frames, bound=0.02)
+            for journal in (None, tmp_path / "sweep.journal"):
+                with pytest.raises(TypeError, match="must be a Bound"):
+                    s.sweep("e3sm", bound=0.02, shards=2,
+                            journal=journal, dataset_overrides=small)
+            for kw in ("nrmse_bound", "error_bound"):
+                with pytest.raises(TypeError, match=kw):
+                    s.compress(frames, **{kw: 0.02})
+                with pytest.raises(TypeError, match=kw):
+                    s.sweep("e3sm", **{kw: 0.02})
 
 
 class TestTrainedArtifactSweep:
@@ -209,7 +221,7 @@ class TestCodecResolution:
             s.compress(np.zeros((4, 4)))
         with pytest.raises(SessionError, match="cannot compress"):
             s.compress(42)
-        with pytest.raises(ValueError, match="not several"):
+        with pytest.raises(TypeError, match="nrmse_bound"):
             s.compress(np.zeros((4, 8, 8)), bound=Bound.nrmse(0.1),
                        nrmse_bound=0.1)
 
@@ -264,3 +276,36 @@ class TestCodecResolution:
         assert key in store
         clone = store.get(key)
         assert clone.name == "vae-sr"
+
+
+def test_time_sliced_groups_follow_the_pool_width(monkeypatch, tmp_path):
+    """Streams and out-of-core ingests hand the engine as many parts
+    per call as the runtime runs at once: a serial session holds one
+    sealed chunk or shard at a time.  The bytes do not depend on it."""
+    from repro.pipeline.engine import CodecEngine
+    calls = []
+    compress = CodecEngine.compress
+
+    def spy(self, stacks, **kwargs):
+        calls.append(len(stacks))
+        return compress(self, stacks, **kwargs)
+
+    monkeypatch.setattr(CodecEngine, "compress", spy)
+    frames = np.random.default_rng(5).standard_normal((40, 8, 8))
+    path = tmp_path / "frames.npy"
+    np.save(path, frames)
+    bound = Bound.nrmse(0.05)
+    wires = {}
+    for executor, width in (("serial", 1), ("thread", 2)):
+        with Session(codec="szlike", executor=executor, workers=2) as s:
+            calls.clear()
+            stream = s.compress(iter(frames), bound=bound,
+                                chunk_windows=1)
+            assert stream.stats["chunks"] == 40
+            assert calls == [width] * (40 // width)
+            calls.clear()
+            ingest = s.compress(str(path), bound=bound, shards=8)
+            assert calls == [width] * (8 // width)
+            assert ingest.stats["chunk_shards"] == width
+            wires[executor] = (stream.data, ingest.data)
+    assert wires["serial"] == wires["thread"]

@@ -5,7 +5,7 @@ service) call it unconditionally from ``finally``."""
 import numpy as np
 import pytest
 
-from repro.api import Session, SessionError
+from repro.api import Bound, Session, SessionError
 
 
 class TestCloseIdempotence:
@@ -55,7 +55,7 @@ class TestCloseExceptionSafety:
         session = Session(executor="thread")
         frames = np.random.default_rng(0).standard_normal(
             (4, 8, 8)).astype(np.float32)
-        session.compress(frames, codec="szlike", nrmse_bound=0.1,
+        session.compress(frames, codec="szlike", bound=Bound.nrmse(0.1),
                          shards=2, seed=0)
         session.close()
         session.close()
@@ -78,6 +78,7 @@ class TestNoFinalizer:
         frames = np.random.default_rng(0).standard_normal(
             (4, 8, 8)).astype(np.float32)
         archive = session.compress(frames, codec="szlike",
-                                   nrmse_bound=0.1, shards=2, seed=0)
+                                   bound=Bound.nrmse(0.1), shards=2,
+                                   seed=0)
         assert archive.to_bytes()
         session.close()

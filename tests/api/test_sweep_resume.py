@@ -15,8 +15,8 @@ import pytest
 from repro.api import Bound, Session, SessionError
 
 SHAPE = {"t": 16, "h": 12, "w": 12}
-SWEEP = dict(shards=4, nrmse_bound=0.01, seed=7, variables=[0],
-             dataset_overrides=SHAPE)
+SWEEP = dict(shards=4, bound=Bound.nrmse(0.01), seed=7,
+             variables=[0], dataset_overrides=SHAPE)
 N = 4
 
 
@@ -186,22 +186,24 @@ class TestGuards:
     def test_changed_parameters_rejected(self, session, tmp_path):
         journal = tmp_path / "sweep.journal"
         session.sweep("e3sm", journal=journal, **SWEEP)
-        changed = dict(SWEEP, nrmse_bound=0.02)
+        changed = dict(SWEEP, bound=Bound.nrmse(0.02))
         with pytest.raises(SessionError, match="different parameters"):
             session.sweep("e3sm", journal=journal, **changed)
 
     def test_window_and_shards_are_exclusive(self, session, tmp_path):
         with pytest.raises(SessionError):
-            session.sweep("e3sm", shards=4, window=8, nrmse_bound=0.01,
+            session.sweep("e3sm", shards=4, window=8,
+                          bound=Bound.nrmse(0.01),
                           dataset_overrides=SHAPE)
 
     def test_window_mode_is_resumable(self, session, tmp_path):
-        plain = session.sweep("e3sm", window=6, nrmse_bound=0.01,
+        plain = session.sweep("e3sm", window=6, bound=Bound.nrmse(0.01),
                               seed=7, variables=[0],
                               dataset_overrides=SHAPE)
         journal = tmp_path / "sweep.journal"
-        kwargs = dict(window=6, nrmse_bound=0.01, seed=7, variables=[0],
-                      dataset_overrides=SHAPE, journal=journal)
+        kwargs = dict(window=6, bound=Bound.nrmse(0.01), seed=7,
+                      variables=[0], dataset_overrides=SHAPE,
+                      journal=journal)
         with pytest.raises(KeyboardInterrupt):
             session.sweep("e3sm", on_event=_CrashAfter(1), **kwargs)
         resumed = session.sweep("e3sm", **kwargs)

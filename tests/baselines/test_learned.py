@@ -1,9 +1,15 @@
-"""Learned baseline (CDC / GCD / VAE-SR) tests — tiny training budgets."""
+"""Learned baseline (CDC / GCD / VAE-SR) tests — tiny training budgets.
+
+The baselines hold the models; they compress through their registered
+codecs (:func:`repro.codecs.as_codec`).
+"""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (CDCCompressor, GCDCompressor, VAESRCompressor)
+from repro.bound import Bound
+from repro.codecs import as_codec
 from repro.config import DiffusionConfig, VAEConfig
 from repro.data import E3SMSynthetic
 from repro.data.base import train_test_windows
@@ -38,14 +44,15 @@ class TestVAESR:
 
     def test_compress_roundtrip(self, model, data):
         frames, _ = data
-        res = model.compress(frames)
+        res = as_codec(model).compress(frames)
         assert res.reconstruction.shape == frames.shape
         assert res.ratio > 1.0
         assert np.isfinite(res.achieved_nrmse)
 
     def test_error_bound(self, model, data):
         frames, _ = data
-        res = model.compress(frames, nrmse_bound=0.05)
+        res = as_codec(model).compress_bounded(frames,
+                                               bound=Bound.nrmse(0.05))
         assert res.achieved_nrmse <= 0.05 * (1 + 1e-9)
         assert res.accounting.guarantee_bytes > 0
 
@@ -53,11 +60,11 @@ class TestVAESR:
         frames, _ = data
         m = VAESRCompressor(VAE1, seed=0)
         with pytest.raises(ValueError):
-            m.compress(frames, nrmse_bound=0.1)
+            as_codec(m).compress_bounded(frames, bound=Bound.nrmse(0.1))
 
     def test_bad_input_shape(self, model):
         with pytest.raises(ValueError):
-            model.compress(np.zeros((4, 4)))
+            as_codec(model).compress(np.zeros((4, 4)))
 
 
 class TestCDC:
@@ -70,21 +77,21 @@ class TestCDC:
 
     def test_compress_roundtrip(self, model, data):
         frames, _ = data
-        res = model.compress(frames)
+        res = as_codec(model).compress(frames)
         assert res.reconstruction.shape == frames.shape
         assert res.ratio > 1.0
         assert np.all(np.isfinite(res.reconstruction))
 
     def test_frame_padding_path(self, model, data):
         frames, _ = data
-        res = model.compress(frames[:7])  # 7 % 3 != 0
+        res = as_codec(model).compress(frames[:7])  # 7 % 3 != 0
         assert res.reconstruction.shape == (7, 16, 16)
 
     def test_x_parameterization(self, data):
         frames, train = data
         m = CDCCompressor(VAE3, DIFF, parameterization="x", seed=0)
         m.train(train, vae_iters=30, diffusion_iters=30)
-        res = m.compress(frames)
+        res = as_codec(m).compress(frames)
         assert np.all(np.isfinite(res.reconstruction))
         assert m.name == "CDC-X"
 
@@ -110,7 +117,7 @@ class TestGCD:
 
     def test_compress_roundtrip(self, model, data):
         frames, _ = data
-        res = model.compress(frames)
+        res = as_codec(model).compress(frames)
         assert res.reconstruction.shape == frames.shape
         assert res.ratio > 1.0
         assert np.all(np.isfinite(res.reconstruction))
@@ -132,8 +139,8 @@ class TestStorageScaling:
         frames, train = data
         m = VAESRCompressor(VAE1, seed=0)
         m.train(train, vae_iters=30, sr_iters=10)
-        short = m.compress(frames[:6])
-        full = m.compress(frames[:24])
+        short = as_codec(m).compress(frames[:6])
+        full = as_codec(m).compress(frames[:24])
         ratio = (full.accounting.latent_bytes
                  / max(short.accounting.latent_bytes, 1))
         assert ratio > 2.5  # ~4x frames -> much more latent storage

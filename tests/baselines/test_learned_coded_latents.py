@@ -65,11 +65,9 @@ def test_compress_reuses_coded_latents(name, monkeypatch):
 
     monkeypatch.setattr(VAEHyperprior, "decompress_latents", counted)
     res = codec.compress(frames, seed=5)
-    baseline = codec._impl.compress(frames, seed=5)
     assert calls == []
     recon = np.ascontiguousarray(res.reconstruction, dtype=np.float64)
     assert (_sha(res.payload_bytes), _sha(recon.tobytes())) == GOLDEN[name]
-    np.testing.assert_array_equal(baseline.reconstruction, recon)
     np.testing.assert_array_equal(codec.decompress(res.payload_bytes),
                                   recon)
     assert calls

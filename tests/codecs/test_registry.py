@@ -90,7 +90,7 @@ def codecs_by_name(frames, train_windows):
 def test_roundtrip_contract(name, codecs_by_name, frames):
     """Bound holds, payload decodes deterministically and exactly."""
     codec = codecs_by_name[name]
-    res = codec.compress_bounded(frames, nrmse_bound=NRMSE_TARGET,
+    res = codec.compress_bounded(frames, bound=Bound.nrmse(NRMSE_TARGET),
                                  seed=3)
     assert res.codec == name
     assert len(res.payload) > 0
@@ -104,7 +104,7 @@ def test_roundtrip_contract(name, codecs_by_name, frames):
     # the native bound kind holds against the *decoded* stream
     rec1 = codec.decompress(res.payload)
     kind = codec.capabilities.bound_kind
-    native = codec.native_bound(frames, nrmse_bound=NRMSE_TARGET)
+    native = codec.native_bound(frames, Bound.nrmse(NRMSE_TARGET))
     if kind == "pointwise":
         assert np.abs(frames - rec1).max() <= native * (1 + 1e-9)
     elif kind == "rmse":
@@ -193,17 +193,17 @@ class TestRegistry:
         frames = np.linspace(0.0, 2.0, 4 * 4 * 4).reshape(4, 4, 4)
         n = frames.size
         pw = get_codec("szlike")
-        assert pw.native_bound(frames, nrmse_bound=0.1) == \
+        assert pw.native_bound(frames, Bound.nrmse(0.1)) == \
             pytest.approx(0.1 * 2.0)
-        assert pw.native_bound(frames, error_bound=8.0) == \
+        assert pw.native_bound(frames, Bound.l2(8.0)) == \
             pytest.approx(8.0 / np.sqrt(n))
         rm = get_codec("tthresh")
-        assert rm.native_bound(frames, error_bound=8.0) == \
+        assert rm.native_bound(frames, Bound.l2(8.0)) == \
             pytest.approx(8.0 / np.sqrt(n))
         l2 = get_codec("ours")
-        assert l2.native_bound(frames, error_bound=8.0) == 8.0
-        assert l2.native_bound(frames, nrmse_bound=0.1) == \
+        assert l2.native_bound(frames, Bound.l2(8.0)) == 8.0
+        assert l2.native_bound(frames, Bound.nrmse(0.1)) == \
             pytest.approx(0.1 * 2.0 * np.sqrt(n))
-        with pytest.raises(ValueError):
-            pw.native_bound(frames, error_bound=1.0, nrmse_bound=0.1)
+        with pytest.raises(TypeError, match="must be a Bound"):
+            pw.native_bound(frames, 1.0)
         assert pw.native_bound(frames) is None

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro import TrainingConfig, TwoStageTrainer, tiny
+from repro.bound import Bound
 from repro.codecs import Codec, get_codec
 from repro.codecs.diffusion import LatentDiffusionCodec
 from repro.config import VAEConfig
@@ -53,8 +54,10 @@ class TestSaveLoadArtifact:
         save_artifact(path, codec)
         clone = load_artifact(path)
         frames = wins[0] * 1.1
-        a = codec.compress_bounded(frames, nrmse_bound=0.05, seed=2)
-        b = clone.compress_bounded(frames, nrmse_bound=0.05, seed=2)
+        a = codec.compress_bounded(frames, bound=Bound.nrmse(0.05),
+                                   seed=2)
+        b = clone.compress_bounded(frames, bound=Bound.nrmse(0.05),
+                                   seed=2)
         assert a.payload == b.payload
         assert a.achieved_nrmse <= 0.05 * (1 + 1e-9)
 
@@ -217,7 +220,8 @@ class TestTrainerCheckpointToArtifact:
         trainer.save_checkpoint(ckpt)
 
         reference = trainer.build_compressor(train)
-        res_ref = reference.compress(frames, nrmse_bound=0.05,
+        tau = Bound.nrmse(0.05).to("l2", frames=frames).value
+        res_ref = reference.compress(frames, error_bound=tau,
                                      noise_seed=3)
 
         # resume the checkpoint on a "different machine", export the
@@ -227,7 +231,7 @@ class TestTrainerCheckpointToArtifact:
         key = resumed.export_artifact(store, train,
                                       dataset={"name": "e3sm"})
         codec = store.get(key)
-        res = codec.compressor.compress(frames, nrmse_bound=0.05,
+        res = codec.compressor.compress(frames, error_bound=tau,
                                         noise_seed=3)
         assert res.blob.to_bytes() == res_ref.blob.to_bytes()
         np.testing.assert_array_equal(res.reconstruction,

@@ -53,7 +53,7 @@ def test_blob_meets_bound_on_every_batch_layout(trained, bound,
                                                 monkeypatch):
     _, comp, frames, _ = trained
     tau = bound.to("l2", frames=frames).value
-    res = comp.compress(frames, **bound.legacy_kwargs(frames))
+    res = comp.compress(frames, error_bound=tau)
     decodes = _on_every_layout(monkeypatch,
                                lambda: comp.decompress(res.blob))
     # the compress-time layout decodes the encoder's output, bitwise

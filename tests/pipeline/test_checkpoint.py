@@ -131,6 +131,24 @@ class TestTrainerCheckpoint:
                                    trainer.history.vae_losses)
         assert restored.history.diffusion_losses == []
 
+    def test_checkpoint_with_retired_error_bound_loads(self, tmp_path):
+        """Checkpoints saved while PipelineConfig had an (unread)
+        ``error_bound`` field carry it as null; it is dropped."""
+        import json
+        path = str(tmp_path / "ck.npz")
+        trainer = TwoStageTrainer(tiny(), self._cfg(), seed=1)
+        trainer.save_checkpoint(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files}
+        cfg = json.loads(bytes(arrays["config_json"]).decode())
+        assert "error_bound" not in cfg["pipeline"]
+        cfg["pipeline"]["error_bound"] = None
+        arrays["config_json"] = np.frombuffer(json.dumps(cfg).encode(),
+                                              dtype=np.uint8)
+        np.savez_compressed(path, **arrays)
+        restored = TwoStageTrainer.from_checkpoint(path)
+        assert restored.config == trainer.config
+
     def test_checkpoint_after_finetune_keeps_schedule(self, tmp_path):
         train = self._data()
         cfg = TrainingConfig(vae_iters=3, diffusion_iters=3,

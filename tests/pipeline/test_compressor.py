@@ -10,12 +10,18 @@ import pytest
 
 from repro import (CompressedBlob, LatentDiffusionCompressor,
                    TrainingConfig, TwoStageTrainer, nrmse, tiny)
+from repro.bound import Bound
 from repro.data import E3SMSynthetic
 from repro.data.base import train_test_windows
 from repro.pipeline import CodecEngine
 from repro.pipeline.compressor import window_starts
 
 CFG = tiny()
+
+
+def _tau(frames, target: float) -> float:
+    """The L2 ``tau`` (Sec. 3.5) of an NRMSE target (Eq. 12)."""
+    return Bound.nrmse(target).to("l2", frames=frames).value
 
 
 class TestWindowStarts:
@@ -43,7 +49,7 @@ class TestCompressDecompress:
     def test_roundtrip_through_bytes(self, trained):
         """Serialize -> deserialize -> decompress gives identical output."""
         _, compressor, frames, _ = trained
-        res = compressor.compress(frames, nrmse_bound=0.05)
+        res = compressor.compress(frames, error_bound=_tau(frames, 0.05))
         blob2 = CompressedBlob.from_bytes(res.blob.to_bytes())
         recon = compressor.decompress(blob2)
         np.testing.assert_allclose(recon, res.reconstruction, atol=1e-9)
@@ -56,7 +62,7 @@ class TestCompressDecompress:
     def test_error_bound_honored(self, trained):
         _, compressor, frames, _ = trained
         target = 0.02
-        res = compressor.compress(frames, nrmse_bound=target)
+        res = compressor.compress(frames, error_bound=_tau(frames, target))
         assert res.achieved_nrmse <= target * (1 + 1e-9)
         # and the decoded stream matches
         recon = compressor.decompress(res.blob)
@@ -73,8 +79,8 @@ class TestCompressDecompress:
 
     def test_tighter_bound_lower_ratio(self, trained):
         _, compressor, frames, _ = trained
-        loose = compressor.compress(frames, nrmse_bound=0.05)
-        tight = compressor.compress(frames, nrmse_bound=0.005)
+        loose = compressor.compress(frames, error_bound=_tau(frames, 0.05))
+        tight = compressor.compress(frames, error_bound=_tau(frames, 0.005))
         assert tight.ratio < loose.ratio
         assert tight.achieved_nrmse <= 0.005 * (1 + 1e-9)
 
@@ -98,7 +104,7 @@ class TestCompressDecompress:
         _, compressor, frames, _ = trained
         with pytest.raises(ValueError):
             compressor.compress(frames[0])  # 2-D
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):  # tau is the only bound here
             compressor.compress(frames, error_bound=1.0, nrmse_bound=0.1)
 
     def test_bound_without_corrector_raises(self, trained):
@@ -106,7 +112,7 @@ class TestCompressDecompress:
         bare = LatentDiffusionCompressor(trainer.vae, trainer.ddpm,
                                          CFG.pipeline)
         with pytest.raises(ValueError):
-            bare.compress(frames, nrmse_bound=0.01)
+            bare.compress(frames, error_bound=_tau(frames, 0.01))
 
     def test_window_mismatch_raises(self, trained):
         trainer, _, _, _ = trained
@@ -119,7 +125,7 @@ class TestCompressDecompress:
 class TestAccounting:
     def test_bytes_split(self, trained):
         _, compressor, frames, _ = trained
-        res = compressor.compress(frames, nrmse_bound=0.02)
+        res = compressor.compress(frames, error_bound=_tau(frames, 0.02))
         acc = res.accounting
         assert acc.latent_bytes > 0
         assert acc.guarantee_bytes > 0

@@ -57,8 +57,9 @@ class TestCodecEngine:
             np.testing.assert_array_equal(a, b)
 
     def test_native_bound_passthrough(self, stacks):
+        """A bound in the codec's native metric reaches it unchanged."""
         engine = CodecEngine("szlike", max_workers=2)
-        res = engine.compress(stacks[:2], bound=0.01)
+        res = engine.compress(stacks[:2], bound=Bound.pointwise(0.01))
         for orig, r in zip(stacks[:2], res.results):
             assert np.abs(orig - r.reconstruction).max() <= \
                 0.01 * (1 + 1e-9)
@@ -71,6 +72,14 @@ class TestCodecEngine:
             engine.compress(stacks[:1], bound=0.1, nrmse_bound=0.1)
         with pytest.raises(TypeError):
             engine.compress(stacks[:1], nrmse_bound=0.1)
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_raw_float_bound_refused(self, stacks, executor):
+        """A codec-native float is refused with Codec.native_bound's
+        one TypeError; it goes to Codec.compress directly."""
+        engine = CodecEngine("szlike", max_workers=2, executor=executor)
+        with pytest.raises(TypeError, match="must be a Bound"):
+            engine.compress(stacks[:2], bound=0.1)
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
@@ -89,15 +98,17 @@ class TestCodecEngine:
             # rule-based codec without a bound
             engine.compress([np.zeros((4, 4, 4)), np.zeros((4, 4, 4))])
 
-    def test_bound_object_matches_legacy_kwargs(self, stacks):
-        """A typed bound writes what the codec's legacy kwargs write."""
+    def test_bound_object_matches_native_float(self, stacks):
+        """A typed bound writes what its native float, converted per
+        stack, writes through Codec.compress."""
         codec = get_codec("szlike")
         engine = CodecEngine(codec, max_workers=2, base_seed=4)
-        typed = engine.compress(stacks, bound=Bound.nrmse(0.05))
+        bound = Bound.nrmse(0.05)
+        typed = engine.compress(stacks, bound=bound)
         for i, (stack, r) in enumerate(zip(stacks, typed.results)):
-            legacy = codec.compress_bounded(stack, nrmse_bound=0.05,
-                                            seed=engine.seed_for(i))
-            assert r.payload == legacy.payload
+            native = codec.compress(stack, bound.native_for(codec, stack),
+                                    seed=engine.seed_for(i))
+            assert r.payload == native.payload
 
 
 def test_parallel_map_removed():

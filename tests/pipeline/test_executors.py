@@ -177,8 +177,9 @@ class TestCodecSpecs:
         with pytest.raises(TypeError):
             wrapped.to_spec()
         engine = CodecEngine(wrapped, executor="process")
-        with pytest.raises(TypeError, match="serial or thread"):
-            engine.compress([np.zeros((4, 8, 8))], bound=0.1)
+        with pytest.raises(TypeError, match="cannot be shipped"):
+            engine.compress([np.zeros((4, 8, 8))],
+                            bound=Bound.pointwise(0.1))
 
     def test_artifact_spec_roundtrip_trained(self, tmp_path):
         """A trained codec saved to an artifact is spec-portable."""
@@ -245,8 +246,10 @@ class TestTrainedCodecExecutorEquivalence:
         clone = Codec.load_artifact(path)
         frames = np.random.default_rng(9).normal(
             size=(4, 8, 8)).cumsum(axis=0)
-        a = codec.compress_bounded(frames, nrmse_bound=0.05, seed=2)
-        b = clone.compress_bounded(frames, nrmse_bound=0.05, seed=2)
+        a = codec.compress_bounded(frames, bound=Bound.nrmse(0.05),
+                                   seed=2)
+        b = clone.compress_bounded(frames, bound=Bound.nrmse(0.05),
+                                   seed=2)
         assert a.payload == b.payload
         np.testing.assert_array_equal(clone.decompress(a.payload),
                                       a.reconstruction)

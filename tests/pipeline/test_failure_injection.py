@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro import CompressedBlob, LatentDiffusionCompressor, tiny
+from repro.bound import Bound
 from repro.postprocess import ErrorBoundCorrector, ResidualPCA
+
+
+def _tau(frames, target: float) -> float:
+    """The L2 ``tau`` (Sec. 3.5) of an NRMSE target (Eq. 12)."""
+    return Bound.nrmse(target).to("l2", frames=frames).value
+
 
 CFG = tiny()
 
@@ -44,7 +51,7 @@ class TestCorruptedStreams:
         """Corrupting the coded correction must either raise or change
         the output — never silently reproduce the bounded result."""
         _, compressor, frames, _ = trained
-        res = compressor.compress(frames, nrmse_bound=0.05)
+        res = compressor.compress(frames, error_bound=_tau(frames, 0.05))
         blob = CompressedBlob.from_bytes(res.blob.to_bytes())
         payload = bytearray(blob.bound_payload)
         # hit the coded-integer section, not the geometry header
@@ -62,7 +69,7 @@ class TestCorruptedStreams:
 class TestModelMismatch:
     def test_wrong_corrector_block_raises(self, trained):
         trainer, compressor, frames, _ = trained
-        res = compressor.compress(frames, nrmse_bound=0.05)
+        res = compressor.compress(frames, error_bound=_tau(frames, 0.05))
         wrong_pca = ResidualPCA(block=CFG.pipeline.pca_block + 1,
                                 rank=4).fit(np.zeros((4, 16, 16)) +
                                             np.random.default_rng(0)
@@ -75,7 +82,7 @@ class TestModelMismatch:
 
     def test_decompress_without_corrector_raises(self, trained):
         trainer, compressor, frames, _ = trained
-        res = compressor.compress(frames, nrmse_bound=0.05)
+        res = compressor.compress(frames, error_bound=_tau(frames, 0.05))
         bare = LatentDiffusionCompressor(trainer.vae, trainer.ddpm,
                                          CFG.pipeline)
         with pytest.raises(ValueError):
@@ -92,8 +99,9 @@ class TestModelMismatch:
 
     def test_different_seed_different_blob_same_bound(self, trained):
         _, compressor, frames, _ = trained
-        r1 = compressor.compress(frames, nrmse_bound=0.05, noise_seed=1)
-        r2 = compressor.compress(frames, nrmse_bound=0.05, noise_seed=2)
+        tau = _tau(frames, 0.05)
+        r1 = compressor.compress(frames, error_bound=tau, noise_seed=1)
+        r2 = compressor.compress(frames, error_bound=tau, noise_seed=2)
         assert r1.achieved_nrmse <= 0.05 * (1 + 1e-9)
         assert r2.achieved_nrmse <= 0.05 * (1 + 1e-9)
         # reconstructions differ (different sampling noise) but both

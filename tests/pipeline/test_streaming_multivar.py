@@ -59,7 +59,7 @@ class TestCodecBackedContainers:
 
     def test_streaming_with_rule_based_codec(self):
         frames = self._frames()
-        archive = _stream("szlike", frames, nrmse_bound=0.05,
+        archive = _stream("szlike", frames, bound=Bound.nrmse(0.05),
                           chunk_windows=6)
         assert archive.stats["frames"] == frames.shape[0]
         assert {m.codec for m in archive.index()} == {"szlike"}
@@ -72,7 +72,7 @@ class TestCodecBackedContainers:
 
     def test_streaming_codec_mismatch_rejected(self):
         frames = self._frames()
-        archive = _stream("szlike", frames, nrmse_bound=0.05,
+        archive = _stream("szlike", frames, bound=Bound.nrmse(0.05),
                           chunk_windows=6)
         with _session("mgard") as other:
             with pytest.raises(SessionError, match="szlike"):

@@ -94,8 +94,8 @@ class TestBundleRoundtrip:
 
 
 class TestBundleFormats:
-    """save_bundle now writes codec artifacts; legacy pre-manifest
-    bundles must keep loading byte-for-byte."""
+    """save_bundle writes codec artifacts, the only format that
+    loads."""
 
     def test_new_bundles_are_artifacts(self, tmp_path):
         from repro.pipeline.artifacts import is_artifact, read_manifest
@@ -107,22 +107,48 @@ class TestBundleFormats:
         assert manifest.codec == "ours"
         assert len(manifest.state_hash) == 64
 
-    def test_legacy_bundle_still_loads(self, tmp_path):
-        """A pre-artifact .npz (state arrays, no manifest) loads and
-        reproduces compression exactly."""
-        from repro.pipeline.artifacts import is_artifact
+    def test_pre_manifest_bundle_is_refused(self, tmp_path, capsys):
+        """A pre-artifact .npz (state arrays, no manifest) gets a typed
+        error naming the file from every loader, never a KeyError."""
+        from repro.api import Session, SessionError
+        from repro.cli import main
+        from repro.codecs import LatentDiffusionCodec
         from repro.pipeline.bundle import compressor_state
         comp = _compressor(with_corrector=True, seed=5)
         legacy = str(tmp_path / "legacy.npz")
         # the historical save_bundle layout: bare state arrays
         np.savez_compressed(legacy, **compressor_state(comp))
-        assert not is_artifact(legacy)
-        restored = load_bundle(legacy)
+        with pytest.raises(ValueError, match="legacy.npz"):
+            load_bundle(legacy)
+        with pytest.raises(ValueError, match="legacy.npz"):
+            LatentDiffusionCodec.from_bundle(legacy)
+        with pytest.raises(ValueError, match="legacy.npz"):
+            Session(model=legacy).compress(np.zeros((4, 16, 16)))
+        with pytest.raises(SessionError, match="legacy.npz"):
+            Session().info(legacy)
+        assert main(["info", legacy]) == 2
+        assert "legacy.npz" in capsys.readouterr().err
+
+    def test_saved_config_with_retired_error_bound_loads(self):
+        """States saved while PipelineConfig had an (unread)
+        ``error_bound`` field carry it as null; it is dropped."""
+        import json
+
+        from repro.pipeline.bundle import (compressor_from_state,
+                                           compressor_state)
+        comp = _compressor(with_corrector=True, seed=5)
+        state = compressor_state(comp)
+        cfg = json.loads(bytes(state["config_json"]).decode())
+        assert "error_bound" not in cfg["pipeline"]
+        cfg["pipeline"]["error_bound"] = None
+        state["config_json"] = np.frombuffer(json.dumps(cfg).encode(),
+                                             dtype=np.uint8)
+        restored = compressor_from_state(state)
+        assert restored.config == comp.config
         frames = np.random.default_rng(8).standard_normal((4, 16, 16))
-        r0 = comp.compress(frames, noise_seed=2)
-        r1 = restored.compress(frames, noise_seed=2)
+        r0 = comp.compress(frames, error_bound=20.0, noise_seed=2)
+        r1 = restored.compress(frames, error_bound=20.0, noise_seed=2)
         assert r1.blob.to_bytes() == r0.blob.to_bytes()
-        assert restored.corrector is not None
 
     def test_artifact_bundle_is_process_portable(self, tmp_path):
         """Bundles written today feed process-pool sweeps directly."""

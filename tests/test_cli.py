@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro import nrmse
+from repro.bound import Bound
 from repro.cli import load_bundle, main, save_bundle
 from repro.data import E3SMSynthetic
 
@@ -84,7 +85,8 @@ class TestBundleRoundtrip:
         _, _, model, frames = trained_cli
         comp = load_bundle(model)
         assert comp.corrector is not None
-        res = comp.compress(frames, nrmse_bound=0.05)
+        tau = Bound.nrmse(0.05).to("l2", frames=frames).value
+        res = comp.compress(frames, error_bound=tau)
         assert res.achieved_nrmse <= 0.05 * (1 + 1e-9)
 
     def test_bundle_keeps_schedule(self, trained_cli):
