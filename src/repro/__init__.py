@@ -45,8 +45,7 @@ from .metrics import (CompressionAccounting, compression_ratio,
 from .pipeline import (ArtifactManifest, ArtifactStore, BatchResult,
                        CodecEngine, CompressedBlob, CompressionResult,
                        LatentDiffusionCompressor, TrainingConfig,
-                       TwoStageTrainer, load_artifact, load_bundle,
-                       save_artifact, save_bundle, train_compressor)
+                       TwoStageTrainer, load_artifact, save_artifact)
 from .codecs import (Codec, CodecResult, as_codec, get_codec, list_codecs,
                      register_codec)
 from .api import Archive, Bound, Session, SessionError
@@ -60,8 +59,7 @@ __all__ = [
     "nrmse", "rmse", "mse", "psnr", "ssim", "temporal_autocorrelation",
     "decorrelation_time", "CompressionAccounting", "compression_ratio",
     "LatentDiffusionCompressor", "CompressionResult", "CompressedBlob",
-    "TwoStageTrainer", "TrainingConfig", "train_compressor",
-    "save_bundle", "load_bundle",
+    "TwoStageTrainer", "TrainingConfig",
     "ArtifactStore", "ArtifactManifest", "save_artifact", "load_artifact",
     "CodecEngine", "BatchResult",
     "Codec", "CodecResult", "register_codec", "get_codec", "list_codecs",

@@ -60,8 +60,9 @@ import numpy as np
 
 from .bound import Bound
 from .codecs.base import check_bound
-from .codecs import (Codec, LatentDiffusionCodec, as_codec, get_codec,
-                     is_envelope, pack_envelope, unpack_envelope)
+from .codecs import (Codec, LatentDiffusionCodec, as_codec, codec_specs,
+                     get_codec, is_envelope, pack_envelope,
+                     unpack_envelope)
 from .data.base import SpatiotemporalDataset, train_test_windows
 from .data.registry import (DatasetSpec, get_dataset_spec, list_datasets,
                             spec_of)
@@ -384,15 +385,15 @@ class Session:
         Default codec for :meth:`compress`: a registry name, a
         :class:`~repro.codecs.base.Codec`, or a native compressor
         object (anything :func:`repro.codecs.as_codec` accepts).
-        Defaults to the paper's pipeline (``"ours"``, which needs
-        ``model`` or ``artifact`` to be usable).
-    model:
-        Trained model bundle path (``.npz``) for the ``"ours"`` codec.
+        Defaults to the paper's pipeline (``"ours"``); like every
+        learned codec it is usable only trained, from ``artifact`` or
+        as a :class:`~repro.codecs.base.Codec` object.
     artifact:
         Model artifact path (``.npz`` written by
         :meth:`~repro.codecs.base.Codec.save_artifact` /
-        ``repro train``); loads the trained codec it holds and makes
-        it this session's default.
+        ``repro train``), the one way to name a trained model; loads
+        the trained codec it holds and makes it this session's
+        default.
     store:
         :class:`~repro.pipeline.artifacts.ArtifactStore` (or its root
         directory) used by :meth:`train` when saving to a store.
@@ -426,15 +427,13 @@ class Session:
     """
 
     def __init__(self, codec: Union[str, Codec, object, None] = None,
-                 *, model: Optional[str] = None,
-                 artifact: Optional[str] = None,
+                 *, artifact: Optional[str] = None,
                  store: Union[ArtifactStore, str, os.PathLike,
                               None] = None,
                  executor: Union[str, TaskRuntime] = "thread",
                  workers: Optional[int] = None,
                  seed: int = 0, chunk_windows: int = 4,
                  entropy_backend: Optional[str] = None):
-        self.model = model
         self.seed = seed
         self.chunk_windows = chunk_windows
         self.entropy_backend = _entropy_name(entropy_backend,
@@ -516,9 +515,11 @@ class Session:
         ``None`` resolves the session default; a name goes through the
         registry (consulting the session's cache of trained codecs
         first); anything else is adopted via
-        :func:`repro.codecs.as_codec`.  Learned codecs that need
-        training raise with a pointer at the artifact workflow, and
-        ``"ours"`` loads the session's ``model`` bundle.
+        :func:`repro.codecs.as_codec`.  A learned codec that needs
+        training (``"ours"`` included) resolves only from the
+        session's ``artifact`` or a codec object; by name alone it
+        raises with a pointer at the artifact workflow, before any
+        model is built.
         """
         if codec is None:
             if self._default is not None:
@@ -530,18 +531,13 @@ class Session:
         cached = self._codecs.get(name)
         if cached is not None:
             return cached
-        if name == DEFAULT_CODEC:
-            if not self.model or self.model == "-":
-                raise SessionError(
-                    "codec 'ours' needs a trained model bundle (.npz)")
-            resolved = LatentDiffusionCodec.from_bundle(self.model)
-        else:
-            resolved = get_codec(name)  # KeyError lists registered
-            if resolved.capabilities.needs_training:
-                raise SessionError(
-                    f"codec {name!r} is learning-based; train it first "
-                    f"(repro train --codec {name}) and pass the saved "
-                    f"model with --codec-artifact")
+        entry = codec_specs().get(name)
+        if entry is not None and entry.cls.capabilities.needs_training:
+            raise SessionError(
+                f"codec {name!r} is learning-based; train it first "
+                f"(repro train --codec {name}) and pass the saved "
+                f"model with --codec-artifact")
+        resolved = get_codec(name)  # KeyError lists registered
         self._codecs[name] = resolved
         return resolved
 
@@ -810,8 +806,7 @@ class Session:
         byte-identical to an uninterrupted run.
 
         The journal is fingerprinted over the sweep's canonical facts
-        (dataset spec, codec spec, bound, entropy backend, seed, the
-        shard grid and the integer payload format); reusing a journal
+        (:meth:`sweep_facts`); reusing a journal
         with different parameters, or one written in another payload
         format, raises :class:`SessionError` instead of silently
         mixing results.  ``resume=False`` refuses a journal that
@@ -839,19 +834,10 @@ class Session:
 
         jr = None
         if journal is not None:
-            try:
-                codec_spec = resolved.to_spec()
-            except TypeError:
-                codec_spec = {"codec": resolved.name}
-            facts = {"dataset": dataclasses.asdict(spec),
-                     "codec": codec_spec,
-                     "bound": (None if check_bound(bound) is None
-                               else [bound.kind, bound.value]),
-                     "entropy_backend": entropy,
-                     "payload_format": PAYLOAD_FORMAT,
-                     "seed": seed, "shards": shards, "window": window,
-                     "variables": (None if variables is None
-                                   else list(variables))}
+            facts = self.sweep_facts(spec, codec=resolved, bound=bound,
+                                     variables=variables, shards=shards,
+                                     window=window, seed=seed,
+                                     entropy_backend=entropy)
             try:
                 jr = SweepJournal(journal,
                                   fingerprint=facts_fingerprint(facts))
@@ -882,6 +868,42 @@ class Session:
         if journal is not None:
             archive.stats["journal"] = os.fspath(journal)
         return archive
+
+    def sweep_facts(self, dataset, *,
+                    codec: Union[str, Codec, object, None] = None,
+                    bound: Optional[Bound] = None,
+                    variables: Optional[Sequence[int]] = None,
+                    shards: Optional[int] = None,
+                    window: Optional[int] = None,
+                    seed: Optional[int] = None,
+                    dataset_overrides: Optional[dict] = None,
+                    entropy_backend: Optional[str] = None) -> dict:
+        """The resolved facts a :meth:`sweep`'s archive bytes depend on:
+        dataset spec, codec spec, bound, entropy backend, integer
+        payload format, seed, shard grid and variables.  Two spellings
+        of one sweep give equal facts.  A sweep journal is fingerprinted
+        over them, and the service keys cached compress results on
+        them.  A codec without a portable spec (wrapped or trained in
+        memory) is named by its registry name."""
+        resolved = self.resolve_codec(codec)
+        try:
+            codec_spec = resolved.to_spec()
+        except TypeError:
+            codec_spec = {"codec": resolved.name}
+        if window is None and shards is None:
+            shards = 1
+        return {"dataset": dataclasses.asdict(
+                    self._dataset_spec(dataset, dataset_overrides)),
+                "codec": codec_spec,
+                "bound": (None if check_bound(bound) is None
+                          else [bound.kind, bound.value]),
+                "entropy_backend": _entropy_name(entropy_backend,
+                                                 self.entropy_backend),
+                "payload_format": PAYLOAD_FORMAT,
+                "seed": self.seed if seed is None else seed,
+                "shards": shards, "window": window,
+                "variables": (None if variables is None
+                              else list(variables))}
 
     def _compress_multivar(self, data, codec, bound, names, seed,
                            entropy: str) -> Archive:
@@ -936,7 +958,7 @@ class Session:
         raises :class:`ArchiveIndexError` rather than decoding into a
         wrong array.  Codecs are resolved from the streams themselves
         through the session (so trained state loaded via
-        ``artifact``/``model`` is picked up); with ``expect_codec`` a
+        ``artifact`` is picked up); with ``expect_codec`` a
         mismatching stream raises instead.
 
         ``select`` turns this into a *partial* decode that touches
@@ -987,17 +1009,6 @@ class Session:
                         message: str) -> None:
         if expect and expect != name:
             raise SessionError(message)
-
-    def _ours_codec(self) -> Codec:
-        """The pipeline codec, with a blob-specific missing-model hint."""
-        try:
-            return self.resolve_codec(DEFAULT_CODEC)
-        except SessionError:
-            if not self.model or self.model == "-":
-                raise SessionError(
-                    "raw pipeline streams need a trained model bundle "
-                    "(.npz)") from None
-            raise
 
     # -- partial / parallel member decode -------------------------------
     @staticmethod
@@ -1078,8 +1089,7 @@ class Session:
         out: List[Optional[np.ndarray]] = [None] * len(named)
         for name, idxs in groups.items():
             try:
-                codec = (self._ours_codec() if name is None
-                         else self.resolve_codec(name))
+                codec = self.resolve_codec(name or DEFAULT_CODEC)
             except KeyError:
                 raise SessionError(
                     f"{context} was written by codec {name!r}, which "
@@ -1174,7 +1184,6 @@ class Session:
             trainer.finetune_diffusion(train)
         # build (and corrector-fit) the deployable compressor once,
         # then persist that same codec with the trainer's provenance
-        # (what export_artifact records, without a second build)
         trained = LatentDiffusionCodec(
             compressor=trainer.build_compressor(train))
         training_meta = {**dataclasses.asdict(trainer.train_cfg),

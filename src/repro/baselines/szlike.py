@@ -18,12 +18,14 @@ the quantization bins [27].  This module implements the same family for
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
+from ..entropy.coder import EntropyDecodeError
 from ..postprocess.coding import decode_ints, encode_ints
 
 __all__ = ["SZLikeCompressor"]
@@ -48,6 +50,13 @@ def _interp_plan(shape: Tuple[int, ...], max_level: int) -> List[_Plan]:
             if shape[axis] > step:
                 plans.append(_Plan(axis=axis, step=step))
     return plans
+
+
+def _check_count(q: np.ndarray, expected: int, shape) -> None:
+    if q.size != expected:
+        raise EntropyDecodeError(
+            f"SZ-like stream holds {q.size} samples where header shape "
+            f"{shape} implies {expected}")
 
 
 class SZLikeCompressor:
@@ -115,16 +124,20 @@ class SZLikeCompressor:
         T, H, W, eb = struct.unpack_from("<IIId", data, 4)
         pos = 4 + struct.calcsize("<IIId")
         shape = (T, H, W)
-        recon = np.zeros(shape)
 
+        # the coarse lattice decodes first: its sample count must be the
+        # one the header's shape implies before that shape is allocated
         cs = 2 ** self.max_level
         q0, pos = decode_ints(data, pos)
-        recon[::cs, ::cs, ::cs] = (
-            q0.reshape(recon[::cs, ::cs, ::cs].shape) * (2 * eb))
+        lattice = tuple(-(-n // cs) for n in shape)
+        _check_count(q0, math.prod(lattice), shape)
+        recon = np.zeros(shape)
+        recon[::cs, ::cs, ::cs] = q0.reshape(lattice) * (2 * eb)
 
         for plan in _interp_plan(shape, self.max_level):
             pred, targets = self._predict(recon, shape, plan)
             q, pos = decode_ints(data, pos)
+            _check_count(q, pred.size, shape)
             recon[targets] = pred + q.reshape(pred.shape) * (2 * eb)
         return recon
 

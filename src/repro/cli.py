@@ -35,8 +35,10 @@ A model artifact holds a trained codec's state plus a provenance
 manifest (codec spec, training config, dataset spec, state hash), so a
 single file moves any trained codec between machines — and because
 artifact-loaded codecs are spec-portable, straight into process-pool
-sweeps.  Model-free codecs (the rule-based families) take ``-`` in
-place of the bundle path.
+sweeps.  The artifact is the only way to name a trained model:
+``train --save`` writes one, ``--codec-artifact`` loads one into
+``compress``, ``sweep`` and ``decompress``; model-free codecs (the
+rule-based families) need neither.
 """
 
 from __future__ import annotations
@@ -53,12 +55,11 @@ from .codecs import codec_specs, get_codec, list_codecs
 from .data.registry import (dataset_entries, get_dataset_spec,
                             list_datasets)
 from .entropy.backend import list_backends as list_entropy_backends
-from .pipeline.bundle import load_bundle, save_bundle
 from .runtime import MODES as EXECUTOR_MODES
 
-__all__ = ["main", "save_bundle", "load_bundle"]
+__all__ = ["main", "build_parser"]
 
-#: the default codec — the paper's pipeline, loaded from a bundle
+#: the default codec — the paper's pipeline, loaded from an artifact
 _DEFAULT_CODEC = "ours"
 
 #: exceptions the facade raises for user-input problems; printed as
@@ -69,6 +70,17 @@ _USER_ERRORS = (SessionError, KeyError, ValueError, TypeError)
 def _fail(exc) -> int:
     print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
     return 2
+
+
+def _refuse_model(path: Optional[str]) -> bool:
+    """Refuse (print why, return True) a model ``.npz`` given where a
+    stack or an archive goes: a trained model is named only by
+    ``--codec-artifact``."""
+    if path and path.endswith(".npz"):
+        print(f"error: {path} is a model file; pass it with "
+              f"--codec-artifact", file=sys.stderr)
+        return True
+    return False
 
 
 def _parse_shape(text: str):
@@ -120,7 +132,6 @@ def _bound(args: argparse.Namespace, codec) -> Optional[Bound]:
 def _session(args: argparse.Namespace, **extra) -> Session:
     """Build the session an invocation configures."""
     return Session(codec=getattr(args, "codec", None),
-                   model=getattr(args, "model", None),
                    artifact=getattr(args, "codec_artifact", None),
                    seed=getattr(args, "seed", 0),
                    entropy_backend=getattr(args, "entropy_backend", None),
@@ -131,10 +142,10 @@ def _session(args: argparse.Namespace, **extra) -> Session:
 # Subcommands
 # ----------------------------------------------------------------------
 def _cmd_train(args: argparse.Namespace) -> int:
-    save = args.save or args.model
+    save = args.save
     if not save:
-        print("error: give an output model path (--save PATH or the "
-              "positional model argument)", file=sys.stderr)
+        print("error: give an output model path (--save PATH)",
+              file=sys.stderr)
         return 2
     if not save.endswith(".npz"):
         save += ".npz"  # mirror np.savez so the printed path is real
@@ -196,37 +207,17 @@ def _cmd_datasets(args: argparse.Namespace) -> int:
     return 0
 
 
-def _rebind_dataset_positionals(args: argparse.Namespace
-                                ) -> Optional[str]:
-    """Dataset mode takes no input file; re-bind the positionals as
-    ``(model?, output?)`` so ``compress --dataset d out.cdx`` and
-    ``compress --dataset d model.npz out.ldc`` both do what they say.
-    Returns an error message on misuse."""
-    pos = [p for p in (args.model, args.data, args.output)
-           if p is not None]
-    args.model, args.data, args.output = "-", None, None
-    if len(pos) == 1:
-        if pos[0].endswith(".npz"):
-            args.model = pos[0]
-        elif pos[0] != "-":
-            args.output = pos[0]
-    elif len(pos) >= 2:
-        args.model = pos[0]
-        if pos[-1] != "-":
-            args.output = pos[-1]
-        if len(pos) == 3 and pos[1] != "-":
-            return ("--dataset generates its own frames; drop the "
-                    "input file argument")
-    return None
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
+    if _refuse_model(args.data):
+        return 2
     if args.dataset is not None:
-        problem = _rebind_dataset_positionals(args)
-        if problem:
-            print(f"error: {problem}", file=sys.stderr)
+        # dataset mode takes no input file: one positional is the output
+        if args.output is not None:
+            print("error: --dataset generates its own frames; drop the "
+                  "input file argument", file=sys.stderr)
             return 2
-    elif not args.data or args.data == "-":
+        args.output, args.data = args.data, None
+    elif not args.data:
         print("error: give a .npy input file or --dataset NAME "
               f"(registered: {', '.join(list_datasets())})",
               file=sys.stderr)
@@ -321,6 +312,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompress(args: argparse.Namespace) -> int:
+    if _refuse_model(args.data):
+        return 2
     try:
         selects = [_parse_select(s) for s in (args.select or [])]
         select = (None if not selects
@@ -516,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "save a model artifact")
     t.add_argument("data", nargs="?", default=None,
                    help="(T, H, W) .npy file (omit with --dataset)")
-    t.add_argument("model", nargs="?", default=None,
-                   help="output model artifact (.npz); or use --save")
     t.add_argument("--codec", default=_DEFAULT_CODEC,
                    help="trainable codec name: ours (default), "
                         "vae-sr, cdc-eps, cdc-x, gcd")
@@ -558,13 +549,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("compress", help="compress a .npy stack or a "
                                         "registered dataset")
-    c.add_argument("model", nargs="?", default="-",
-                   help="model bundle (.npz); '-' for model-free codecs")
     c.add_argument("data", nargs="?", default=None,
-                   help="(T, H, W) .npy file (omit with --dataset)")
+                   help="(T, H, W) .npy file; with --dataset, the "
+                        "output path instead (default "
+                        "<dataset>-<codec>.cdx)")
     c.add_argument("output", nargs="?", default=None,
-                   help="output compressed stream (defaults to "
-                        "<dataset>-<codec>.cdx in dataset mode)")
+                   help="output compressed stream")
     c.add_argument("--codec", default=_DEFAULT_CODEC,
                    help="registered codec name (see 'repro codecs')")
     c.add_argument("--codec-artifact", default=None,
@@ -658,8 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.set_defaults(fn=_cmd_sweep)
 
     d = sub.add_parser("decompress", help="reconstruct a stream")
-    d.add_argument("model", help="model bundle (.npz); '-' for "
-                                 "model-free codecs")
     d.add_argument("data", help="compressed stream file")
     d.add_argument("output", help="output .npy path")
     d.add_argument("--codec", default=None,

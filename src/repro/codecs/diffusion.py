@@ -5,23 +5,29 @@ LatentDiffusionCompressor`.  The codec payload is simply the
 :class:`~repro.pipeline.blob.CompressedBlob` wire format.  An
 untrained tiny/small-preset compressor is constructed when
 none is supplied (useful for smoke tests); production use wraps a
-trained compressor or loads one with :meth:`LatentDiffusionCodec.
-from_bundle`.
+trained compressor or loads one from a model artifact
+(:func:`~repro.pipeline.artifacts.load_artifact`,
+``Session(artifact=...)``, ``--codec-artifact``), whose state this
+codec writes with every config inside (:meth:`LatentDiffusionCodec.
+artifact_state`).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..compression import VAEHyperprior
-from ..config import small, tiny
+from ..config import ReproConfig, small, tiny
 from ..diffusion import ConditionalDDPM
 from ..pipeline.blob import CompressedBlob
 from ..pipeline.compressor import (CompressionResult,
                                    LatentDiffusionCompressor)
+from ..postprocess import ErrorBoundCorrector, ResidualPCA
 from .base import Bound, Codec, CodecCapabilities, CodecResult
 from .registry import register_codec
 
@@ -54,42 +60,63 @@ class LatentDiffusionCodec(Codec):
             return cls(compressor=obj)
         return None
 
-    @classmethod
-    def from_bundle(cls, path: str) -> "LatentDiffusionCodec":
-        """Load a trained model bundle (see ``repro.pipeline.bundle``).
-
-        The codec comes back *spec-portable* (it remembers the
-        artifact path, so process-pool sweeps work).  A ``.npz``
-        without an artifact manifest raises ``ValueError``.
-        """
-        from ..pipeline.artifacts import load_artifact
-        codec = load_artifact(path)
-        if not isinstance(codec, cls):
-            raise ValueError(f"{path!r} is a {codec.name!r} "
-                             f"artifact, not an 'ours' bundle")
-        return codec
-
     # -- trained-state artifacts ----------------------------------------
-    def artifact_state(self) -> dict:
-        """Bundle-layout state (vae/ddpm/pca arrays + config JSON)."""
-        from ..pipeline.bundle import compressor_state
-        return compressor_state(self._impl)
+    def artifact_state(self) -> Dict[str, np.ndarray]:
+        """The compressor as ``{name: array}``: ``vae/*`` and ``ddpm/*``
+        weights, ``pca/basis`` when a corrector is fitted, and
+        ``config_json`` (uint8-encoded JSON with every config plus
+        schedule/dtype metadata)."""
+        comp = self._impl
+        cfg = {
+            "vae": dataclasses.asdict(comp.vae.cfg),
+            "diffusion": dataclasses.asdict(comp.ddpm.cfg),
+            "pipeline": dataclasses.asdict(comp.config),
+            "schedule_steps": comp.ddpm.schedule.steps,
+            "original_dtype_bytes": comp.original_dtype_bytes,
+        }
+        arrays: Dict[str, np.ndarray] = {}
+        for name, arr in comp.vae.state_dict().items():
+            arrays[f"vae/{name}"] = arr
+        for name, arr in comp.ddpm.state_dict().items():
+            arrays[f"ddpm/{name}"] = arr
+        if comp.corrector is not None:
+            pca = comp.corrector.pca
+            arrays["pca/basis"] = pca.basis
+            cfg["pca"] = {"block": pca.block, "rank": pca.rank,
+                          "coeff_quant_bits":
+                              comp.corrector.coeff_quant_bits}
+        arrays["config_json"] = np.frombuffer(
+            json.dumps(cfg).encode(), dtype=np.uint8)
+        return arrays
 
     @classmethod
-    def from_artifact_state(cls, state: dict) -> "LatentDiffusionCodec":
-        """Construct directly from saved state — the config travels
+    def from_artifact_state(cls, state: Dict[str, np.ndarray]
+                            ) -> "LatentDiffusionCodec":
+        """Inverse of :meth:`artifact_state`.  The config travels
         inside ``config_json``, so no throwaway preset model is built
         (the artifact-load fast path used by process-pool workers)."""
-        from ..pipeline.bundle import compressor_from_state
-        return cls(compressor=compressor_from_state(state))
-
-    def load_artifact_state(self, state: dict) -> None:
-        """Rebuild the wrapped compressor wholesale from saved state."""
-        from ..pipeline.bundle import compressor_from_state
-        self._impl = compressor_from_state(state)
+        cfg = json.loads(bytes(state["config_json"]).decode())
+        config = ReproConfig.from_saved(cfg)
+        vae = VAEHyperprior(config.vae)
+        vae.load_state_dict({k[len("vae/"):]: state[k]
+                             for k in state if k.startswith("vae/")})
+        ddpm = ConditionalDDPM(config.diffusion)
+        ddpm.load_state_dict({k[len("ddpm/"):]: state[k]
+                              for k in state if k.startswith("ddpm/")})
+        ddpm.set_schedule(int(cfg["schedule_steps"]))
+        corrector = None
+        if "pca/basis" in state:
+            pca = ResidualPCA.from_state({
+                "block": cfg["pca"]["block"], "rank": cfg["pca"]["rank"],
+                "basis": state["pca/basis"]})
+            corrector = ErrorBoundCorrector(
+                pca, coeff_quant_bits=cfg["pca"]["coeff_quant_bits"])
+        return cls(compressor=LatentDiffusionCompressor(
+            vae, ddpm, config.pipeline, corrector=corrector,
+            original_dtype_bytes=int(cfg["original_dtype_bytes"])))
 
     def artifact_params(self) -> dict:
-        # the state embeds the full config (compressor_state), so no
+        # the state embeds the full config (artifact_state), so no
         # constructor recipe is required; keep the preset if known
         params = getattr(self, "_spec_params", None)
         return dict(params) if params else {}

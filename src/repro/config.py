@@ -98,14 +98,6 @@ class PipelineConfig:
         if self.window < 2:
             raise ValueError("window must be >= 2")
 
-    @classmethod
-    def from_saved(cls, saved: dict) -> "PipelineConfig":
-        """Rebuild from a saved ``dataclasses.asdict`` dict.  Configs
-        saved before the unread ``error_bound`` field was removed still
-        carry it (as ``null``); it is dropped."""
-        return cls(**{k: v for k, v in saved.items()
-                      if k != "error_bound"})
-
 
 @dataclass(frozen=True)
 class ReproConfig:
@@ -125,6 +117,22 @@ class ReproConfig:
             raise ValueError(
                 "pipeline window must equal diffusion num_frames "
                 f"({self.pipeline.window} vs {self.diffusion.num_frames})")
+
+    @classmethod
+    def from_saved(cls, saved: dict) -> "ReproConfig":
+        """Rebuild from the ``vae``/``diffusion``/``pipeline`` dicts a
+        model artifact or a training checkpoint saved
+        (``dataclasses.asdict`` through JSON, which turned
+        ``channel_mults`` into a list); other keys are ignored.  A
+        pipeline config saved before the unread ``error_bound`` field
+        was removed still carries it (as ``null``); it is dropped."""
+        diffusion = dict(saved["diffusion"])
+        diffusion["channel_mults"] = tuple(diffusion["channel_mults"])
+        pipeline = {k: v for k, v in saved["pipeline"].items()
+                    if k != "error_bound"}
+        return cls(vae=VAEConfig(**saved["vae"]),
+                   diffusion=DiffusionConfig(**diffusion),
+                   pipeline=PipelineConfig(**pipeline))
 
 
 def tiny() -> ReproConfig:

@@ -7,13 +7,11 @@
   public compress/decompress API;
 * :mod:`repro.pipeline.training` — the two-stage training protocol of
   Sec. 3.4 plus few-step fine-tuning and corrector fitting;
-* :mod:`repro.pipeline.artifacts` — the codec-agnostic artifact layer:
-  content-addressed persistence of *any* trained codec
-  (:class:`~repro.pipeline.artifacts.ArtifactStore`), with provenance
+* :mod:`repro.pipeline.artifacts` — the one way to save and load a
+  trained model, of any trainable codec (the paper's pipeline
+  included): single-file artifacts and a content-addressed
+  :class:`~repro.pipeline.artifacts.ArtifactStore`, with provenance
   manifests and spec-portability for process-pool sweeps;
-* :mod:`repro.pipeline.bundle` — single-file persistence of a trained
-  latent-diffusion compressor (a thin adapter over the artifact
-  layer);
 * :mod:`repro.pipeline.engine` — the batched parallel execution engine
   that runs any registered codec over windows/variables with
   deterministic seeding (the shard and variable seed strides) and
@@ -38,7 +36,6 @@
 from .artifacts import (ArtifactManifest, ArtifactStore, is_artifact,
                         load_artifact, read_manifest, save_artifact)
 from .blob import CompressedBlob
-from .bundle import load_bundle, save_bundle
 from .compressor import CompressionResult, LatentDiffusionCompressor
 from .container import (ArchiveIndexError, BufferSource, CountingReader,
                         FileObjSource, FileSource, MemberIndex,
@@ -49,12 +46,11 @@ from .plan import (ShardEntry, ShardPlan, ShardTask, assemble_shards,
                    pack_shard_archive, plan_shards, read_members,
                    read_shard_index, time_slices)
 from .sources import ArrayStackSource, NpyStackSource, as_stack_source
-from .training import TrainingConfig, TwoStageTrainer, train_compressor
+from .training import TrainingConfig, TwoStageTrainer
 
 __all__ = [
     "CompressedBlob", "LatentDiffusionCompressor",
     "CompressionResult", "TwoStageTrainer", "TrainingConfig",
-    "train_compressor", "save_bundle", "load_bundle",
     "CodecEngine", "BatchResult", "WindowReport",
     "ArtifactStore", "ArtifactManifest", "save_artifact",
     "load_artifact", "read_manifest", "is_artifact",

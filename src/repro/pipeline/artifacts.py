@@ -1,10 +1,9 @@
 """Codec-agnostic artifact layer: portable trained-codec state.
 
-PR 1–2 made every *untrained* codec spec-portable (registry → planner
-→ executor), but trained state was trapped in memory: only the
-latent-diffusion pipeline could be persisted, through the bespoke
-``pipeline/bundle.py``.  This module generalizes that into a
-content-addressed artifact layer any trainable codec plugs into:
+Every *untrained* codec is spec-portable (registry → planner →
+executor); trained state travels as an artifact, the one way to name,
+save and load a trained model of any trainable codec, the paper's
+pipeline (``"ours"``) included:
 
 * an **artifact** is one ``.npz`` file holding the codec's trained
   state arrays (``state/<name>``) plus a JSON manifest
@@ -25,9 +24,6 @@ content-addressed artifact layer any trainable codec plugs into:
   codecs spec-portable: process-mode :class:`~repro.runtime.TaskRuntime`
   workers rebuild them from ``spec + artifact path`` instead of
   raising.
-
-``save_bundle``/``load_bundle`` (:mod:`repro.pipeline.bundle`) are a
-thin adapter that writes and reads ``"ours"`` artifacts.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from ..nn.optim import Adam, StepLR, clip_grad_norm
 from ..postprocess import ErrorBoundCorrector, ResidualPCA
 from .compressor import LatentDiffusionCompressor
 
-__all__ = ["TrainingConfig", "TwoStageTrainer", "train_compressor"]
+__all__ = ["TrainingConfig", "TwoStageTrainer"]
 
 
 def _normalize_window(window: np.ndarray) -> np.ndarray:
@@ -203,33 +203,6 @@ class TwoStageTrainer:
             self.vae, self.ddpm, self.config.pipeline, corrector=corrector,
             original_dtype_bytes=original_dtype_bytes)
 
-    def export_artifact(self, target, windows: Sequence[np.ndarray],
-                        dataset: Optional[dict] = None,
-                        original_dtype_bytes: int = 4):
-        """Build the deployable compressor and persist it as a codec
-        artifact with training provenance.
-
-        ``target`` is either an :class:`~repro.pipeline.artifacts.
-        ArtifactStore` (returns the content-addressed key) or a file
-        path (returns the :class:`~repro.pipeline.artifacts.
-        ArtifactManifest`).  The manifest records this trainer's
-        :class:`TrainingConfig`, seed and — when given — the dataset
-        spec the windows came from, so ``repro info`` can answer
-        "what trained this model, on what data".
-        """
-        import dataclasses as _dc
-
-        from ..codecs.diffusion import LatentDiffusionCodec
-        from .artifacts import ArtifactStore, save_artifact
-        codec = LatentDiffusionCodec(compressor=self.build_compressor(
-            windows, original_dtype_bytes=original_dtype_bytes))
-        training = {**_dc.asdict(self.train_cfg), "seed": self.seed}
-        if isinstance(target, ArtifactStore):
-            return target.put(codec, training=training, dataset=dataset)
-        return save_artifact(target, codec, training=training,
-                             dataset=dataset)
-
-
     # ------------------------------------------------------------------
     # stage-boundary checkpointing
     # ------------------------------------------------------------------
@@ -267,18 +240,10 @@ class TwoStageTrainer:
     def from_checkpoint(cls, path: str) -> "TwoStageTrainer":
         """Rebuild a trainer (weights, configs, history) from disk."""
         import json
-
-        from ..config import (DiffusionConfig, PipelineConfig, ReproConfig,
-                              VAEConfig)
         with np.load(path) as archive:
             cfg = json.loads(bytes(archive["config_json"]).decode())
-            config = ReproConfig(
-                vae=VAEConfig(**cfg["vae"]),
-                diffusion=DiffusionConfig(
-                    **{k: tuple(v) if k == "channel_mults" else v
-                       for k, v in cfg["diffusion"].items()}),
-                pipeline=PipelineConfig.from_saved(cfg["pipeline"]))
-            trainer = cls(config, TrainingConfig(**cfg["train"]),
+            trainer = cls(ReproConfig.from_saved(cfg),
+                          TrainingConfig(**cfg["train"]),
                           seed=int(cfg["seed"]))
             trainer.vae.load_state_dict(
                 {k[len("vae/"):]: archive[k] for k in archive.files
@@ -293,19 +258,3 @@ class TwoStageTrainer:
             trainer.history.finetune_losses = list(
                 archive["history/finetune"])
         return trainer
-
-
-def train_compressor(config: ReproConfig, windows: Sequence[np.ndarray],
-                     train_cfg: Optional[TrainingConfig] = None,
-                     seed: int = 0, finetune: bool = True,
-                     original_dtype_bytes: int = 4
-                     ) -> LatentDiffusionCompressor:
-    """One-call convenience: full two-stage training -> compressor."""
-    trainer = TwoStageTrainer(config, train_cfg or TrainingConfig(),
-                              seed=seed)
-    trainer.train_vae(windows)
-    trainer.train_diffusion(windows)
-    if finetune:
-        trainer.finetune_diffusion(windows)
-    return trainer.build_compressor(
-        windows, original_dtype_bytes=original_dtype_bytes)

@@ -50,9 +50,8 @@ from typing import Any, Deque, Dict, List, Optional, Union
 
 import numpy as np
 
-from ..api import Archive, Bound, Session, SessionError
+from ..api import Archive, Bound, Session
 from ..data.registry import get_dataset_spec
-from ..postprocess.coding import PAYLOAD_FORMAT
 from ..runtime import TaskRuntime
 from .cache import ResultCache
 from .jobs import (Job, JobError, TERMINAL_STATES, job_id,
@@ -347,9 +346,8 @@ class CompressionService:
 
     def _canonical_facts(self, req: Dict[str, Any]) -> Dict[str, Any]:
         """Resolve a normalized request into the fully-canonical facts
-        the digest (= cache key) is computed over: dataset spec, codec
-        spec, bound, entropy backend, payload format and the
-        deterministic knobs.  Two
+        the digest (= cache key) is computed over; a compress job's are
+        the session's :meth:`~repro.api.Session.sweep_facts`.  Two
         spellings of the same work share one digest; anything the
         registries cannot resolve raises :class:`ServiceError` at
         submission time (HTTP 400), not inside a worker.
@@ -357,29 +355,16 @@ class CompressionService:
         job_type = req["type"]
         facts: Dict[str, Any] = {"type": job_type}
         try:
-            if job_type in ("compress", "train"):
-                spec = self._dataset_spec(req)
-                facts["dataset"] = dataclasses.asdict(spec)
             if job_type == "compress":
-                facts["codec"] = self._codec_spec(req.get("codec"))
-                bound = _parse_bound(req.get("bound"))
-                facts["bound"] = (None if bound is None
-                                  else [bound.kind, bound.value])
-                facts["entropy_backend"] = (
-                    req.get("entropy_backend")
-                    or self.session.entropy_backend)
-                # a result cached in another payload format is not
-                # today's bytes
-                facts["payload_format"] = PAYLOAD_FORMAT
-                facts["variables"] = req.get("variables")
-                facts["shards"] = req.get("shards")
-                facts["seed"] = int(req.get("seed",
-                                            self.session.seed))
+                facts.update(self.session.sweep_facts(
+                    self._dataset_spec(req), **self._compress_kwargs(req)))
             elif job_type == "decompress":
                 facts["source"] = self._source_digest(req)
                 facts["select"] = req.get("select")
                 facts["expect_codec"] = req.get("expect_codec")
             else:  # train
+                facts["dataset"] = dataclasses.asdict(
+                    self._dataset_spec(req))
                 facts["codec"] = req["codec"]
                 facts["variable"] = int(req.get("variable", 0))
                 train = req.get("train") or {}
@@ -407,18 +392,17 @@ class CompressionService:
         overrides.update(req.get("dataset_params") or {})
         return get_dataset_spec(req["dataset"], **overrides)
 
-    def _codec_spec(self, codec: Optional[str]) -> Dict[str, Any]:
-        try:
-            resolved = self.session.resolve_codec(codec)
-        except SessionError as exc:
-            raise ServiceError(exc.args[0]) from None
-        try:
-            return resolved.to_spec()
-        except TypeError:
-            # wrapped/trained-in-memory codecs have no portable spec;
-            # the codec name still keys the cache correctly within
-            # this service instance
-            return {"codec": resolved.name}
+    @staticmethod
+    def _compress_kwargs(req: Dict[str, Any]) -> Dict[str, Any]:
+        """A compress request's ``Session.compress`` arguments besides
+        its dataset; they are also what its cache key is resolved from."""
+        return dict(codec=req.get("codec"),
+                    bound=_parse_bound(req.get("bound")),
+                    variables=req.get("variables"),
+                    shards=req.get("shards"),
+                    seed=(None if req.get("seed") is None
+                          else int(req["seed"])),
+                    entropy_backend=req.get("entropy_backend"))
 
     def _source_digest(self, req: Dict[str, Any]) -> str:
         if req.get("digest"):
@@ -484,15 +468,8 @@ class CompressionService:
         return self._run_train(req)
 
     def _run_compress(self, req: Dict[str, Any]):
-        spec = self._dataset_spec(req)
-        archive = self.session.compress(
-            spec, codec=req.get("codec"),
-            bound=_parse_bound(req.get("bound")),
-            variables=req.get("variables"),
-            shards=req.get("shards"),
-            seed=(None if req.get("seed") is None
-                  else int(req["seed"])),
-            entropy_backend=req.get("entropy_backend"))
+        archive = self.session.compress(self._dataset_spec(req),
+                                        **self._compress_kwargs(req))
         data = archive.to_bytes()
         stats = {k: v for k, v in archive.stats.items()
                  if isinstance(v, (int, float, str, bool))}

@@ -124,9 +124,10 @@ class TestLegacyBundles:
         """Legacy (pre-manifest) bundles are neither archives nor
         model artifacts — Session.info and Archive.open refuse them."""
         from repro.api import Session
-        from repro.pipeline.bundle import compressor_state
+        from repro.codecs import LatentDiffusionCodec
         path = tmp_path / "legacy.npz"
-        np.savez_compressed(path, **compressor_state(trained_compressor))
+        np.savez_compressed(path, **LatentDiffusionCodec(
+            compressor=trained_compressor).artifact_state())
         with pytest.raises(SessionError, match="legacy.npz.*no manifest"):
             Session().info(path)
         with pytest.raises(SessionError, match="not an archive"):

@@ -96,3 +96,54 @@ def test_named_and_timed_members_do_not_mix(session, envelope):
         ShardEntry("stack/v0/t0000-0008", 0, 0, 8, envelope)])
     with pytest.raises(ArchiveIndexError, match="mixes named"):
         session.decompress(Archive.open(data))
+
+
+#: run in a child under a 2 GiB address-space limit, so an allocation
+#: sized from a damaged header fails there as MemoryError instead of
+#: being granted lazily by the kernel
+_SHAPE_FLIPS = r"""
+import json, resource, struct, sys
+import numpy as np
+from repro.api import ArchiveIndexError, Bound, Session, SessionError
+from repro.entropy.coder import EntropyDecodeError
+
+rng = np.random.default_rng(5)
+frames = np.cumsum(rng.standard_normal((8, 8, 8)), axis=0)
+with Session(codec="szlike", executor="serial") as session:
+    envelope = session.compress(frames, bound=Bound.nrmse(1e-3)).data
+    full = session.decompress(envelope)
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    shape_at = 4 + 1 + len("szlike") + 8 + 4   # T, H, W: three u32
+    assert struct.unpack_from("<III", envelope, shape_at) == (8, 8, 8)
+    outcomes = {}
+    for bit in range(96):
+        bad = bytearray(envelope)
+        bad[shape_at + bit // 8] ^= 1 << (bit % 8)
+        try:
+            out = session.decompress(bytes(bad))
+        except (ArchiveIndexError, SessionError, EntropyDecodeError,
+                MemoryError) as exc:
+            outcome = type(exc).__name__
+        else:
+            outcome = ("correct" if np.array_equal(out, full)
+                       else f"wrong {out.shape}")
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+print(json.dumps(outcomes))
+"""
+
+
+def test_shape_flips_never_allocate_from_the_header():
+    """Every bit flip of an szlike payload's (T, H, W) header ends in a
+    typed error before the decoder allocates the shape it names."""
+    import json
+    import os
+    import subprocess
+    import sys
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _SHAPE_FLIPS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    outcomes = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sum(outcomes.values()) == 96
+    assert "MemoryError" not in outcomes
+    assert set(outcomes) <= {"EntropyDecodeError", "correct"}, outcomes

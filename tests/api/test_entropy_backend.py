@@ -166,7 +166,10 @@ class TestDefaultBackendKeys:
     recorded when the default was a process-wide setting and re-pinned
     when the integer payload format joined the facts; the earlier
     values (``PRE_FORMAT``) describe fixed-width payloads, so a
-    journal or cache entry keyed on them is never reused."""
+    journal or cache entry keyed on them is never reused.  The service
+    digest was re-pinned once more when a compress job's facts became
+    the session's sweep facts (which add the shard window); the journal
+    fingerprint did not move."""
 
     REQUEST = {"type": "compress", "dataset": "e3sm", "shape": SHAPE,
                "codec": "szlike", "bound": "nrmse:0.02", "shards": 2,
@@ -184,8 +187,8 @@ class TestDefaultBackendKeys:
                        for extra in ({}, {"entropy_backend": "arithmetic"})]
         finally:
             service.close(drain=False)
-        assert digests == ["a118bbabc0aa887088dc7e39e1a5d92b"
-                           "3fcb8b0a21bd7a2a2e7273d7212e7bb6"] * 2
+        assert digests == ["57109c209f33e4d62fe5c0e709522473"
+                           "0265c1a9f1cf7dd725275c2e61f2b55e"] * 2
 
     def test_pre_format_cache_entry_is_not_served(self, tmp_path):
         service = CompressionService(tmp_path / "cache", start=False)
@@ -307,7 +310,7 @@ class TestCLI:
         assert rc == 0
         archive = Archive.open(out)
         assert archive.kind == "shard"
-        rc = main(["decompress", "-", str(out), str(restored)])
+        rc = main(["decompress", str(out), str(restored)])
         assert rc == 0
         frames = get_dataset("e3sm", t=12, h=16, w=16).frames(0)
         assert nrmse(frames, np.load(restored)) <= TOL

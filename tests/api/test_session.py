@@ -194,9 +194,20 @@ class TestCodecResolution:
         with pytest.raises(KeyError, match="szlike"):
             Session(codec="nope").resolve_codec()
 
-    def test_ours_requires_model(self):
-        with pytest.raises(SessionError, match="trained model bundle"):
-            Session().resolve_codec()
+    def test_ours_requires_model(self, monkeypatch):
+        """``ours`` resolves like every learned codec: from an artifact
+        or a codec object; by name alone it raises before any model is
+        built."""
+        from repro.codecs import LatentDiffusionCodec
+
+        def built(*_, **__):
+            raise AssertionError("an untrained model was built")
+        monkeypatch.setattr(LatentDiffusionCodec, "__init__", built)
+        for session in (Session(), Session(codec="ours")):
+            with pytest.raises(SessionError, match="--codec-artifact"):
+                session.resolve_codec()
+            with pytest.raises(SessionError, match="repro train"):
+                session.resolve_codec("ours")
 
     def test_untrained_learned_codec_hints_at_artifact(self):
         with pytest.raises(SessionError, match="repro train"):

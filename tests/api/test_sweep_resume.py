@@ -110,6 +110,39 @@ class TestCrashResume:
         assert second.stats["resumed_shards"] == N
 
 
+class TestJournalFingerprint:
+    """A journal written by an earlier release still resumes: the
+    fingerprint over a sweep's facts (dataset spec, codec spec, bound,
+    entropy backend, payload format, seed, shard grid, variables) is
+    pinned."""
+
+    #: journal header fingerprints, recorded before the facts moved
+    #: into one Session method
+    PINS = {"spec": ("94134c4a984496ebc8d0ca1bf4fb7b39"
+                     "804c2a48d4cbeda90377f690ef783aaf"),
+            "wrapped": ("576f1ba15f2f3ebd46394d65526ba9f4"
+                        "723e689a0386c5f964819f42abe67d85")}
+
+    @staticmethod
+    def _fingerprint(journal):
+        return json.loads(journal.read_text().splitlines()[0])[
+            "fingerprint"]
+
+    def test_registered_codec(self, session, tmp_path):
+        session.sweep("e3sm", journal=tmp_path / "j", **SWEEP)
+        assert self._fingerprint(tmp_path / "j") == self.PINS["spec"]
+
+    def test_codec_without_a_spec(self, tmp_path):
+        """A wrapped compressor is named by its codec name; the grid is
+        a window, not a shard count."""
+        from repro.baselines.szlike import SZLikeCompressor
+        with Session(codec=SZLikeCompressor(), executor="serial",
+                     seed=3, entropy_backend="vrans") as s:
+            s.sweep("e3sm", journal=tmp_path / "j", window=5,
+                    bound=Bound.pointwise(0.02), dataset_overrides=SHAPE)
+        assert self._fingerprint(tmp_path / "j") == self.PINS["wrapped"]
+
+
 class TestCompressIsUnjournaledSweep:
     """``compress(dataset, ...)`` is ``sweep(..., journal=None)``."""
 

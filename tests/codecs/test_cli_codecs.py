@@ -31,14 +31,14 @@ def test_rule_based_codec_roundtrip(codec, data_file, capsys):
     root, path, frames = data_file
     stream = root / f"{codec}.bin"
     out = root / f"{codec}.npy"
-    rc = main(["compress", "-", str(path), str(stream),
+    rc = main(["compress", str(path), str(stream),
                "--codec", codec, "--nrmse-bound", "0.02"])
     assert rc == 0
     assert "ratio=" in capsys.readouterr().out
     rc = main(["info", str(stream)])
     assert rc == 0
     assert codec in capsys.readouterr().out
-    rc = main(["decompress", "-", str(stream), str(out)])
+    rc = main(["decompress", str(stream), str(out)])
     assert rc == 0
     restored = np.load(out)
     assert restored.shape == frames.shape
@@ -47,7 +47,7 @@ def test_rule_based_codec_roundtrip(codec, data_file, capsys):
 
 def test_rule_based_codec_requires_bound(data_file, capsys):
     root, path, _ = data_file
-    rc = main(["compress", "-", str(path), str(root / "x.bin"),
+    rc = main(["compress", str(path), str(root / "x.bin"),
                "--codec", "szlike"])
     assert rc == 2
     assert "bound" in capsys.readouterr().err
@@ -56,10 +56,10 @@ def test_rule_based_codec_requires_bound(data_file, capsys):
 def test_decompress_codec_mismatch_detected(data_file, capsys):
     root, path, _ = data_file
     stream = root / "sz_mismatch.bin"
-    assert main(["compress", "-", str(path), str(stream),
+    assert main(["compress", str(path), str(stream),
                  "--codec", "szlike", "--nrmse-bound", "0.05"]) == 0
     capsys.readouterr()
-    rc = main(["decompress", "-", str(stream), str(root / "y.npy"),
+    rc = main(["decompress", str(stream), str(root / "y.npy"),
                "--codec", "mgard"])
     assert rc == 2
     assert "szlike" in capsys.readouterr().err

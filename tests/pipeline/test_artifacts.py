@@ -6,6 +6,7 @@ with provenance (codec spec, training config, dataset spec, state
 hash) riding along in the manifest.
 """
 
+import dataclasses
 import os
 
 import numpy as np
@@ -197,6 +198,11 @@ class TestArtifactStore:
                                            index[key]["path"]))
 
 
+def _provenance(trainer) -> dict:
+    """The training provenance ``Session.train`` records for ``ours``."""
+    return {**dataclasses.asdict(trainer.train_cfg), "seed": trainer.seed}
+
+
 class TestTrainerCheckpointToArtifact:
     """Satellite: TwoStageTrainer.save_checkpoint state reloaded
     through the ArtifactStore is bit-identical (compress output
@@ -224,12 +230,13 @@ class TestTrainerCheckpointToArtifact:
         res_ref = reference.compress(frames, error_bound=tau,
                                      noise_seed=3)
 
-        # resume the checkpoint on a "different machine", export the
+        # resume the checkpoint on a "different machine", put the
         # deployable codec into a store, reload, compress: byte-equal
         resumed = TwoStageTrainer.from_checkpoint(ckpt)
         store = ArtifactStore(tmp_path / "store")
-        key = resumed.export_artifact(store, train,
-                                      dataset={"name": "e3sm"})
+        key = store.put(LatentDiffusionCodec(
+            compressor=resumed.build_compressor(train)),
+            training=_provenance(resumed), dataset={"name": "e3sm"})
         codec = store.get(key)
         res = codec.compressor.compress(frames, error_bound=tau,
                                         noise_seed=3)
@@ -241,8 +248,9 @@ class TestTrainerCheckpointToArtifact:
             self, trained_trainer, tmp_path):
         trainer, train, _ = trained_trainer
         path = str(tmp_path / "ours.npz")
-        manifest = trainer.export_artifact(path, train,
-                                           dataset={"name": "e3sm"})
+        manifest = save_artifact(path, LatentDiffusionCodec(
+            compressor=trainer.build_compressor(train)),
+            training=_provenance(trainer), dataset={"name": "e3sm"})
         assert manifest.codec == "ours"
         assert manifest.training["vae_iters"] == 4
         assert manifest.training["seed"] == 11

@@ -1,15 +1,31 @@
-"""Model-bundle persistence tests (save_bundle / load_bundle)."""
+"""Persistence of the paper's pipeline as a model artifact.
+
+A trained latent-diffusion compressor is saved and loaded like every
+trained codec: ``save_artifact`` / ``load_artifact`` over
+:class:`~repro.codecs.LatentDiffusionCodec`.
+"""
 
 import numpy as np
 import pytest
 
-from repro.cli import load_bundle, save_bundle
+from repro.codecs import LatentDiffusionCodec
 from repro.compression import VAEHyperprior
 from repro.config import (DiffusionConfig, PipelineConfig, ReproConfig,
                           VAEConfig)
 from repro.diffusion import ConditionalDDPM
-from repro.pipeline import LatentDiffusionCompressor
+from repro.pipeline import (LatentDiffusionCompressor, load_artifact,
+                            save_artifact)
 from repro.postprocess import ErrorBoundCorrector, ResidualPCA
+
+
+def save_model(path, compressor):
+    return save_artifact(path, LatentDiffusionCodec(compressor=compressor))
+
+
+def load_model(path) -> LatentDiffusionCompressor:
+    codec = load_artifact(path)
+    assert isinstance(codec, LatentDiffusionCodec)
+    return codec.compressor
 
 
 def _compressor(activation="silu", with_corrector=False, seed=0):
@@ -39,8 +55,8 @@ class TestBundleRoundtrip:
     def test_weights_and_config_survive(self, tmp_path, activation):
         comp = _compressor(activation=activation)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        restored = load_bundle(path)
+        save_model(path, comp)
+        restored = load_model(path)
         assert restored.vae.cfg.activation == activation
         for (n0, a0), (n1, a1) in zip(
                 sorted(comp.vae.state_dict().items()),
@@ -56,8 +72,8 @@ class TestBundleRoundtrip:
     def test_corrector_survives(self, tmp_path):
         comp = _compressor(with_corrector=True)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        restored = load_bundle(path)
+        save_model(path, comp)
+        restored = load_model(path)
         assert restored.corrector is not None
         np.testing.assert_array_equal(restored.corrector.pca.basis,
                                       comp.corrector.pca.basis)
@@ -66,15 +82,15 @@ class TestBundleRoundtrip:
     def test_no_corrector_loads_none(self, tmp_path):
         comp = _compressor(with_corrector=False)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        assert load_bundle(path).corrector is None
+        save_model(path, comp)
+        assert load_model(path).corrector is None
 
     def test_restored_compressor_is_functional(self, tmp_path):
-        """A loaded (untrained) bundle must still round-trip bytes."""
+        """A loaded (untrained) model must still round-trip bytes."""
         comp = _compressor(seed=3)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        restored = load_bundle(path)
+        save_model(path, comp)
+        restored = load_model(path)
         frames = np.random.default_rng(1).standard_normal((4, 16, 16))
         res = comp.compress(frames)
         out = restored.decompress(res.blob)
@@ -83,8 +99,8 @@ class TestBundleRoundtrip:
     def test_gdn_bundle_reconstruction_matches(self, tmp_path):
         comp = _compressor(activation="gdn", seed=4)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        restored = load_bundle(path)
+        save_model(path, comp)
+        restored = load_model(path)
         frames = np.random.default_rng(2).standard_normal((4, 16, 16))
         r0 = comp.compress(frames)
         r1 = restored.compress(frames)
@@ -94,14 +110,14 @@ class TestBundleRoundtrip:
 
 
 class TestBundleFormats:
-    """save_bundle writes codec artifacts, the only format that
+    """The pipeline saves as a codec artifact, the only format that
     loads."""
 
     def test_new_bundles_are_artifacts(self, tmp_path):
         from repro.pipeline.artifacts import is_artifact, read_manifest
         comp = _compressor(with_corrector=True, seed=6)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
+        save_model(path, comp)
         assert is_artifact(path)
         manifest = read_manifest(path)
         assert manifest.codec == "ours"
@@ -112,38 +128,39 @@ class TestBundleFormats:
         error naming the file from every loader, never a KeyError."""
         from repro.api import Session, SessionError
         from repro.cli import main
-        from repro.codecs import LatentDiffusionCodec
-        from repro.pipeline.bundle import compressor_state
         comp = _compressor(with_corrector=True, seed=5)
         legacy = str(tmp_path / "legacy.npz")
-        # the historical save_bundle layout: bare state arrays
-        np.savez_compressed(legacy, **compressor_state(comp))
+        # the historical model layout: bare state arrays
+        np.savez_compressed(
+            legacy, **LatentDiffusionCodec(compressor=comp).artifact_state())
         with pytest.raises(ValueError, match="legacy.npz"):
-            load_bundle(legacy)
-        with pytest.raises(ValueError, match="legacy.npz"):
-            LatentDiffusionCodec.from_bundle(legacy)
-        with pytest.raises(ValueError, match="legacy.npz"):
-            Session(model=legacy).compress(np.zeros((4, 16, 16)))
+            load_artifact(legacy)
+        with pytest.raises(SessionError, match="legacy.npz"):
+            Session(artifact=legacy)
         with pytest.raises(SessionError, match="legacy.npz"):
             Session().info(legacy)
         assert main(["info", legacy]) == 2
         assert "legacy.npz" in capsys.readouterr().err
+        data, out = tmp_path / "x.npy", tmp_path / "x.ldc"
+        np.save(data, np.zeros((4, 16, 16)))
+        assert main(["compress", str(data), str(out),
+                     "--codec-artifact", legacy]) == 2
+        assert "legacy.npz" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_saved_config_with_retired_error_bound_loads(self):
         """States saved while PipelineConfig had an (unread)
         ``error_bound`` field carry it as null; it is dropped."""
         import json
-
-        from repro.pipeline.bundle import (compressor_from_state,
-                                           compressor_state)
         comp = _compressor(with_corrector=True, seed=5)
-        state = compressor_state(comp)
+        state = LatentDiffusionCodec(compressor=comp).artifact_state()
         cfg = json.loads(bytes(state["config_json"]).decode())
         assert "error_bound" not in cfg["pipeline"]
         cfg["pipeline"]["error_bound"] = None
         state["config_json"] = np.frombuffer(json.dumps(cfg).encode(),
                                              dtype=np.uint8)
-        restored = compressor_from_state(state)
+        restored = LatentDiffusionCodec.from_artifact_state(
+            state).compressor
         assert restored.config == comp.config
         frames = np.random.default_rng(8).standard_normal((4, 16, 16))
         r0 = comp.compress(frames, error_bound=20.0, noise_seed=2)
@@ -151,12 +168,11 @@ class TestBundleFormats:
         assert r1.blob.to_bytes() == r0.blob.to_bytes()
 
     def test_artifact_bundle_is_process_portable(self, tmp_path):
-        """Bundles written today feed process-pool sweeps directly."""
-        from repro.codecs import LatentDiffusionCodec
+        """Saved models feed process-pool sweeps directly."""
         comp = _compressor(seed=7)
         path = str(tmp_path / "model.npz")
-        save_bundle(path, comp)
-        codec = LatentDiffusionCodec.from_bundle(path)
+        save_model(path, comp)
+        codec = load_artifact(path)
         spec = codec.to_spec()
         assert spec["artifact"] == path
         clone = codec.from_spec(spec)

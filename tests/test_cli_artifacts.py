@@ -63,12 +63,12 @@ class TestCompressWithArtifact:
                    "--codec-artifact", str(model),
                    "--executor", executor, "--shards", "4",
                    "--nrmse-bound", "0.5",
-                   "--", "-", "-", str(stream)])
+                   str(stream)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert "shards=4" in printed and f"executor={executor}" in printed
         out = tmp_path / f"back-{executor}.npy"
-        rc = main(["decompress", "-", str(stream), str(out),
+        rc = main(["decompress", str(stream), str(out),
                    "--codec-artifact", str(model)])
         assert rc == 0
         restored = np.load(out)
@@ -87,7 +87,7 @@ class TestCompressWithArtifact:
                        "12x16x16", "--codec", "vae-sr",
                        "--codec-artifact", str(model),
                        "--executor", executor, "--shards", "4",
-                       "--", "-", "-", str(stream)])
+                       str(stream)])
             assert rc == 0
             blobs[executor] = stream.read_bytes()
         assert blobs["thread"] == blobs["serial"]
@@ -98,14 +98,14 @@ class TestCompressWithArtifact:
         _, model = vae_sr_artifact
         rc = main(["compress", "--dataset", "e3sm", "--codec", "gcd",
                    "--codec-artifact", str(model),
-                   "--", "-", "-", str(tmp_path / "x.cdx")])
+                   str(tmp_path / "x.cdx")])
         assert rc == 2
         assert "holds codec 'vae-sr'" in capsys.readouterr().err
 
     def test_untrained_learned_codec_hints_at_artifact(self, tmp_path,
                                                        capsys):
         rc = main(["compress", "--dataset", "e3sm", "--codec", "vae-sr",
-                   "--", "-", "-", str(tmp_path / "x.cdx")])
+                   str(tmp_path / "x.cdx")])
         assert rc == 2
         err = capsys.readouterr().err
         assert "--codec-artifact" in err and "repro train" in err
@@ -118,11 +118,11 @@ class TestCompressWithArtifact:
         data = tmp_path / "frames.npy"
         np.save(data, frames)
         stream = tmp_path / "frames.lcx"
-        rc = main(["compress", "-", str(data), str(stream),
+        rc = main(["compress", str(data), str(stream),
                    "--codec", "vae-sr", "--codec-artifact", str(model)])
         assert rc == 0
         out = tmp_path / "back.npy"
-        rc = main(["decompress", "-", str(stream), str(out),
+        rc = main(["decompress", str(stream), str(out),
                    "--codec-artifact", str(model)])
         assert rc == 0
         assert np.load(out).shape == frames.shape

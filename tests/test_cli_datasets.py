@@ -23,11 +23,11 @@ def test_dataset_sharded_roundtrip(executor, tmp_path, capsys):
     out = tmp_path / f"s3d-{executor}.npy"
     rc = main(["compress", "--dataset", "s3d", "--codec", "szlike",
                "--executor", executor, "--shards", "4",
-               "--nrmse-bound", "0.02", "--", "-", "-", str(stream)])
+               "--nrmse-bound", "0.02", str(stream)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "shards=4" in printed and f"executor={executor}" in printed
-    assert main(["decompress", "-", str(stream), str(out)]) == 0
+    assert main(["decompress", str(stream), str(out)]) == 0
     restored = np.load(out)
     original = get_dataset("s3d").frames(0)
     assert restored.shape == original.shape
@@ -44,7 +44,7 @@ def test_dataset_mode_defaults_output_and_bound(tmp_path, capsys,
     printed = capsys.readouterr().out
     assert "defaulting to --nrmse-bound" in printed
     assert (tmp_path / "s3d-szlike.cdx").exists()
-    assert main(["decompress", "-", "s3d-szlike.cdx", "back.npy"]) == 0
+    assert main(["decompress", "s3d-szlike.cdx", "back.npy"]) == 0
     restored = np.load(tmp_path / "back.npy")
     original = get_dataset("s3d").frames(0)
     assert nrmse(original, restored) <= 0.01 * (1 + 1e-9)
@@ -56,7 +56,7 @@ def test_sharded_executors_produce_identical_archives(tmp_path):
         stream = tmp_path / f"jh-{executor}.cdx"
         rc = main(["compress", "--dataset", "jhtdb", "--codec", "dpcm",
                    "--executor", executor, "--shards", "3",
-                   "--nrmse-bound", "0.05", "--", "-", "-", str(stream)])
+                   "--nrmse-bound", "0.05", str(stream)])
         assert rc == 0
         streams[executor] = stream.read_bytes()
     assert streams["serial"] == streams["process"]
@@ -68,14 +68,14 @@ def test_npy_file_sharded_roundtrip(tmp_path, capsys):
     np.save(data, frames)
     stream = tmp_path / "frames.cdx"
     out = tmp_path / "restored.npy"
-    rc = main(["compress", "-", str(data), str(stream),
+    rc = main(["compress", str(data), str(stream),
                "--codec", "zfplike", "--shards", "3",
                "--nrmse-bound", "0.02"])
     assert rc == 0
     assert main(["info", str(stream)]) == 0
     info = capsys.readouterr().out
     assert "3 shards" in info and "frames/v0/" in info
-    assert main(["decompress", "-", str(stream), str(out)]) == 0
+    assert main(["decompress", str(stream), str(out)]) == 0
     restored = np.load(out)
     assert restored.shape == frames.shape
     assert nrmse(frames, restored) <= 0.02 * (1 + 1e-9)
@@ -100,7 +100,7 @@ def test_unknown_codec_lists_registered(capsys):
 def test_dataset_mode_rejects_input_file(tmp_path, capsys):
     data = tmp_path / "frames.npy"
     np.save(data, np.zeros((4, 8, 8)))
-    rc = main(["compress", "-", str(data), str(tmp_path / "x.cdx"),
+    rc = main(["compress", str(data), str(tmp_path / "x.cdx"),
                "--dataset", "s3d", "--codec", "szlike",
                "--nrmse-bound", "0.01"])
     assert rc == 2
@@ -117,9 +117,9 @@ def test_decompress_shard_archive_codec_mismatch(tmp_path, capsys):
     stream = tmp_path / "a.cdx"
     rc = main(["compress", "--dataset", "e3sm", "--codec", "szlike",
                "--shards", "2", "--nrmse-bound", "0.05",
-               "--", "-", "-", str(stream)])
+               str(stream)])
     assert rc == 0
-    rc = main(["decompress", "-", str(stream), str(tmp_path / "b.npy"),
+    rc = main(["decompress", str(stream), str(tmp_path / "b.npy"),
                "--codec", "mgard"])
     assert rc == 2
     assert "szlike" in capsys.readouterr().err
@@ -137,13 +137,13 @@ def test_npy_variable_stack_roundtrip(tmp_path, capsys):
     np.save(data, frames)
     stream = tmp_path / "vars.shrd"
     out = tmp_path / "restored.npy"
-    rc = main(["compress", "-", str(data), str(stream),
+    rc = main(["compress", str(data), str(stream),
                "--codec", "szlike", "--nrmse-bound", "0.02",
                "--executor", "serial"])
     assert rc == 0
     line = capsys.readouterr().out
     assert "shards=11 executor=serial" in line and str(stream) in line
-    assert main(["decompress", "-", str(stream), str(out)]) == 0
+    assert main(["decompress", str(stream), str(out)]) == 0
     assert "(var0, var1, var2," in capsys.readouterr().out
     restored = np.load(out)
     assert restored.shape == frames.shape

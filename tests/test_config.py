@@ -1,5 +1,8 @@
 """Configuration preset and validation tests."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.config import (DiffusionConfig, PipelineConfig, ReproConfig,
@@ -25,6 +28,33 @@ class TestPresets:
     def test_tiny_smaller_than_small(self):
         assert tiny().vae.latent_channels < small().vae.latent_channels
         assert tiny().diffusion.train_steps <= small().diffusion.train_steps
+
+
+class TestFromSaved:
+    """``ReproConfig.from_saved`` is the one reader of configs that a
+    model artifact or a training checkpoint saved as JSON."""
+
+    @pytest.mark.parametrize("factory", [tiny, small, paper])
+    def test_json_roundtrip(self, factory):
+        cfg = factory()
+        saved = json.loads(json.dumps(
+            {k: dataclasses.asdict(getattr(cfg, k))
+             for k in ("vae", "diffusion", "pipeline")}
+            | {"schedule_steps": 4}))
+        assert ReproConfig.from_saved(saved) == cfg
+
+    def test_retired_error_bound_dropped(self):
+        saved = {k: dataclasses.asdict(getattr(tiny(), k))
+                 for k in ("vae", "diffusion", "pipeline")}
+        saved["pipeline"]["error_bound"] = None
+        assert ReproConfig.from_saved(saved) == tiny()
+
+    def test_inconsistent_configs_refused(self):
+        saved = {k: dataclasses.asdict(getattr(tiny(), k))
+                 for k in ("vae", "diffusion", "pipeline")}
+        saved["pipeline"]["window"] = 5
+        with pytest.raises(ValueError, match="window"):
+            ReproConfig.from_saved(saved)
 
 
 class TestValidation:
