@@ -60,7 +60,7 @@ import numpy as np
 
 from .bound import Bound
 from .codecs.base import check_bound
-from .codecs import (Codec, LatentDiffusionCodec, as_codec, codec_specs,
+from .codecs import (Codec, LatentDiffusionCodec, as_codec, codec_class,
                      get_codec, is_envelope, pack_envelope,
                      unpack_envelope)
 from .data.base import SpatiotemporalDataset, train_test_windows
@@ -527,17 +527,17 @@ class Session:
             codec = self._default_name
         if not isinstance(codec, str):
             return as_codec(codec)
-        name = codec
+        cls = codec_class(codec)  # KeyError lists registered
+        name = cls.codec_id
         cached = self._codecs.get(name)
         if cached is not None:
             return cached
-        entry = codec_specs().get(name)
-        if entry is not None and entry.cls.capabilities.needs_training:
+        if cls.capabilities.needs_training:
             raise SessionError(
                 f"codec {name!r} is learning-based; train it first "
                 f"(repro train --codec {name}) and pass the saved "
                 f"model with --codec-artifact")
-        resolved = get_codec(name)  # KeyError lists registered
+        resolved = get_codec(name)
         self._codecs[name] = resolved
         return resolved
 
@@ -819,25 +819,23 @@ class Session:
         :class:`~repro.runtime.TaskEvent`s (progress reporting, fault
         injection in tests).
         """
-        seed = self.seed if seed is None else seed
+        base_seed = self.seed if seed is None else seed
         entropy = _entropy_name(entropy_backend, self.entropy_backend)
         resolved = self.resolve_codec(codec)
         spec = self._dataset_spec(dataset, dataset_overrides)
-        if window is None and shards is None:
-            shards = 1
         try:
             plan: ShardPlan = plan_shards(spec, variables=variables,
                                           shards=shards, window=window,
-                                          base_seed=seed)
+                                          base_seed=base_seed)
         except ValueError as exc:
             raise SessionError(str(exc)) from None
 
         jr = None
         if journal is not None:
-            facts = self.sweep_facts(spec, codec=resolved, bound=bound,
+            facts = self.sweep_facts(spec, codec=codec, bound=bound,
                                      variables=variables, shards=shards,
                                      window=window, seed=seed,
-                                     entropy_backend=entropy)
+                                     entropy_backend=entropy_backend)
             try:
                 jr = SweepJournal(journal,
                                   fingerprint=facts_fingerprint(facts))
@@ -852,7 +850,7 @@ class Session:
                     f"(resume=True / --resume) or point the sweep at "
                     f"a fresh journal path")
 
-        engine = self._engine(resolved, seed, entropy)
+        engine = self._engine(resolved, base_seed, entropy)
         try:
             batch = engine.compress_plan(plan, bound=bound,
                                          keep_reconstruction=False,
@@ -869,31 +867,30 @@ class Session:
             archive.stats["journal"] = os.fspath(journal)
         return archive
 
-    def sweep_facts(self, dataset, *,
+    def sweep_facts(self, spec: DatasetSpec, *,
                     codec: Union[str, Codec, object, None] = None,
                     bound: Optional[Bound] = None,
                     variables: Optional[Sequence[int]] = None,
                     shards: Optional[int] = None,
                     window: Optional[int] = None,
                     seed: Optional[int] = None,
-                    dataset_overrides: Optional[dict] = None,
                     entropy_backend: Optional[str] = None) -> dict:
         """The resolved facts a :meth:`sweep`'s archive bytes depend on:
         dataset spec, codec spec, bound, entropy backend, integer
-        payload format, seed, shard grid and variables.  Two spellings
-        of one sweep give equal facts.  A sweep journal is fingerprinted
-        over them, and the service keys cached compress results on
-        them.  A codec without a portable spec (wrapped or trained in
-        memory) is named by its registry name."""
+        payload format, seed, shard grid and variables.  ``spec`` is
+        the sweep's dataset; the other arguments are :meth:`sweep`'s,
+        as given.  Two spellings of one sweep give equal facts.  A sweep journal is fingerprinted over
+        them, and the service keys cached compress results on them.  A
+        codec without a portable spec (wrapped or trained in memory) is
+        named by its registry name."""
         resolved = self.resolve_codec(codec)
         try:
             codec_spec = resolved.to_spec()
         except TypeError:
             codec_spec = {"codec": resolved.name}
         if window is None and shards is None:
-            shards = 1
-        return {"dataset": dataclasses.asdict(
-                    self._dataset_spec(dataset, dataset_overrides)),
+            shards = 1       # the whole time axis is one shard
+        return {"dataset": dataclasses.asdict(spec),
                 "codec": codec_spec,
                 "bound": (None if check_bound(bound) is None
                           else [bound.kind, bound.value]),

@@ -143,10 +143,6 @@ def _session(args: argparse.Namespace, **extra) -> Session:
 # ----------------------------------------------------------------------
 def _cmd_train(args: argparse.Namespace) -> int:
     save = args.save
-    if not save:
-        print("error: give an output model path (--save PATH)",
-              file=sys.stderr)
-        return 2
     if not save.endswith(".npz"):
         save += ".npz"  # mirror np.savez so the printed path is real
 
@@ -519,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset variable index (with --dataset)")
     t.add_argument("--shape", default=None,
                    help="dataset shape override TxHxW (with --dataset)")
-    t.add_argument("--save", default=None,
+    t.add_argument("--save", required=True,
                    help="output model artifact path (.npz)")
     t.add_argument("--preset", choices=("tiny", "small"), default="tiny",
                    help="architecture preset (codec 'ours')")

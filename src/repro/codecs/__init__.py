@@ -20,8 +20,8 @@ over batches of windows/variables in parallel.
 
 from .base import (Codec, CodecCapabilities, CodecResult, is_envelope,
                    pack_envelope, peek_envelope, unpack_envelope)
-from .registry import (CodecSpec, as_codec, codec_from_spec, codec_specs,
-                       get_codec, list_codecs, register_codec)
+from .registry import (CodecSpec, as_codec, codec_class, codec_from_spec,
+                       codec_specs, get_codec, list_codecs, register_codec)
 
 # Importing the implementation modules populates the registry.
 from . import rule_based as _rule_based  # noqa: F401
@@ -36,8 +36,8 @@ from .rule_based import (DPCMCodec, FAZCodec, MGARDCodec, RuleBasedCodec,
 
 __all__ = [
     "Codec", "CodecCapabilities", "CodecResult", "CodecSpec",
-    "register_codec", "get_codec", "list_codecs", "codec_specs",
-    "as_codec", "codec_from_spec",
+    "register_codec", "get_codec", "codec_class", "list_codecs",
+    "codec_specs", "as_codec", "codec_from_spec",
     "pack_envelope", "unpack_envelope", "is_envelope", "peek_envelope",
     "RuleBasedCodec", "SZCodec", "ZFPCodec", "TTHRESHCodec", "MGARDCodec",
     "DPCMCodec", "FAZCodec",

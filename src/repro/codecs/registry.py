@@ -24,8 +24,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Type
 
 from .base import Codec
 
-__all__ = ["register_codec", "get_codec", "list_codecs", "codec_specs",
-           "as_codec", "codec_from_spec", "CodecSpec"]
+__all__ = ["register_codec", "get_codec", "codec_class", "list_codecs",
+           "codec_specs", "as_codec", "codec_from_spec", "CodecSpec"]
 
 
 @dataclass(frozen=True)
@@ -70,18 +70,30 @@ def register_codec(name: str, **defaults) -> Callable[[Type[Codec]],
     return deco
 
 
+def _entry(name: str) -> CodecSpec:
+    spec = _REGISTRY.get(_canonical(name))
+    if spec is None:
+        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        raise KeyError(f"unknown codec {name!r}; registered: {known}")
+    return spec
+
+
 def get_codec(name: str, **kwargs) -> Codec:
     """Instantiate the codec registered under ``name``.
 
     ``kwargs`` override the registered defaults and are passed to the
     codec's constructor (e.g. model configs for learned codecs).
     """
-    key = _canonical(name)
-    spec = _REGISTRY.get(key)
-    if spec is None:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
-        raise KeyError(f"unknown codec {name!r}; registered: {known}")
-    return spec.build(**kwargs)
+    return _entry(name).build(**kwargs)
+
+
+def codec_class(name: str) -> Type[Codec]:
+    """The class registered under ``name``, without building it.
+
+    Accepts every spelling :func:`get_codec` does (case, ``_`` for
+    ``-``); its ``codec_id`` is the canonical name.
+    """
+    return _entry(name).cls
 
 
 def list_codecs() -> List[str]:

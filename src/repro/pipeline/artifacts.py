@@ -193,7 +193,7 @@ def load_artifact(path: PathLike, verify: bool = True):
     manifest spec and :meth:`~repro.codecs.base.Codec.
     load_artifact_state` restores the weights in place.
     """
-    from ..codecs import codec_specs, get_codec
+    from ..codecs import codec_class, get_codec
     with np.load(path) as archive:
         if MANIFEST_KEY not in archive.files:
             raise ValueError(f"{os.fspath(path)!r} is not a codec "
@@ -209,9 +209,7 @@ def load_artifact(path: PathLike, verify: bool = True):
                 f"artifact {os.fspath(path)!r} is corrupt: state hash "
                 f"{digest[:16]} != manifest {manifest.state_hash[:16]}")
     name = manifest.spec["codec"]
-    entry = codec_specs().get(name)
-    builder = getattr(entry.cls, "from_artifact_state", None) \
-        if entry is not None else None
+    builder = getattr(codec_class(name), "from_artifact_state", None)
     if builder is not None:
         # self-contained state: skip building a throwaway untrained
         # model (matters per process-pool worker rebuilding trained

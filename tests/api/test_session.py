@@ -184,6 +184,12 @@ class TestTrainedArtifactSweep:
         original = get_dataset("e3sm", **SHAPE_OVERRIDES).frames(0)
         assert nrmse(original, out) <= 0.5 * (1 + 1e-9)
 
+    def test_any_spelling_resolves_the_trained_codec(self, artifact):
+        with Session(artifact=artifact) as s:
+            trained = s.resolve_codec()
+            for name in ("vae-sr", "vae_sr", "VAE-SR"):
+                assert s.resolve_codec(name) is trained
+
     def test_artifact_name_mismatch_rejected(self, artifact):
         with pytest.raises(SessionError, match="holds codec 'vae-sr'"):
             Session(codec="gcd", artifact=artifact)
@@ -203,15 +209,20 @@ class TestCodecResolution:
         def built(*_, **__):
             raise AssertionError("an untrained model was built")
         monkeypatch.setattr(LatentDiffusionCodec, "__init__", built)
-        for session in (Session(), Session(codec="ours")):
+        for session in (Session(), Session(codec="ours"),
+                        Session(codec="OURS")):
             with pytest.raises(SessionError, match="--codec-artifact"):
                 session.resolve_codec()
-            with pytest.raises(SessionError, match="repro train"):
-                session.resolve_codec("ours")
+            for name in ("ours", "OURS", " Ours "):
+                with pytest.raises(SessionError, match="repro train"):
+                    session.resolve_codec(name)
 
     def test_untrained_learned_codec_hints_at_artifact(self):
-        with pytest.raises(SessionError, match="repro train"):
-            Session(codec="vae-sr").resolve_codec()
+        """Every spelling the registry accepts is refused by name."""
+        for name in ("vae-sr", "vae_sr", "VAE-SR"):
+            with pytest.raises(SessionError,
+                               match="'vae-sr' is learning-based"):
+                Session(codec=name).resolve_codec()
 
     def test_codec_instance_and_native_object_adopted(self, frames):
         from repro.codecs import get_codec

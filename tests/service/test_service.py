@@ -83,6 +83,9 @@ class TestCompressJobs:
             client.submit(dict(REQUEST, dataset="nope"))
         with pytest.raises(ServiceError, match="codec"):
             client.submit(dict(REQUEST, codec="nope"))
+        for codec in ("OURS", "vae_sr"):   # untrained, in any spelling
+            with pytest.raises(ServiceError, match="learning-based"):
+                client.submit(dict(REQUEST, codec=codec))
 
 
 class TestCache:

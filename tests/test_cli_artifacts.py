@@ -41,9 +41,10 @@ class TestGeneralizedTrain:
         assert "model-free" in capsys.readouterr().err
 
     def test_missing_save_path_rejected(self, capsys):
-        rc = main(["train", "--codec", "vae-sr", "--dataset", "e3sm"])
-        assert rc == 2
-        assert "output model path" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--codec", "vae-sr", "--dataset", "e3sm"])
+        assert exc.value.code == 2
+        assert "--save" in capsys.readouterr().err
 
     def test_missing_data_rejected(self, tmp_path, capsys):
         rc = main(["train", "--codec", "vae-sr",
@@ -104,11 +105,14 @@ class TestCompressWithArtifact:
 
     def test_untrained_learned_codec_hints_at_artifact(self, tmp_path,
                                                        capsys):
-        rc = main(["compress", "--dataset", "e3sm", "--codec", "vae-sr",
-                   str(tmp_path / "x.cdx")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "--codec-artifact" in err and "repro train" in err
+        for codec in ("vae-sr", "VAE_SR", "OURS"):
+            out = tmp_path / f"{codec}.cdx"
+            rc = main(["compress", "--dataset", "e3sm", "--codec", codec,
+                       str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "--codec-artifact" in err and "repro train" in err
+            assert not out.exists()
 
     def test_single_file_compression_with_artifact(self, vae_sr_artifact,
                                                    tmp_path, capsys):
