@@ -97,6 +97,9 @@ def test_ablation_dpm_solver(e3sm_trained, benchmark):
     frames, _, comp = e3sm_trained
     steps = 4
     results = {}
+    # every sampler runs 4 UNet steps spaced over the schedule
+    # (ancestral respaced; it ran the whole schedule before it
+    # honoured ``sample_steps``)
     for sampler in ("ancestral", "ddim", "dpm"):
         cfg = replace(comp.config, sampler=sampler, sample_steps=steps)
         c = LatentDiffusionCompressor(comp.vae, comp.ddpm, cfg,

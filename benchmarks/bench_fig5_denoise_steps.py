@@ -9,6 +9,7 @@ proportionally faster as steps shrink.
 
 import copy
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,9 +44,11 @@ def step_models():
 
 
 def _frozen_copy(comp, steps):
-    """Deep-copy a compressor so shared trainer state can't mutate it."""
+    """Deep-copy a compressor so shared trainer state can't mutate it;
+    it decodes its own ``steps``-step chain (the whole schedule)."""
     new = copy.deepcopy(comp)
     new.ddpm.set_schedule(steps)
+    new.config = replace(new.config, sample_steps=steps)
     return new
 
 

@@ -72,6 +72,7 @@ from .entropy.backend import using_backend
 from .metrics import CompressionAccounting
 from .pipeline.artifacts import (ArtifactStore, is_artifact,
                                  read_manifest, save_artifact)
+from .pipeline.blob import VERSION as BLOB_VERSION
 from .pipeline.blob import CompressedBlob
 from .pipeline.container import (MEMBER_ENVELOPE, ArchiveIndexError,
                                  MemberIndex, as_source)
@@ -119,6 +120,15 @@ def _entropy_name(backend: Optional[str], fallback: str) -> str:
             fallback if backend is None else backend).name
     except KeyError as exc:
         raise SessionError(exc.args[0]) from None
+
+
+def _codec_id(name: str) -> str:
+    """``name`` in its registry spelling; as given when no codec is
+    registered under it."""
+    try:
+        return codec_class(name).codec_id
+    except KeyError:
+        return name
 
 
 def _stack_rows(label: Optional[str], slices) -> List[tuple]:
@@ -501,8 +511,7 @@ class Session:
         except (OSError, ValueError, KeyError) as exc:
             raise SessionError(
                 f"cannot load artifact {artifact!r}: {exc}") from None
-        if (expect and expect != DEFAULT_CODEC
-                and codec.name != expect):
+        if expect and _codec_id(expect) not in (DEFAULT_CODEC, codec.name):
             raise SessionError(
                 f"artifact {artifact!r} holds codec {codec.name!r}, "
                 f"not {expect!r}")
@@ -877,12 +886,13 @@ class Session:
                     entropy_backend: Optional[str] = None) -> dict:
         """The resolved facts a :meth:`sweep`'s archive bytes depend on:
         dataset spec, codec spec, bound, entropy backend, integer
-        payload format, seed, shard grid and variables.  ``spec`` is
-        the sweep's dataset; the other arguments are :meth:`sweep`'s,
-        as given.  Two spellings of one sweep give equal facts.  A sweep journal is fingerprinted over
-        them, and the service keys cached compress results on them.  A
-        codec without a portable spec (wrapped or trained in memory) is
-        named by its registry name."""
+        payload format, seed, shard grid and variables, and for
+        ``ours`` the blob version.  ``spec`` is the sweep's dataset;
+        the other arguments are :meth:`sweep`'s, as given.  Two
+        spellings of one sweep give equal facts.  A sweep journal is
+        fingerprinted over them, and the service keys cached compress
+        results on them.  A codec without a portable spec (wrapped or
+        trained in memory) is named by its registry name."""
         resolved = self.resolve_codec(codec)
         try:
             codec_spec = resolved.to_spec()
@@ -890,17 +900,22 @@ class Session:
             codec_spec = {"codec": resolved.name}
         if window is None and shards is None:
             shards = 1       # the whole time axis is one shard
-        return {"dataset": dataclasses.asdict(spec),
-                "codec": codec_spec,
-                "bound": (None if check_bound(bound) is None
-                          else [bound.kind, bound.value]),
-                "entropy_backend": _entropy_name(entropy_backend,
-                                                 self.entropy_backend),
-                "payload_format": PAYLOAD_FORMAT,
-                "seed": self.seed if seed is None else seed,
-                "shards": shards, "window": window,
-                "variables": (None if variables is None
-                              else list(variables))}
+        facts = {"dataset": dataclasses.asdict(spec),
+                 "codec": codec_spec,
+                 "bound": (None if check_bound(bound) is None
+                           else [bound.kind, bound.value]),
+                 "entropy_backend": _entropy_name(entropy_backend,
+                                                  self.entropy_backend),
+                 "payload_format": PAYLOAD_FORMAT,
+                 "seed": self.seed if seed is None else seed,
+                 "shards": shards, "window": window,
+                 "variables": (None if variables is None
+                               else list(variables))}
+        if resolved.name == DEFAULT_CODEC:
+            # a journal of v2 blobs (which ran the model's whole
+            # schedule) must not resume into a v4 archive
+            facts["blob_version"] = BLOB_VERSION
+        return facts
 
     def _compress_multivar(self, data, codec, bound, names, seed,
                            entropy: str) -> Archive:
@@ -1004,7 +1019,7 @@ class Session:
     @staticmethod
     def _check_expected(name: str, expect: Optional[str],
                         message: str) -> None:
-        if expect and expect != name:
+        if expect and _codec_id(expect) != _codec_id(name):
             raise SessionError(message)
 
     # -- partial / parallel member decode -------------------------------

@@ -21,14 +21,17 @@ weaken the guarantee.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import List, Tuple
 
 import numpy as np
 
 from ..entropy.backend import DEFAULT_BACKEND, get_backend
+from ..entropy.coder import EntropyDecodeError
 from ..postprocess.coding import (ESTIMATE_ERROR_BYTES, decode_ints,
                                   encode_ints, estimate_encoded_size)
+from .mgard import MAX_LEVELS
 from .szlike import SZLikeCompressor
 
 __all__ = ["FAZLikeCompressor", "WaveletCoder", "lift_forward",
@@ -112,8 +115,8 @@ class WaveletCoder:
     name = "wavelet-5/3"
 
     def __init__(self, levels: int = 3):
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
+        if not 1 <= levels <= MAX_LEVELS:
+            raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
         self.levels = levels
 
     def compress(self, frames: np.ndarray, error_bound: float) -> bytes:
@@ -161,17 +164,31 @@ class WaveletCoder:
                 q.astype(np.float64, order="C") * (2 * eb))
 
     def decompress(self, data: bytes) -> np.ndarray:
+        """Every subband decodes, and its count is checked against the
+        header's shape, before the shape is allocated
+        (:class:`~repro.entropy.coder.EntropyDecodeError` otherwise)."""
         if data[:4] != _WAVELET_MAGIC:
             raise ValueError("not a wavelet stream")
         T, H, W, levels, eb = struct.unpack_from(_WHDR, data, 4)
         pos = 4 + struct.calcsize(_WHDR)
         shape = (T, H, W)
+        if not 1 <= levels <= MAX_LEVELS:
+            raise EntropyDecodeError(
+                f"wavelet header names {levels} levels; at most "
+                f"{MAX_LEVELS} halve an axis")
         sizes = _corner_sizes(shape, levels)
-        coarse, pos = decode_ints(data, pos)
-        details = []
-        for _ in range(levels):
-            dv, pos = decode_ints(data, pos)
-            details.append(dv)
+        counts = [math.prod(sizes[-1])] + [
+            math.prod(sizes[lv]) - math.prod(sizes[lv + 1])
+            for lv in range(levels)]
+        bands = []
+        for expected in counts:
+            band, pos = decode_ints(data, pos)
+            if band.size != expected:
+                raise EntropyDecodeError(
+                    f"wavelet stream holds {band.size} coefficients where "
+                    f"header shape {shape} implies {expected}")
+            bands.append(band)
+        coarse, details = bands[0], bands[1:]
 
         work = np.zeros(shape, dtype=np.int64)
         work[:sizes[-1][0], :sizes[-1][1],

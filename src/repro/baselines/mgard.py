@@ -28,6 +28,7 @@ exactly how MGARD serves reduced-resolution queries.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import List, Optional, Tuple
 
@@ -35,10 +36,14 @@ import numpy as np
 
 __all__ = ["MGARDLikeCompressor"]
 
+from ..entropy.coder import EntropyDecodeError
 from ..postprocess.coding import decode_ints, encode_ints
 
 _MAGIC = b"MGD1"
 _HDR = "<IIIIdd"  # T, H, W, levels, eb, budget_ratio
+#: deepest hierarchy: the header's axes are u32, so a level past 32
+#: holds no node of any shape a stream can name
+MAX_LEVELS = 32
 
 
 def _level_mask(shape: Tuple[int, ...], level: int) -> np.ndarray:
@@ -47,6 +52,16 @@ def _level_mask(shape: Tuple[int, ...], level: int) -> np.ndarray:
     mask = np.zeros(shape, dtype=bool)
     mask[tuple(slice(None, None, step) for _ in shape)] = True
     return mask
+
+
+def _level_counts(shape: Tuple[int, ...], levels: int) -> List[int]:
+    """Coefficient count of each chunk :meth:`MGARDLikeCompressor.encode`
+    writes: the coarsest lattice, then the nodes new at each finer
+    level — arithmetic on the shape, nothing allocated."""
+    def lattice(level: int) -> int:
+        return math.prod(-(-n // 2 ** level) for n in shape)
+    return [lattice(levels)] + [lattice(level - 1) - lattice(level)
+                                for level in range(levels, 0, -1)]
 
 
 def _interpolate_from_level(values: np.ndarray, level: int) -> np.ndarray:
@@ -105,8 +120,8 @@ class MGARDLikeCompressor:
     name = "MGARD-like"
 
     def __init__(self, levels: int = 3, budget_ratio: float = 0.5):
-        if levels < 1:
-            raise ValueError("levels must be >= 1")
+        if not 1 <= levels <= MAX_LEVELS:
+            raise ValueError(f"levels must be in [1, {MAX_LEVELS}]")
         if not (0.0 < budget_ratio < 1.0):
             raise ValueError("budget_ratio must be in (0, 1)")
         self.levels = levels
@@ -171,18 +186,30 @@ class MGARDLikeCompressor:
         With ``max_level = k`` the corrections of levels finer than
         ``k`` are dropped and those nodes keep their interpolated
         prediction — the progressive/multiresolution read MGARD serves.
+
+        Every level stream decodes, and its count is checked against
+        the header's shape, before the shape is allocated
+        (:class:`~repro.entropy.coder.EntropyDecodeError` otherwise).
         """
         if data[:4] != _MAGIC:
             raise ValueError("not an MGARD-like stream")
         header = struct.unpack_from(_HDR, data, 4)
-        levels = header[3]
+        shape, levels = header[:3], header[3]
+        if not 1 <= levels <= MAX_LEVELS:
+            raise EntropyDecodeError(
+                f"MGARD-like header names {levels} levels; at most "
+                f"{MAX_LEVELS} hold a node")
         stop_level = 0 if max_level is None else int(max_level)
         if not (0 <= stop_level <= levels):
             raise ValueError(f"max_level must be in [0, {levels}]")
         pos = 4 + struct.calcsize(_HDR)
         chunks = []
-        for _ in range(levels + 1):
+        for expected in _level_counts(shape, levels):
             q, pos = decode_ints(data, pos)
+            if q.size != expected:
+                raise EntropyDecodeError(
+                    f"MGARD-like stream holds {q.size} coefficients where "
+                    f"header shape {shape} implies {expected}")
             chunks.append(q)
         return _reconstruct(header, chunks, stop_level)
 

@@ -62,13 +62,19 @@ __all__ = ["main", "build_parser"]
 #: the default codec — the paper's pipeline, loaded from an artifact
 _DEFAULT_CODEC = "ours"
 
-#: exceptions the facade raises for user-input problems; printed as
-#: ``error: ...`` with exit code 2 instead of a traceback
-_USER_ERRORS = (SessionError, KeyError, ValueError, TypeError)
+#: exceptions the facade raises for user-input problems (a missing or
+#: unreadable path included); printed as ``error: ...`` with exit code
+#: 2 instead of a traceback
+_USER_ERRORS = (SessionError, KeyError, ValueError, TypeError, OSError)
 
 
 def _fail(exc) -> int:
-    print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    if isinstance(exc, OSError) and exc.strerror:
+        message = (f"{exc.strerror}: {exc.filename}"
+                   if exc.filename is not None else exc.strerror)
+    else:
+        message = exc.args[0] if exc.args else exc
+    print(f"error: {message}", file=sys.stderr)
     return 2
 
 
@@ -146,11 +152,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if not save.endswith(".npz"):
         save += ".npz"  # mirror np.savez so the printed path is real
 
-    if args.dataset is not None:
-        source = args.dataset
-    elif args.data:
-        source = np.load(args.data)
-    else:
+    if args.dataset is None and not args.data:
         print("error: give a (T, H, W) .npy file or --dataset NAME "
               f"(registered: {', '.join(list_datasets())})",
               file=sys.stderr)
@@ -158,6 +160,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     session = Session(seed=args.seed)
     try:
+        source = (args.dataset if args.dataset is not None
+                  else np.load(args.data))
         overrides = _parse_shape(args.shape) if args.shape else None
         _, manifest = session.train(
             args.codec, source, save=save, variable=args.variable,
@@ -347,6 +351,17 @@ def _fmt_provenance(value) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(value.items()))
 
 
+def _chain(blob) -> str:
+    """The chain a blob's decode runs."""
+    if blob.schedule_steps is not None:
+        return (f"{blob.sampler}, {blob.sample_steps} of "
+                f"{blob.schedule_steps} steps")
+    if blob.chain_steps() is None:
+        return f"{blob.sampler}, the model's full schedule"
+    return (f"{blob.sampler}, {blob.sample_steps} steps of the model's "
+            f"schedule")
+
+
 def _render_info(info: dict) -> int:
     kind = info["kind"]
     if kind == "artifact":
@@ -382,19 +397,19 @@ def _render_info(info: dict) -> int:
         return 0
     # raw pipeline blob
     blob = info["blob"]
-    total = blob.total_bytes()
+    total = info["total_bytes"]
     print(f"shape            : {blob.shape}")
     print(f"window           : {blob.window}")
     print(f"keyframes        : {blob.keyframe_strategy} "
           f"(interval {blob.keyframe_interval})")
-    print(f"sampler          : {blob.sampler} ({blob.sample_steps} steps)")
+    print(f"sampler          : {_chain(blob)}")
     print(f"entropy backend  : {blob.entropy_backend}")
     from .pipeline.compressor import window_starts
     print(f"windows          : "
           f"{len(window_starts(blob.shape[0], blob.window))}")
     print(f"keyframe latents : {blob.y_shape[0]}")
     print(f"total bytes      : {total}")
-    print(f"  latent (L)     : {blob.latent_bytes()}")
+    print(f"  latent (L)     : {total - blob.guarantee_bytes()}")
     print(f"  guarantee (G)  : {blob.guarantee_bytes()}")
     return 0
 

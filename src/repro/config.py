@@ -78,11 +78,15 @@ class PipelineConfig:
     window: int = 8              # frames per diffusion window; paper 16
     keyframe_interval: int = 3   # paper's best trade-off (Fig. 4)
     keyframe_strategy: str = "interpolation"  # | "prediction" | "mixed"
-    sample_steps: int = 8        # denoising steps at decode time (DDIM)
-    # The paper's fast decode trains at T=1000 and *fine-tunes the model
-    # to a short schedule*, then runs that short chain — i.e. ancestral
-    # sampling over the fine-tuned schedule.  "ddim" instead skips steps
-    # of the long schedule without retraining.
+    # UNet steps at decode time, spaced over the model's schedule by
+    # every sampler (a schedule shorter than this runs whole).  The
+    # paper trains at T=1000, fine-tunes to a short schedule and runs
+    # that chain; "ancestral" respaces the trained schedule to the
+    # short chain without fine-tuning (Nichol & Dhariwal), "ddim" and
+    # "dpm" skip steps of it deterministically.  ``tiny`` and ``small``
+    # run half their trained schedule (fewer steps cost ratio, Fig. 5);
+    # ``paper`` runs its fine-tuned 32.
+    sample_steps: int = 8
     sampler: str = "ancestral"   # | "ddim" | "dpm"
     pca_block: int = 8           # spatial block edge for residual PCA
     pca_rank: int = 32           # retained PCA basis size
@@ -145,7 +149,7 @@ def tiny() -> ReproConfig:
                                   num_frames=6, train_steps=16,
                                   finetune_steps=4, num_groups=2),
         pipeline=PipelineConfig(window=6, keyframe_interval=3,
-                                sample_steps=4, pca_block=4, pca_rank=8),
+                                sample_steps=8, pca_block=4, pca_rank=8),
     )
 
 
@@ -159,7 +163,7 @@ def small() -> ReproConfig:
                                   num_frames=8, train_steps=64,
                                   finetune_steps=8, num_groups=4),
         pipeline=PipelineConfig(window=8, keyframe_interval=3,
-                                sample_steps=8, pca_block=8, pca_rank=16),
+                                sample_steps=32, pca_block=8, pca_rank=16),
     )
 
 

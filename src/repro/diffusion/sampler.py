@@ -8,11 +8,13 @@ never degrades.
 
 Two samplers are provided:
 
-* :func:`ancestral_sample` — the stochastic DDPM chain over all ``T``
-  steps of the model's schedule;
+* :func:`ancestral_sample` — the stochastic DDPM chain over ``steps``
+  timesteps spaced over the model's schedule (all ``T`` by default),
+  its posterior steps respaced to jump between them (Nichol &
+  Dhariwal): the short chain the paper decodes with (Sec. 4.6,
+  Table 2), without fine-tuning the model to it;
 * :func:`ddim_sample` — the deterministic DDIM chain over a spaced
-  subset of steps, which is how the fine-tuned few-step models decode
-  quickly (Sec. 4.6, Table 2).
+  subset of steps.
 
 Each runs its ``*_batched`` twin with one generator shared by every row
 of the ``(B, ...)`` window: a shared generator draws the same sequence
@@ -43,9 +45,10 @@ DEFAULT_CLIP: Tuple[float, float] = (-1.5, 1.5)
 def ancestral_sample(model: ConditionalDDPM, cond_window: np.ndarray,
                      spec: KeyframeSpec,
                      rng: Optional[np.random.Generator] = None,
-                     clip_x0: Optional[Tuple[float, float]] = DEFAULT_CLIP
-                     ) -> np.ndarray:
-    """Full-length stochastic reverse process.
+                     clip_x0: Optional[Tuple[float, float]] = DEFAULT_CLIP,
+                     steps: Optional[int] = None) -> np.ndarray:
+    """Stochastic reverse process over ``steps`` spaced timesteps
+    (``None``: the model's whole schedule).
 
     ``cond_window`` is a ``(B, N, C, H, W)`` array whose keyframe
     entries hold the decoded keyframe latents (other entries are
@@ -54,7 +57,7 @@ def ancestral_sample(model: ConditionalDDPM, cond_window: np.ndarray,
     rng = rng or np.random.default_rng(0)
     return ancestral_sample_batched(model, cond_window, spec,
                                     [rng] * len(cond_window),
-                                    clip_x0=clip_x0)
+                                    clip_x0=clip_x0, steps=steps)
 
 
 def ddim_sample(model: ConditionalDDPM, cond_window: np.ndarray,
@@ -89,30 +92,41 @@ def ancestral_sample_batched(model: ConditionalDDPM,
                              cond_windows: np.ndarray, spec: KeyframeSpec,
                              rngs: Sequence[np.random.Generator],
                              clip_x0: Optional[Tuple[float, float]]
-                             = DEFAULT_CLIP) -> np.ndarray:
+                             = DEFAULT_CLIP,
+                             steps: Optional[int] = None) -> np.ndarray:
     """Stochastic reverse process over ``W`` stacked windows at once.
 
     ``cond_windows`` is ``(W, N, C, H, W')`` with one rng per window;
     the UNet runs a single batched forward per step, amortizing model
     overhead across the whole shard sweep.  The per-step noise buffer is
     reused across steps (``standard_normal(out=...)``).
+
+    The chain visits ``schedule.spaced_timesteps(steps)`` (every
+    timestep when ``steps`` is ``None`` or at least the schedule's
+    length): the UNet sees each original timestep, and the posterior
+    step is the :meth:`~repro.diffusion.schedule.NoiseSchedule.respaced`
+    chain's, which is the schedule itself when nothing is skipped.
     """
+    if steps is not None and steps < 1:
+        raise ValueError("steps must be >= 1")
     cond_windows = np.asarray(cond_windows, dtype=np.float64)
     if len(rngs) != cond_windows.shape[0]:
         raise ValueError(
             f"need {cond_windows.shape[0]} rngs, got {len(rngs)}")
     sched = model.schedule
+    ts = sched.spaced_timesteps(sched.steps if steps is None else steps)
+    chain = sched.respaced(ts)
     y = _init_windows_batched(cond_windows, spec, rngs)
     noise = np.empty_like(y)
-    for t in range(sched.steps, 0, -1):
-        eps_hat = model.predict_noise(y, t)
-        if t > 1:
+    for k, t in zip(range(len(ts), 0, -1), ts):
+        eps_hat = model.predict_noise(y, int(t))
+        if k > 1:
             for b, rng in enumerate(rngs):
                 rng.standard_normal(out=noise[b])
-            y_next = sched.posterior_step(y, t, eps_hat, noise,
+            y_next = chain.posterior_step(y, k, eps_hat, noise,
                                           clip_x0=clip_x0)
         else:
-            y_next = sched.posterior_step(y, t, eps_hat, None,
+            y_next = chain.posterior_step(y, k, eps_hat, None,
                                           clip_x0=clip_x0)
         y = splice(y_next, cond_windows, spec)
     return y
@@ -154,7 +168,8 @@ def generate_latents_batched(model: ConditionalDDPM,
     """
     cond_windows = np.asarray(cond_windows, dtype=np.float64)
     if sampler == "ancestral":
-        return ancestral_sample_batched(model, cond_windows, spec, rngs)
+        return ancestral_sample_batched(model, cond_windows, spec, rngs,
+                                        steps=steps)
     if sampler == "ddim":
         n = steps if steps is not None else model.schedule.steps
         return ddim_sample_batched(model, cond_windows, spec, n, rngs)
@@ -173,7 +188,8 @@ def generate_latents(model: ConditionalDDPM, cond_window: np.ndarray,
     ``steps`` defaults to the model's full schedule length.
     """
     if sampler == "ancestral":
-        return ancestral_sample(model, cond_window, spec, rng=rng)
+        return ancestral_sample(model, cond_window, spec, rng=rng,
+                                steps=steps)
     if sampler == "ddim":
         n = steps if steps is not None else model.schedule.steps
         return ddim_sample(model, cond_window, spec, n, rng=rng)

@@ -62,9 +62,14 @@ class NoiseSchedule:
             raise ValueError(f"unknown schedule kind {kind!r}")
         self.steps = steps
         self.kind = kind
+        self._derive(betas, np.cumprod(1.0 - betas))
+
+    def _derive(self, betas: np.ndarray, alpha_bars: np.ndarray) -> None:
+        """Every per-step array, from the betas and their cumulative
+        products ``ᾱ``."""
         self.betas = betas
         self.alphas = 1.0 - betas
-        self.alpha_bars = np.cumprod(self.alphas)
+        self.alpha_bars = alpha_bars
         self.sqrt_alpha_bars = np.sqrt(self.alpha_bars)
         self.sqrt_one_minus_alpha_bars = np.sqrt(1.0 - self.alpha_bars)
         prev = np.concatenate([[1.0], self.alpha_bars[:-1]])
@@ -149,7 +154,25 @@ class NoiseSchedule:
                 + self.sqrt_one_minus_alpha_bars[j] * eps_hat)
 
     def spaced_timesteps(self, num: int) -> np.ndarray:
-        """Descending sub-sequence of timesteps for few-step sampling."""
+        """Descending sub-sequence of timesteps for few-step sampling:
+        ``min(num, steps)`` distinct timesteps from ``steps`` down to 1."""
         num = min(num, self.steps)
         ts = np.unique(np.linspace(1, self.steps, num).round().astype(int))
         return ts[::-1]
+
+    def respaced(self, timesteps: np.ndarray) -> "NoiseSchedule":
+        """The reverse chain over a descending subset of timesteps
+        (Nichol & Dhariwal, "Improved Denoising Diffusion Probabilistic
+        Models", Sec. 4): its step ``k`` is timestep ``timesteps[-k]``,
+        with ``ᾱ`` taken there and ``β′_k = 1 - ᾱ_k / ᾱ_{k-1}``
+        (``ᾱ_0 = 1``), so :meth:`posterior_step` jumps straight between
+        the kept timesteps.  The whole schedule is ``self``, arrays and
+        all."""
+        if len(timesteps) == self.steps:
+            return self
+        alpha_bars = self.alpha_bars[np.sort(timesteps) - 1]
+        prev = np.concatenate([[1.0], alpha_bars[:-1]])
+        chain = NoiseSchedule.__new__(NoiseSchedule)
+        chain.steps, chain.kind = len(timesteps), self.kind
+        chain._derive(1.0 - alpha_bars / prev, alpha_bars)
+        return chain

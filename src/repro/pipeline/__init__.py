@@ -36,7 +36,8 @@
 from .artifacts import (ArtifactManifest, ArtifactStore, is_artifact,
                         load_artifact, read_manifest, save_artifact)
 from .blob import CompressedBlob
-from .compressor import CompressionResult, LatentDiffusionCompressor
+from .compressor import (CompressionResult, LatentDiffusionCompressor,
+                         ScheduleMismatchError)
 from .container import (ArchiveIndexError, BufferSource, CountingReader,
                         FileObjSource, FileSource, MemberIndex,
                         as_source, read_index, verify_member)
@@ -50,7 +51,8 @@ from .training import TrainingConfig, TwoStageTrainer
 
 __all__ = [
     "CompressedBlob", "LatentDiffusionCompressor",
-    "CompressionResult", "TwoStageTrainer", "TrainingConfig",
+    "CompressionResult", "ScheduleMismatchError", "TwoStageTrainer",
+    "TrainingConfig",
     "CodecEngine", "BatchResult", "WindowReport",
     "ArtifactStore", "ArtifactManifest", "save_artifact",
     "load_artifact", "read_manifest", "is_artifact",

@@ -3,7 +3,8 @@
 A :class:`CompressedBlob` holds everything the decompressor needs:
 
 * global geometry and pipeline settings (window length, keyframe
-  strategy/interval, sampler settings, noise seed),
+  strategy/interval, sampler, the chain's step count and the length of
+  the noise schedule it was spaced over, noise seed),
 * per-frame normalization constants (float32 mean/range pairs),
 * **one** entropy-coded latent stream and **one** hyper-latent stream
   covering the keyframes of *all* temporal windows — batching the
@@ -16,12 +17,14 @@ Window origins are not stored: they are a pure function of ``(T,
 window)`` (see :func:`repro.pipeline.compressor.window_starts`), so the
 decoder re-derives them.
 
-Streams written with a non-default entropy backend (see
-:mod:`repro.entropy.backend`) bump the container to version 3, which
-inserts the backend's one-byte wire tag after the fixed header; the
-decoder self-selects the right coder from it.  Arithmetic-coded blobs
-keep the version-2 layout byte-for-byte, and version-2 readers of this
-class never see a tag — untagged means arithmetic.
+Version 4 is the one layout written.  After the fixed header it
+carries the entropy backend's one-byte wire tag (see
+:mod:`repro.entropy.backend`; the decoder self-selects the coder from
+it) and the schedule length.  Its ``sample_steps`` is the number of
+UNet steps decode runs, at most the schedule length.  Versions 2
+(untagged: arithmetic) and 3 (tagged) are read-only.  They record no
+schedule: their ``ancestral`` chain is the decoding model's whole
+schedule, and ``ddim``/``dpm`` run ``sample_steps`` over it.
 
 ``to_bytes``/``from_bytes`` implement a compact binary format — the
 length of :meth:`CompressedBlob.to_bytes` is exactly the
@@ -37,13 +40,15 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CompressedBlob"]
+__all__ = ["CompressedBlob", "VERSION"]
 
 _MAGIC = b"LDCB"
-_VERSION = 2
-#: version 3 == version 2 plus a one-byte entropy-backend tag; only
-#: written when the backend is not the arithmetic default
-_VERSION_TAGGED = 3
+#: the layout written: the v2 fixed header, the entropy backend's tag
+#: byte and the schedule length (u32)
+VERSION = 4
+#: read-only layouts without a schedule length: v2 (untagged,
+#: arithmetic) and v3 (a backend tag)
+_UNTAGGED, _TAGGED = 2, 3
 _DEFAULT_ENTROPY = "arithmetic"
 
 
@@ -69,6 +74,19 @@ class CompressedBlob:
     bound_payload: bytes = b""
     #: entropy backend both latent streams were coded with
     entropy_backend: str = _DEFAULT_ENTROPY
+    #: length of the model schedule the sampling chain was spaced over;
+    #: ``None`` for a blob read from the v2/v3 layouts, which cannot be
+    #: written again
+    schedule_steps: Optional[int] = None
+
+    # ------------------------------------------------------------------
+    def chain_steps(self) -> Optional[int]:
+        """The UNet steps decode runs: ``sample_steps``, or ``None``
+        (the decoding model's whole schedule) for a v2/v3 ancestral
+        blob."""
+        if self.schedule_steps is None and self.sampler == "ancestral":
+            return None
+        return self.sample_steps
 
     # ------------------------------------------------------------------
     def latent_bytes(self) -> int:
@@ -91,16 +109,17 @@ class CompressedBlob:
         if norms.shape != (T, 2):
             raise ValueError(f"frame_norms must be ({T}, 2), "
                              f"got {norms.shape}")
-        version = (_VERSION if self.entropy_backend == _DEFAULT_ENTROPY
-                   else _VERSION_TAGGED)
+        if self.schedule_steps is None:
+            raise ValueError("blob records no schedule length (a v2/v3 "
+                             "blob is read-only)")
+        _check_chain(self.sample_steps, self.schedule_steps)
+        from ..entropy.backend import get_backend
         parts = [_MAGIC, struct.pack(
-            "<BIIIIBIIq", version, T, H, W, self.window,
+            "<BIIIIBIIq", VERSION, T, H, W, self.window,
             len(strategy), self.keyframe_interval, self.sample_steps,
-            self.noise_seed)]
-        if version == _VERSION_TAGGED:
-            from ..entropy.backend import get_backend
-            parts.append(struct.pack("<B",
-                                     get_backend(self.entropy_backend).tag))
+            self.noise_seed), struct.pack(
+            "<BI", get_backend(self.entropy_backend).tag,
+            self.schedule_steps)]
         parts.append(strategy)
         parts.append(struct.pack("<B", len(sampler)))
         parts.append(sampler)
@@ -126,14 +145,19 @@ class CompressedBlob:
         fmt = "<BIIIIBIIq"
         version, T, H, W, window, slen, interval, steps, seed = (
             struct.unpack_from(fmt, data, 4))
-        if version not in (_VERSION, _VERSION_TAGGED):
+        if version not in (VERSION, _UNTAGGED, _TAGGED):
             raise ValueError(f"unsupported blob version {version}")
         pos = 4 + struct.calcsize(fmt)
         entropy_backend = _DEFAULT_ENTROPY
-        if version == _VERSION_TAGGED:
+        schedule_steps = None
+        if version != _UNTAGGED:
             from ..entropy.backend import backend_from_tag
             entropy_backend = backend_from_tag(data[pos]).name
             pos += 1
+        if version == VERSION:
+            schedule_steps, = struct.unpack_from("<I", data, pos)
+            pos += 4
+            _check_chain(steps, schedule_steps)
         strategy = data[pos:pos + slen].decode()
         pos += slen
         splen, = struct.unpack_from("<B", data, pos)
@@ -172,7 +196,8 @@ class CompressedBlob:
                    y_header=y_header, z_header=z_header,
                    y_shape=y_shape, z_shape=z_shape,
                    bound_payload=bound_payload,
-                   entropy_backend=entropy_backend)
+                   entropy_backend=entropy_backend,
+                   schedule_steps=schedule_steps)
 
     # ------------------------------------------------------------------
     def streams_dict(self) -> Dict:
@@ -181,3 +206,9 @@ class CompressedBlob:
                 "z_stream": self.z_stream, "z_header": self.z_header,
                 "y_shape": self.y_shape, "z_shape": self.z_shape,
                 "entropy_backend": self.entropy_backend}
+
+
+def _check_chain(sample_steps: int, schedule_steps: int) -> None:
+    if not 1 <= sample_steps <= schedule_steps:
+        raise ValueError(f"blob names a {sample_steps}-step chain over a "
+                         f"{schedule_steps}-step schedule")

@@ -13,9 +13,13 @@ Compression path, per temporal window of ``N`` frames:
 5. run the PCA error-bound corrector on the residual (Sec. 3.5) and
    attach its payload.
 
-The decompressor repeats steps 3-4 (deterministically: DDIM + a seed
-stored in the blob) and applies the correction payload, so the error
-bound established at compression time is exactly preserved.
+The decompressor repeats steps 3-4 (deterministically: the blob
+records the sampler, its chain and the schedule that chain was spaced
+over, and each window's noise seed derives from a seed it stores) and
+applies the correction payload, so the error bound established at
+compression time is exactly preserved.  A model whose schedule is not
+the blob's cannot run that chain, and decode refuses it
+(:class:`ScheduleMismatchError`).
 """
 
 from __future__ import annotations
@@ -33,12 +37,18 @@ from ..metrics import CompressionAccounting, nrmse
 from ..postprocess import ErrorBoundCorrector
 from .blob import CompressedBlob
 
-__all__ = ["LatentDiffusionCompressor", "CompressionResult"]
+__all__ = ["LatentDiffusionCompressor", "CompressionResult",
+           "ScheduleMismatchError"]
 
 #: Windows denoised per batched UNet forward.  Caps the working set of
 #: the stacked sampler (noise + activation buffers scale with the batch)
 #: while still amortizing model overhead across a shard sweep.
 MAX_BATCH_WINDOWS = 16
+
+
+class ScheduleMismatchError(ValueError):
+    """A blob's chain was spaced over another schedule than the
+    decoding model's (e.g. the model was fine-tuned after compress)."""
 
 
 @dataclass
@@ -137,7 +147,10 @@ class LatentDiffusionCompressor:
         # windows cover [0, T) exactly, so every element of recon_norm is
         # written below — no need to zero-fill
         recon_norm = np.empty_like(normalized)
-        recons = self._reconstruct_windows(y_int_all, spec, noise_seed)
+        schedule = self.ddpm.schedule.steps
+        steps = min(cfg.sample_steps, schedule)
+        recons = self._reconstruct_windows(y_int_all, spec, noise_seed,
+                                           cfg.sampler, steps)
         for w_i, start in enumerate(starts):
             recon_norm[start:start + cfg.window] = recons[w_i]
 
@@ -146,12 +159,13 @@ class LatentDiffusionCompressor:
             shape=(T, H, W), window=cfg.window,
             keyframe_strategy=cfg.keyframe_strategy,
             keyframe_interval=cfg.keyframe_interval,
-            sampler=cfg.sampler, sample_steps=cfg.sample_steps,
+            sampler=cfg.sampler, sample_steps=steps,
             noise_seed=noise_seed, frame_norms=norms,
             y_stream=streams["y_stream"], z_stream=streams["z_stream"],
             y_header=streams["y_header"], z_header=streams["z_header"],
             y_shape=streams["y_shape"], z_shape=streams["z_shape"],
-            entropy_backend=streams.get("entropy_backend", "arithmetic"))
+            entropy_backend=streams.get("entropy_backend", "arithmetic"),
+            schedule_steps=schedule)
 
         if error_bound is not None:
             if self.corrector is None:
@@ -171,7 +185,17 @@ class LatentDiffusionCompressor:
 
     # ------------------------------------------------------------------
     def decompress(self, blob: CompressedBlob) -> np.ndarray:
-        """Reconstruct frames from a blob (mirrors :meth:`compress`)."""
+        """Reconstruct frames from a blob (mirrors :meth:`compress`).
+
+        Raises :class:`ScheduleMismatchError`, before any sampling, when
+        the blob's chain was spaced over another schedule length than
+        this model's."""
+        schedule = self.ddpm.schedule.steps
+        if blob.schedule_steps not in (None, schedule):
+            raise ScheduleMismatchError(
+                f"blob's {blob.sampler} chain was spaced over a "
+                f"{blob.schedule_steps}-step schedule; this model's has "
+                f"{schedule} steps")
         T, H, W = blob.shape
         spec = keyframe_spec(blob.window, blob.keyframe_strategy,
                              interval=blob.keyframe_interval)
@@ -179,8 +203,7 @@ class LatentDiffusionCompressor:
         y_int_all = self.vae.decompress_latents(blob.streams_dict())
         recon_norm = np.empty((T, H, W))
         recons = self._reconstruct_windows(y_int_all, spec, blob.noise_seed,
-                                           sampler=blob.sampler,
-                                           steps=blob.sample_steps)
+                                           blob.sampler, blob.chain_steps())
         for w_i, start in enumerate(starts):
             recon_norm[start:start + blob.window] = recons[w_i]
         recon = self._denormalize_frames(recon_norm, blob.frame_norms)
@@ -213,13 +236,15 @@ class LatentDiffusionCompressor:
 
     def _reconstruct_windows(self, y_int_all: np.ndarray,
                              spec: KeyframeSpec, base_seed: int,
-                             sampler: Optional[str] = None,
-                             steps: Optional[int] = None) -> np.ndarray:
+                             sampler: str, steps: Optional[int]
+                             ) -> np.ndarray:
         """Shared by compress (simulation) and decompress (real decode).
 
-        Window ``w_i`` seeds its own generator with ``base_seed + w_i``
-        and min-max normalizes from its own keyframe latents; the UNet
-        runs over stacked windows, in chunks of
+        ``sampler`` runs ``steps`` UNet steps (``None``: the model's
+        whole schedule) per window batch.  Window ``w_i`` seeds its own
+        generator with ``base_seed + w_i`` and min-max normalizes from
+        its own keyframe latents; the UNet runs over stacked windows,
+        in chunks of
         :data:`MAX_BATCH_WINDOWS`, one batched forward per chunk.  Two
         decodes under one chunking are bitwise equal, which is how
         decompress reproduces compress.  Under another chunking BLAS
@@ -228,8 +253,6 @@ class LatentDiffusionCompressor:
         error-bound corrector reserves below ``tau`` (measured in
         :class:`~repro.postprocess.ErrorBoundCorrector`).
         """
-        sampler = sampler or self.config.sampler
-        steps = steps or self.config.sample_steps
         K, N = spec.num_cond, spec.n
         _, C, h, w = y_int_all.shape
         n_win = y_int_all.shape[0] // K

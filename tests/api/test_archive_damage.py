@@ -98,52 +98,74 @@ def test_named_and_timed_members_do_not_mix(session, envelope):
         session.decompress(Archive.open(data))
 
 
+#: codec -> (payload magic before its (T, H, W) header, u32 fields
+#: flipped: T, H, W and, where the payload has one, the level count)
+_HEADER_FIELDS = {"szlike": (b"SZL1", 3), "mgard": (b"MGD1", 4),
+                  "fazlike": (b"FAZ1\x00WVL1", 4)}
+
 #: run in a child under a 2 GiB address-space limit, so an allocation
 #: sized from a damaged header fails there as MemoryError instead of
 #: being granted lazily by the kernel
 _SHAPE_FLIPS = r"""
-import json, resource, struct, sys
+import json, resource, struct, sys, time
 import numpy as np
 from repro.api import ArchiveIndexError, Bound, Session, SessionError
 from repro.entropy.coder import EntropyDecodeError
 
 rng = np.random.default_rng(5)
 frames = np.cumsum(rng.standard_normal((8, 8, 8)), axis=0)
-with Session(codec="szlike", executor="serial") as session:
-    envelope = session.compress(frames, bound=Bound.nrmse(1e-3)).data
-    full = session.decompress(envelope)
-    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-    shape_at = 4 + 1 + len("szlike") + 8 + 4   # T, H, W: three u32
-    assert struct.unpack_from("<III", envelope, shape_at) == (8, 8, 8)
-    outcomes = {}
-    for bit in range(96):
-        bad = bytearray(envelope)
-        bad[shape_at + bit // 8] ^= 1 << (bit % 8)
-        try:
-            out = session.decompress(bytes(bad))
-        except (ArchiveIndexError, SessionError, EntropyDecodeError,
-                MemoryError) as exc:
-            outcome = type(exc).__name__
-        else:
-            outcome = ("correct" if np.array_equal(out, full)
-                       else f"wrong {out.shape}")
-        outcomes[outcome] = outcomes.get(outcome, 0) + 1
-print(json.dumps(outcomes))
+report = {}
+for name, (magic, fields) in json.loads(sys.argv[1]).items():
+    magic = bytes.fromhex(magic)
+    with Session(codec=name, executor="serial") as session:
+        envelope = session.compress(frames, bound=Bound.nrmse(1e-3)).data
+        full = session.decompress(envelope)
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        shape_at = 4 + 1 + len(name) + 8 + len(magic)
+        assert envelope[shape_at - len(magic):shape_at] == magic
+        assert struct.unpack_from("<III", envelope, shape_at) == (8, 8, 8)
+        outcomes, slowest = {}, 0.0
+        for bit in range(32 * fields):
+            bad = bytearray(envelope)
+            bad[shape_at + bit // 8] ^= 1 << (bit % 8)
+            start = time.perf_counter()
+            try:
+                out = session.decompress(bytes(bad))
+            except (ArchiveIndexError, SessionError, EntropyDecodeError,
+                    MemoryError) as exc:
+                outcome = type(exc).__name__
+            else:
+                outcome = ("correct" if np.array_equal(out, full)
+                           else f"wrong {out.shape}")
+            slowest = max(slowest, time.perf_counter() - start)
+            outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    report[name] = {"outcomes": outcomes, "slowest_s": slowest}
+print(json.dumps(report))
 """
 
 
 def test_shape_flips_never_allocate_from_the_header():
-    """Every bit flip of an szlike payload's (T, H, W) header ends in a
-    typed error before the decoder allocates the shape it names."""
+    """Every bit flip of the (T, H, W) header of an szlike, mgard or
+    fazlike (wavelet) payload, and of the level count where one is
+    stored, ends in a typed error before the decoder allocates the
+    shape it names or loops over the levels, within 3 s a decode."""
     import json
     import os
     import subprocess
     import sys
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", _SHAPE_FLIPS], env=env,
+    cases = {name: (magic.hex(), fields)
+             for name, (magic, fields) in _HEADER_FIELDS.items()}
+    proc = subprocess.run([sys.executable, "-c", _SHAPE_FLIPS,
+                           json.dumps(cases)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    outcomes = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert sum(outcomes.values()) == 96
-    assert "MemoryError" not in outcomes
-    assert set(outcomes) <= {"EntropyDecodeError", "correct"}, outcomes
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert sorted(report) == sorted(_HEADER_FIELDS)
+    for name, (_, fields) in _HEADER_FIELDS.items():
+        outcomes = report[name]["outcomes"]
+        assert sum(outcomes.values()) == 32 * fields, name
+        assert "MemoryError" not in outcomes, (name, outcomes)
+        assert set(outcomes) <= {"EntropyDecodeError", "correct"}, (
+            name, outcomes)
+        assert report[name]["slowest_s"] < 3.0, (name, report[name])

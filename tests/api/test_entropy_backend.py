@@ -248,19 +248,22 @@ class TestContainerTags:
             y_stream=b"yy", z_stream=b"zz",
             y_header={"L": 3}, z_header={"zmin": -1, "zmax": 2},
             y_shape=(2, 1, 2, 2), z_shape=(2, 1, 1, 1),
-            entropy_backend=backend)
+            entropy_backend=backend, schedule_steps=4)
 
-    def test_arithmetic_blob_keeps_version_2_wire(self):
+    # v2 (untagged arithmetic) and v3 (tagged) blobs are read-only now,
+    # pinned by tests/pipeline/data/ldcb_v2_v3.npz; every blob written
+    # is a tagged v4 blob
+    def test_arithmetic_blob_is_tagged_version_4(self):
         data = self._blob("arithmetic").to_bytes()
-        assert data[4] == 2  # version byte: legacy layout untouched
+        assert data[4] == 4
         back = CompressedBlob.from_bytes(data)
         assert back.entropy_backend == "arithmetic"
         assert back.y_header == {"L": 3}
 
-    def test_tagged_blob_bumps_to_version_3(self):
+    def test_tagged_blob_is_version_4(self):
         blob = self._blob("vrans")
         data = blob.to_bytes()
-        assert data[4] == 3
+        assert data[4] == 4
         back = CompressedBlob.from_bytes(data)
         assert back.entropy_backend == "vrans"
         assert back.y_header == {"L": 3, "backend": "vrans"}
@@ -268,9 +271,9 @@ class TestContainerTags:
                                  "backend": "vrans"}
         assert back.streams_dict()["entropy_backend"] == "vrans"
 
-    def test_tagged_blob_is_one_byte_longer(self):
+    def test_every_backend_writes_the_same_header_bytes(self):
         assert (len(self._blob("rans").to_bytes())
-                == len(self._blob("arithmetic").to_bytes()) + 1)
+                == len(self._blob("arithmetic").to_bytes()))
 
     def test_trans_blob_roundtrips_tag(self):
         back = CompressedBlob.from_bytes(self._blob("trans").to_bytes())

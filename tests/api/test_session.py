@@ -189,6 +189,9 @@ class TestTrainedArtifactSweep:
             trained = s.resolve_codec()
             for name in ("vae-sr", "vae_sr", "VAE-SR"):
                 assert s.resolve_codec(name) is trained
+        for name in ("vae_sr", "VAE-SR", " Vae-Sr "):
+            with Session(codec=name, artifact=artifact) as s:
+                assert s.resolve_codec().name == "vae-sr"
 
     def test_artifact_name_mismatch_rejected(self, artifact):
         with pytest.raises(SessionError, match="holds codec 'vae-sr'"):
@@ -236,6 +239,10 @@ class TestCodecResolution:
             archive = s.compress(frames, bound=Bound.nrmse(0.05))
             with pytest.raises(SessionError, match="szlike"):
                 s.decompress(archive, expect_codec="mgard")
+            for name in ("SZLIKE", " SZLike ", "szlike"):
+                np.testing.assert_array_equal(
+                    s.decompress(archive, expect_codec=name),
+                    s.decompress(archive))
 
     def test_bad_source_types(self):
         s = Session(codec="szlike")

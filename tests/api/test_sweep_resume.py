@@ -143,6 +143,46 @@ class TestJournalFingerprint:
         assert self._fingerprint(tmp_path / "j") == self.PINS["wrapped"]
 
 
+class TestOursJournalOfV2Blobs:
+    """An ``ours`` sweep journal written when blobs were v2 (whose
+    chain was the model's whole schedule) is refused, never resumed
+    into an archive that mixes its shards with v4 ones.  Rule-based
+    journals keep their fingerprints (:class:`TestJournalFingerprint`).
+    """
+
+    #: header fingerprint the last v2-writing release gave this sweep
+    V2_FINGERPRINT = ("86d3e588057e1a5ac94ac821fa098bda"
+                      "bce5328e469a0268c5b8ceeea979239c")
+    SPEC = dict(bound=Bound.nrmse(0.05), shards=2, variables=[0])
+
+    @staticmethod
+    def _session():
+        from ..pipeline.test_artifact_pins import _build_ours
+        return Session(codec=_build_ours(), executor="serial", seed=5)
+
+    def test_blob_version_is_a_fact(self):
+        from repro.data.registry import get_dataset_spec
+        from repro.pipeline.blob import VERSION
+        from repro.runtime.journal import facts_fingerprint
+        spec = get_dataset_spec("e3sm", t=12, h=16, w=16)
+        with self._session() as s:
+            facts = s.sweep_facts(spec, **self.SPEC)
+            szlike = s.sweep_facts(spec, codec="szlike", **self.SPEC)
+        assert facts.pop("blob_version") == VERSION == 4
+        assert facts_fingerprint(facts) == self.V2_FINGERPRINT
+        assert "blob_version" not in szlike
+
+    def test_v2_journal_is_refused(self, tmp_path):
+        from repro.runtime import SweepJournal
+        journal = tmp_path / "j"
+        SweepJournal(journal, fingerprint=self.V2_FINGERPRINT).close()
+        with self._session() as s:
+            with pytest.raises(SessionError, match="different parameters"):
+                s.sweep("e3sm", journal=journal, resume=True,
+                        dataset_overrides={"t": 12, "h": 16, "w": 16},
+                        **self.SPEC)
+
+
 class TestCompressIsUnjournaledSweep:
     """``compress(dataset, ...)`` is ``sweep(..., journal=None)``."""
 

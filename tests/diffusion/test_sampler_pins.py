@@ -18,7 +18,9 @@ from repro.diffusion import (ConditionalDDPM, ancestral_sample,
 from .test_unet_ddpm import CFG
 
 #: sha256 of the sampler output for (sampler, rows, rng seed); model
-#: seed 0, interpolation keyframes every 3 frames, 4 DDIM/DPM steps
+#: seed 0 (an 8-step schedule), interpolation keyframes every 3
+#: frames, 4 DDIM/DPM steps; ``ancestral`` runs the whole schedule and
+#: ``ancestral-4`` 4 timesteps respaced over it
 GOLDEN = {
     ("ancestral", 1, 1): "17d216216d74789531cf1e0a4d6f6a27"
                          "dc6a1a2b65b5c946152e737dd9deae7c",
@@ -56,10 +58,24 @@ GOLDEN = {
                    "a265a7bbe1e094ace98860c94145fc12",
     ("dpm", 2, 3): "be7aa6d4e5438c45621d7fa2d564af18"
                    "cba77a74dce29a9c801d21a1095fff46",
+    ("ancestral-4", 1, 1): "ff44b08ac9b2ef1fc775aa9b390c1d66"
+                           "46aaae62432be0b37caa65cfdec4db6c",
+    ("ancestral-4", 1, 2): "de8253e3c51b343af3a5e67fb55c157a"
+                           "690d18c8c878615a2b2774cdac6f0850",
+    ("ancestral-4", 1, 3): "ce7a3c27a615967f25580c6c530d8a40"
+                           "587c16194e499a5e01d16c7b4ac02e35",
+    ("ancestral-4", 2, 1): "5708d0c7b8a1418b166ef729cccb2b12"
+                           "aba0e0d6164dd1be83412c4fa52b3eb0",
+    ("ancestral-4", 2, 2): "98c8a885d856bb673b190761d51eb653"
+                           "6066249b864504a2bf80367ee58bd3b4",
+    ("ancestral-4", 2, 3): "9b8359f515bbc6b25bdb8c2fafaf148e"
+                           "395df101025a4c1cc8c2c69d7c00c18e",
 }
 
 SAMPLERS = {
     "ancestral": lambda m, c, s, rng: ancestral_sample(m, c, s, rng=rng),
+    "ancestral-4": lambda m, c, s, rng: ancestral_sample(m, c, s, rng=rng,
+                                                         steps=4),
     "ddim": lambda m, c, s, rng: ddim_sample(m, c, s, 4, rng=rng),
     "dpm": lambda m, c, s, rng: dpm_solver_sample(m, c, s, 4, rng=rng),
 }
@@ -80,3 +96,16 @@ def test_output_pinned(model, sampler, rows, seed):
                                   cond[:, spec.cond_idx])
     digest = hashlib.sha256(out.tobytes()).hexdigest()
     assert digest == GOLDEN[(sampler, rows, seed)]
+
+
+@pytest.mark.parametrize("steps", [8, 9, 100])
+def test_ancestral_chain_at_least_the_schedule_is_the_schedule(model,
+                                                               steps):
+    """A chain as long as the schedule (or longer) runs every timestep
+    on the schedule's own arrays: bitwise the default chain."""
+    spec = keyframe_spec(4, "interpolation", interval=3)
+    cond = np.random.default_rng(2).normal(size=(2, 4, 2, 4, 4))
+    full = ancestral_sample(model, cond, spec, np.random.default_rng(1))
+    out = ancestral_sample(model, cond, spec, np.random.default_rng(1),
+                           steps=steps)
+    np.testing.assert_array_equal(out, full)

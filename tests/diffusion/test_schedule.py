@@ -106,6 +106,48 @@ class TestNoiseSchedule:
         # more steps than schedule -> clamp
         assert len(NoiseSchedule(4).spaced_timesteps(100)) == 4
 
+    @pytest.mark.parametrize("steps, num", [(16, 8), (16, 4), (64, 32),
+                                            (1000, 32), (16, 1)])
+    def test_spaced_timesteps_are_distinct(self, steps, num):
+        """``num`` distinct timesteps: the chain runs exactly ``num``
+        UNet steps, the count a blob records."""
+        ts = NoiseSchedule(steps).spaced_timesteps(num)
+        assert len(ts) == num and ts[-1] == 1
+
+    def test_respaced_chain(self):
+        """Nichol & Dhariwal respacing: ᾱ at the kept timesteps, and
+        β′ = 1 - ᾱ_t / ᾱ_t′ between consecutive kept timesteps (ᾱ = 1
+        after the last), so the DDPM posterior jumps between them."""
+        s = NoiseSchedule(16)
+        ts = s.spaced_timesteps(8)
+        chain = s.respaced(ts)
+        assert chain.steps == 8
+        kept = s.alpha_bars[ts[::-1] - 1]
+        np.testing.assert_array_equal(chain.alpha_bars, kept)
+        prev = np.concatenate([[1.0], kept[:-1]])
+        np.testing.assert_allclose(chain.betas, 1.0 - kept / prev)
+        np.testing.assert_allclose(np.cumprod(chain.alphas), kept,
+                                   rtol=1e-12)
+        # the posterior mean of x_t' given (x_t, x0): Eq. 7 of Ho et al.
+        # with ᾱ_{t-1} -> ᾱ_t'
+        k = 5                              # chain step k is ts[-k]
+        ab, ab_prev = kept[k - 1], kept[k - 2]
+        beta = 1.0 - ab / ab_prev
+        np.testing.assert_allclose(
+            chain.posterior_coef_x0[k - 1],
+            np.sqrt(ab_prev) * beta / (1.0 - ab))
+        np.testing.assert_allclose(
+            chain.posterior_coef_yt[k - 1],
+            np.sqrt(1.0 - beta) * (1.0 - ab_prev) / (1.0 - ab))
+        # predict_x0 at chain step k is the schedule's at timestep t
+        y, eps = np.ones(3), np.full(3, 0.5)
+        np.testing.assert_array_equal(chain.predict_x0(y, k, eps),
+                                      s.predict_x0(y, int(ts[-k]), eps))
+
+    def test_respacing_every_timestep_is_the_schedule(self):
+        s = NoiseSchedule(16)
+        assert s.respaced(s.spaced_timesteps(16)) is s
+
 
 @settings(max_examples=30, deadline=None)
 @given(steps=st.integers(1, 200), kind=st.sampled_from(["linear", "cosine"]))

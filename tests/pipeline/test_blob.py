@@ -1,10 +1,18 @@
-"""Blob container serialization tests (batched-stream format v2)."""
+"""Blob container serialization tests (batched-stream format v4).
+
+Version 4 is the one layout written; versions 2 and 3 are read-only
+and pinned by ``data/ldcb_v2_v3.npz``
+(:mod:`tests.pipeline.test_blob_chain`).
+"""
+
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.entropy.backend import get_backend
 from repro.pipeline import CompressedBlob
 
 
@@ -13,6 +21,7 @@ def make_blob(t=12, payload=b"corr", seed=0):
     return CompressedBlob(
         shape=(t, 16, 16), window=6, keyframe_strategy="interpolation",
         keyframe_interval=3, sampler="ddim", sample_steps=4, noise_seed=42,
+        schedule_steps=16,
         frame_norms=rng.normal(size=(t, 2)).astype(np.float32),
         y_stream=bytes(rng.integers(0, 256, 40, dtype=np.uint8)),
         z_stream=bytes(rng.integers(0, 256, 13, dtype=np.uint8)),
@@ -31,6 +40,7 @@ class TestBlobRoundtrip:
         assert back.keyframe_interval == blob.keyframe_interval
         assert back.sampler == blob.sampler
         assert back.sample_steps == blob.sample_steps
+        assert back.schedule_steps == blob.schedule_steps
         assert back.noise_seed == blob.noise_seed
         np.testing.assert_allclose(back.frame_norms, blob.frame_norms,
                                    atol=1e-7)
@@ -99,13 +109,15 @@ def test_blob_roundtrip_property(data):
     seed = data.draw(st.integers(0, 10_000))
     rng = np.random.default_rng(seed)
     t = data.draw(st.integers(4, 20))
+    steps = data.draw(st.integers(1, 100))
     blob = CompressedBlob(
         shape=(t, 8, 8), window=4,
         keyframe_strategy=data.draw(st.sampled_from(
             ["interpolation", "prediction", "mixed"])),
         keyframe_interval=data.draw(st.integers(1, 6)),
         sampler=data.draw(st.sampled_from(["ddim", "ancestral"])),
-        sample_steps=data.draw(st.integers(1, 100)),
+        sample_steps=steps,
+        schedule_steps=data.draw(st.integers(steps, 1000)),
         noise_seed=data.draw(st.integers(-2 ** 40, 2 ** 40)),
         frame_norms=rng.normal(size=(t, 2)).astype(np.float32),
         y_stream=rng.bytes(int(rng.integers(0, 60))),
@@ -118,3 +130,53 @@ def test_blob_roundtrip_property(data):
         bound_payload=rng.bytes(data.draw(st.integers(0, 50))))
     back = CompressedBlob.from_bytes(blob.to_bytes())
     assert back.to_bytes() == blob.to_bytes()
+
+
+class TestVersion4:
+    def test_written_layout(self):
+        """v2's fixed header, then the backend tag and the schedule
+        length: 5 B more than a v2 blob."""
+        data = make_blob().to_bytes()
+        assert data[:4] == b"LDCB" and data[4] == 4
+        at = 4 + struct.calcsize("<BIIIIBIIq")
+        assert data[at] == get_backend("arithmetic").tag
+        assert struct.unpack_from("<I", data, at + 1) == (16,)
+
+    def test_every_backend_is_tagged(self):
+        for backend in ("arithmetic", "rans", "vrans", "trans"):
+            blob = make_blob()
+            blob.entropy_backend = backend
+            back = CompressedBlob.from_bytes(blob.to_bytes())
+            assert back.entropy_backend == backend
+            assert back.schedule_steps == 16
+
+    @pytest.mark.parametrize("steps, schedule",
+                             [(0, 16), (17, 16), (1, 0)])
+    def test_chain_outside_its_schedule_is_refused(self, steps, schedule):
+        blob = make_blob()
+        blob.sample_steps, blob.schedule_steps = steps, schedule
+        with pytest.raises(ValueError, match="chain"):
+            blob.to_bytes()
+        good = make_blob().to_bytes()
+        at = 4 + struct.calcsize("<BIIIIBIIq")
+        bad = bytearray(good)
+        struct.pack_into("<I", bad, at - 12, steps)
+        struct.pack_into("<I", bad, at + 1, schedule)
+        with pytest.raises(ValueError, match="chain"):
+            CompressedBlob.from_bytes(bytes(bad))
+
+    def test_blob_without_a_schedule_is_not_written(self):
+        blob = make_blob()
+        blob.schedule_steps = None
+        with pytest.raises(ValueError, match="read-only"):
+            blob.to_bytes()
+
+    def test_chain_steps(self):
+        blob = make_blob()
+        assert blob.chain_steps() == 4
+        blob.sampler = "ancestral"
+        assert blob.chain_steps() == 4
+        blob.schedule_steps = None      # as read from a v2/v3 blob
+        assert blob.chain_steps() is None
+        blob.sampler = "ddim"
+        assert blob.chain_steps() == 4

@@ -65,6 +65,40 @@ class TestTrainCompressDecompress:
         out = capsys.readouterr().out
         assert "latent (L)" in out
         assert "guarantee (G)" in out
+        # the chain decode runs: half of the tiny model's schedule
+        assert "sampler          : ancestral, 8 of 16 steps" in out
+
+    @pytest.mark.parametrize("key", ["v2", "v3"])
+    def test_info_of_a_read_only_blob(self, key, tmp_path, capsys):
+        """A v2/v3 blob records 4 steps but its decode runs the model's
+        whole schedule; info says so, and counts its bytes as read."""
+        import pathlib
+        fixture = (pathlib.Path(__file__).parent / "pipeline" / "data"
+                   / "ldcb_v2_v3.npz")
+        with np.load(fixture) as fx:
+            data = fx[f"{key}_blob"].tobytes()
+        blob = tmp_path / "old.ldc"
+        blob.write_bytes(data)
+        assert main(["info", str(blob)]) == 0
+        out = capsys.readouterr().out
+        assert "sampler          : ancestral, the model's full schedule" \
+            in out
+        assert f"total bytes      : {len(data)}" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["compress", "{missing}.npy", "{out}", "--codec", "szlike",
+         "--nrmse-bound", "0.01"],
+        ["decompress", "{missing}.cdx", "{out}"],
+        ["info", "{missing}.cdx"],
+        ["train", "{missing}.npy", "--save", "{out}.npz"]])
+    def test_missing_input_is_a_user_error(self, argv, tmp_path, capsys):
+        missing, out = tmp_path / "nope", tmp_path / "out"
+        argv = [a.format(missing=missing, out=out) for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: No such file or directory: "
+                       f"{argv[1]}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_train_rejects_bad_shape(self, tmp_path):
         bad = tmp_path / "bad.npy"
