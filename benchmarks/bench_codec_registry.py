@@ -24,9 +24,13 @@ few percent of serial (there is nothing to parallelize); the process
 pool's advantage over the GIL-bound codec loops appears with real
 cores.
 
-The ``nn`` block times compress+decompress of every learned codec and
-embeds the top ops of a profiled decompress (``repro.nn.profile``); the
-full table is written to ``BENCH_nn_profile.txt`` for CI to upload.
+The ``nn`` block times compress+decompress of every learned codec,
+embeds the top ops of a profiled decompress (``repro.nn.profile``; the
+full table is written to ``BENCH_nn_profile.txt`` for CI to upload),
+and carries a ``training`` row: the median milliseconds per stage-1
+(VAE) and stage-2 (diffusion) step of the ``tiny`` ``ours`` config on
+the ``flagship-ours`` window shape.  Every record carries the host
+facts it was measured on (``host``).
 Entries up to the one where every nn module got a single forward also
 carry ``legacy_seconds``/``speedup`` against an in-run emulation of
 the op-chain path; that path is gone, so later entries time the one
@@ -52,7 +56,7 @@ from repro.pipeline.plan import (pack_shard_archive, plan_shards,
                                  ShardEntry)
 from repro.runtime import TaskRuntime
 
-from .conftest import save_json
+from .conftest import host_facts, save_json
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRAJECTORY = REPO_ROOT / "BENCH_codecs.json"
@@ -356,6 +360,36 @@ NN_CODECS = ("ours", "gcd", "cdc-eps", "cdc-x", "vae-sr")
 NN_REPS = 3
 NN_PROFILE_TXT = REPO_ROOT / "BENCH_nn_profile.txt"
 NN_PROFILE_TOP = 5
+#: training row: 6x32x32 windows every 2 frames of a 48-frame e3sm run
+#: (the ``flagship-ours`` training set's shape), steps timed after warm-up
+TRAIN_T, TRAIN_HW, TRAIN_SEED = 48, 32, 7
+TRAIN_WARMUP, TRAIN_STEPS = 2, 12
+
+
+def _training_row() -> dict:
+    """Median ms per VAE step and per diffusion step of ``tiny``."""
+    from repro.config import tiny
+    from repro.pipeline.training import TrainingConfig, TwoStageTrainer
+
+    window = tiny().pipeline.window
+    sim = get_dataset_spec("e3sm", t=TRAIN_T, h=TRAIN_HW, w=TRAIN_HW,
+                           seed=TRAIN_SEED).build().frames(0)
+    windows = [sim[i:i + window] for i in range(0, TRAIN_T - window + 1, 2)]
+    # one stamp per step: the gaps after the first step exclude set-up
+    iters = TRAIN_WARMUP + TRAIN_STEPS + 1
+    trainer = TwoStageTrainer(tiny(), TrainingConfig(
+        vae_iters=iters, diffusion_iters=iters), seed=1)
+    row = {"workload": f"e3sm-{len(windows)}x{window}x{TRAIN_HW}x{TRAIN_HW}"
+                       f"-seed{TRAIN_SEED}",
+           "config": "tiny", "steps": TRAIN_STEPS}
+    for stage, run in (("vae", trainer.train_vae),
+                       ("diffusion", trainer.train_diffusion)):
+        stamps = []
+        run(windows, on_step=lambda _it, _loss: stamps.append(
+            time.perf_counter()))
+        gaps = np.diff(stamps)[TRAIN_WARMUP:]
+        row[f"{stage}_step_ms"] = round(1e3 * float(np.median(gaps)), 3)
+    return row
 
 
 def _nn_block(frames: np.ndarray) -> dict:
@@ -363,7 +397,8 @@ def _nn_block(frames: np.ndarray) -> dict:
 
     Returns the ``record["nn"]`` block: min-of-reps compress+decompress
     wall clock per codec (``fast_seconds``, the key earlier entries
-    diff against) and the top profiled ops of a flagship decompress.
+    diff against), the top profiled ops of a flagship decompress and
+    the training row.
     """
     from repro.nn import profile as nn_profile
 
@@ -398,6 +433,7 @@ def _nn_block(frames: np.ndarray) -> dict:
         "workload": "e3sm-12x16x16-seed11",
         "codecs": codecs,
         "profile_top": prof.top(NN_PROFILE_TOP),
+        "training": _training_row(),
     }
 
 
@@ -418,6 +454,15 @@ def _print_nn(nn_row: dict, prior: dict) -> None:
     for op in nn_row["profile_top"]:
         print(f"  {op['op']:<28} x{op['calls']:<6d} {op['seconds']:.4f}s "
               f"peak {op['peak_bytes'] / (1 << 20):.2f} MiB")
+    train, was = nn_row["training"], prior.get("training", {})
+    print(f"training ({train['workload']}, {train['config']}, median of "
+          f"{train['steps']} steps):")
+    for stage in ("vae", "diffusion"):
+        key = f"{stage}_step_ms"
+        line = f"  {stage:10s} {train[key]:8.2f} ms/step"
+        if key in was:
+            line += f"  vs prior x{train[key] / max(was[key], 1e-9):.2f}"
+        print(line)
 
 
 def _print_entropy_table(workload: str, backends: dict,
@@ -703,7 +748,7 @@ def test_codec_registry_smoke(benchmark, tmp_path):
             <= ARCHIVE_MAX_BYTES_RATIO), archive_row
 
     record = {"workload": "e3sm-12x16x16-seed11",
-              "rel_bound": REL_BOUND,
+              "host": host_facts(), "rel_bound": REL_BOUND,
               "codecs": rows, "executors": engine_row,
               "facade": facade_row, "entropy": entropy_row,
               "nn": nn_row, "archive": archive_row}

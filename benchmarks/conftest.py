@@ -11,8 +11,11 @@ qualitative orderings are what the benches assert (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import json
+import os
 import pathlib
-from typing import Dict, List
+import platform
+import subprocess
+from typing import Dict, List, Optional
 
 import numpy as np
 import pytest
@@ -49,6 +52,24 @@ def save_json(name: str, payload) -> pathlib.Path:
     path = OUT_DIR / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, default=float))
     return path
+
+
+def _git_rev() -> Optional[str]:
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"],
+                             cwd=pathlib.Path(__file__).parent,
+                             capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return out.stdout.strip() or None
+
+
+def host_facts() -> Dict[str, object]:
+    """Revision, host and toolchain a bench record was measured on."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {"git_rev": _git_rev(), "cpu_count": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name')} {blas.get('version')}"}
 
 
 def dataset_frames(key: str) -> np.ndarray:

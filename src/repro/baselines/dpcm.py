@@ -27,7 +27,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import check_header_float, decode_ints, encode_ints
 
 __all__ = ["DPCMCompressor"]
 
@@ -86,6 +86,7 @@ class DPCMCompressor:
         if data[:4] != _MAGIC:
             raise ValueError("not a DPCM stream")
         T, H, W, order, eb = struct.unpack_from(_HDR, data, 4)
+        check_header_float(eb, "error bound")
         pos = 4 + struct.calcsize(_HDR)
         q_all, pos = decode_ints(data, pos)
         q_all = q_all.reshape(T, H, W)

@@ -29,8 +29,9 @@ import numpy as np
 
 from ..entropy.backend import DEFAULT_BACKEND, get_backend
 from ..entropy.coder import EntropyDecodeError
-from ..postprocess.coding import (ESTIMATE_ERROR_BYTES, decode_ints,
-                                  encode_ints, estimate_encoded_size)
+from ..postprocess.coding import (ESTIMATE_ERROR_BYTES, check_header_float,
+                                  decode_ints, encode_ints,
+                                  estimate_encoded_size)
 from .mgard import MAX_LEVELS
 from .szlike import SZLikeCompressor
 
@@ -170,6 +171,7 @@ class WaveletCoder:
         if data[:4] != _WAVELET_MAGIC:
             raise ValueError("not a wavelet stream")
         T, H, W, levels, eb = struct.unpack_from(_WHDR, data, 4)
+        check_header_float(eb, "error bound")
         pos = 4 + struct.calcsize(_WHDR)
         shape = (T, H, W)
         if not 1 <= levels <= MAX_LEVELS:

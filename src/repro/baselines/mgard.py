@@ -37,7 +37,7 @@ import numpy as np
 __all__ = ["MGARDLikeCompressor"]
 
 from ..entropy.coder import EntropyDecodeError
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import check_header_float, decode_ints, encode_ints
 
 _MAGIC = b"MGD1"
 _HDR = "<IIIIdd"  # T, H, W, levels, eb, budget_ratio
@@ -199,6 +199,8 @@ class MGARDLikeCompressor:
             raise EntropyDecodeError(
                 f"MGARD-like header names {levels} levels; at most "
                 f"{MAX_LEVELS} hold a node")
+        check_header_float(header[4], "error bound")
+        check_header_float(header[5], "budget ratio", upper=1.0)
         stop_level = 0 if max_level is None else int(max_level)
         if not (0 <= stop_level <= levels):
             raise ValueError(f"max_level must be in [0, {levels}]")

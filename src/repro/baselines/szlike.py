@@ -26,7 +26,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..entropy.coder import EntropyDecodeError
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import check_header_float, decode_ints, encode_ints
 
 __all__ = ["SZLikeCompressor"]
 
@@ -122,6 +122,7 @@ class SZLikeCompressor:
         if data[:4] != _MAGIC:
             raise ValueError("not an SZ-like stream")
         T, H, W, eb = struct.unpack_from("<IIId", data, 4)
+        check_header_float(eb, "error bound")
         pos = 4 + struct.calcsize("<IIId")
         shape = (T, H, W)
 

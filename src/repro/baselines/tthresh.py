@@ -30,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import check_header_float, decode_ints, encode_ints
 
 __all__ = ["TTHRESHLikeCompressor", "hosvd", "tucker_reconstruct"]
 
@@ -83,6 +83,7 @@ def _read_head(data: bytes) -> Tuple[tuple, int]:
     of the coded core after it."""
     vals = struct.unpack_from(_HDR, data, 4)
     shape, ranks, step = vals[:3], vals[3:6], vals[6]
+    check_header_float(step, "quantizer step")
     pos = 4 + struct.calcsize(_HDR)
     factors = []
     for n, r in zip(shape, ranks):

@@ -26,7 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..postprocess.coding import decode_ints, encode_ints
+from ..postprocess.coding import check_header_float, decode_ints, encode_ints
 
 __all__ = ["ZFPLikeCompressor"]
 
@@ -106,10 +106,12 @@ class ZFPLikeCompressor:
     def decompress(self, data: bytes) -> np.ndarray:
         if data[:4] != _MAGIC:
             raise ValueError("not a ZFP-like stream")
+        header = struct.unpack_from(_HDR, data, 4)
+        check_header_float(header[5], "error bound")
         pos = 4 + struct.calcsize(_HDR)
         dc, pos = decode_ints(data, pos)
         ac, pos = decode_ints(data, pos)
-        return _reconstruct(struct.unpack_from(_HDR, data, 4), dc, ac)
+        return _reconstruct(header, dc, ac)
 
 
 def _reconstruct(header: Tuple, dc: np.ndarray,

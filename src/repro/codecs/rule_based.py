@@ -102,6 +102,9 @@ class RuleBasedCodec(Codec):
             raise ValueError(
                 f"{self.name} is an error-bounded coder and requires a "
                 f"{self.capabilities.bound_kind} bound")
+        if not 0.0 < bound < float("inf"):  # the decoders refuse the same
+            raise ValueError(f"{self.name} needs a finite positive bound, "
+                             f"got {bound!r}")
         _require_finite(self.name, frames)
         t0 = time.perf_counter()
         payload, recon = self._impl.encode(frames, **{self.bound_arg:

@@ -1,17 +1,32 @@
-"""Differentiable 2-D convolution ops (tap-loop + im2col formulations).
+"""Differentiable 2-D convolution ops (im2col GEMMs and tap loops).
 
-Two interchangeable kernel strategies compute the same cross-correlation:
+Which kernel serves which pass:
 
-* a short loop over kernel taps — each tap a fully vectorised ``einsum``
-  over the batch (memory-lean, good for large frames);
-* an im2col/``as_strided`` patch matrix contracted in a single GEMM
-  (fastest for the small latent grids the UNet spends its time on).
+* ``conv2d`` forward: an im2col/``as_strided`` patch matrix contracted
+  in a single GEMM (fastest for the small latent grids the UNet spends
+  its time on), or a short loop over kernel taps, each tap one
+  vectorised ``einsum`` over the batch (memory-lean, for frames whose
+  patch matrix would pass ``IM2COL_MAX_BYTES``, and for 1x1 kernels,
+  whose single tap is already one contraction).  ``_conv2d_forward``
+  picks by shape alone, so grad-mode and ``no_grad`` forwards always
+  run the *same* kernel for a given shape.
+* ``conv2d`` input gradient: at stride 1, the same forward kernels run
+  on the output gradient padded by ``k - 1 - p``, with the kernel
+  rotated 180 degrees and its in/out channels swapped (the full
+  correlation of Dumoulin & Visin, arXiv:1603.07285).  At stride > 1,
+  and for 1x1 kernels, one GEMM fills a column buffer that ``kh * kw``
+  strided adds fold back onto the input grid (col2im).
+* ``conv2d`` weight gradient: one GEMM over the patch matrix.
+* ``conv_transpose2d`` forward: the tap loop that scatters one einsum
+  per tap onto the output grid.  It is the adjoint of the conv2d
+  forward, kept as it was so inference stays bitwise; it is also the
+  memory-lean input gradient when a strided column buffer would pass
+  the budget.  Its backward runs the conv2d forward and weight-gradient
+  kernels with the roles swapped.
 
-``_conv2d_forward`` picks between them with a byte-budget heuristic so
-grad-mode and ``no_grad`` forwards always run the *same* kernel for a
-given shape.  Einsum contraction paths are planned once per
-(subscripts, shapes, dtypes) signature and memoized — ``np.einsum_path``
-re-planning used to dominate the inference profile.
+Every GEMM path falls back to its tap loop when its buffer would pass
+``IM2COL_MAX_BYTES``.  Einsum contraction paths are planned once per
+(subscripts, shapes, dtypes) signature and memoized.
 
 Shape conventions (match PyTorch):
 
@@ -38,16 +53,18 @@ IM2COL_MAX_BYTES = 1 << 26
 _EINSUM_PATHS: Dict[tuple, list] = {}
 
 
-def _pad2d(x: np.ndarray, p: int) -> np.ndarray:
-    """Zero-pad the two trailing axes by ``p`` on each side.
+def _pad2d(x: np.ndarray, ph: int, pw: Optional[int] = None) -> np.ndarray:
+    """Zero-pad the two trailing axes by ``ph`` rows and ``pw`` columns
+    (default ``ph``) on each side.
 
     Equivalent to ``np.pad`` with a constant mode but without its
     per-axis Python bookkeeping, which showed up in the denoise-loop
     profile (hundreds of small pads per sampled window).
     """
+    pw = ph if pw is None else pw
     B, C, H, W = x.shape
-    xp = np.zeros((B, C, H + 2 * p, W + 2 * p), dtype=x.dtype)
-    xp[:, :, p:-p, p:-p] = x
+    xp = np.zeros((B, C, H + 2 * ph, W + 2 * pw), dtype=x.dtype)
+    xp[:, :, ph:ph + H, pw:pw + W] = x
     return xp
 
 
@@ -57,7 +74,10 @@ def cached_einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
     ``optimize=True`` re-runs the path optimizer on every call — for the
     small per-tap contractions here the planning costs more than the
     contraction itself.  Paths depend only on subscripts, operand shapes
-    and dtypes, so they are cached on exactly that key.
+    and dtypes, so they are cached on exactly that key.  The cache saves
+    the planning only: ``np.einsum`` still parses the subscripts and
+    validates the memoized path against the operands on every call,
+    which is why the hot backward kernels are GEMMs instead.
     """
     key = (subscripts,) + tuple(
         (op.shape, op.dtype.str) for op in operands)
@@ -89,11 +109,18 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
     return windows.reshape(C * kh * kw, B * Ho * Wo)
 
 
+def _patch_fits(B: int, C: int, Ho: int, Wo: int, kh: int, kw: int,
+                itemsize: int) -> bool:
+    """Whether a ``(C*kh*kw, B*Ho*Wo)`` patch or column buffer stays
+    within ``IM2COL_MAX_BYTES``."""
+    return B * Ho * Wo * C * kh * kw * itemsize <= IM2COL_MAX_BYTES
+
+
 def _use_im2col(B: int, C: int, Ho: int, Wo: int, kh: int, kw: int,
                 itemsize: int) -> bool:
     if kh == 1 and kw == 1:
         return False            # 1x1 taps are already a single einsum
-    return B * Ho * Wo * C * kh * kw * itemsize <= IM2COL_MAX_BYTES
+    return _patch_fits(B, C, Ho, Wo, kh, kw, itemsize)
 
 
 def _conv2d_forward_taps(x: np.ndarray, w: np.ndarray, stride: int,
@@ -136,20 +163,75 @@ def _conv2d_forward(x: np.ndarray, w: np.ndarray, stride: int,
     return _conv2d_forward_taps(x, w, stride, Ho, Wo)
 
 
-def _conv2d_grad_input(g: np.ndarray, w: np.ndarray, stride: int,
-                       padding: int, in_shape: Tuple[int, ...]) -> np.ndarray:
-    """Adjoint of :func:`_conv2d_forward` w.r.t. its input."""
+def _conv_transpose2d_taps(x: np.ndarray, w: np.ndarray, stride: int,
+                           padding: int, out_shape: Tuple[int, ...]
+                           ) -> np.ndarray:
+    """Transposed convolution as a tap loop: each tap's einsum is added
+    onto the strided output positions it reaches.
+
+    ``w`` is ``(Cin, Cout, kh, kw)`` read as a conv2d weight mapping the
+    ``out_shape`` grid onto ``x``'s, so this is the adjoint of
+    :func:`_conv2d_forward` with that weight.
+    """
+    B, Cout, H, W = out_shape
+    _, _, kh, kw = w.shape
+    Hi, Wi = x.shape[2], x.shape[3]
+    yp = np.zeros((B, Cout, H + 2 * padding, W + 2 * padding), dtype=x.dtype)
+    for k in range(kh):
+        for l in range(kw):
+            contrib = cached_einsum("bohw,oc->bchw", x, w[:, :, k, l])
+            yp[:, :, k:k + stride * Hi:stride,
+               l:l + stride * Wi:stride] += contrib
+    if padding:
+        return yp[:, :, padding:-padding, padding:-padding]
+    return yp
+
+
+def _conv2d_grad_input_flipped(g: np.ndarray, w: np.ndarray,
+                               padding: int) -> np.ndarray:
+    """Stride-1 input gradient: the correlation of ``g``, padded by
+    ``k - 1 - p``, with ``w`` rotated 180 degrees and its in/out
+    channels swapped."""
+    _, _, kh, kw = w.shape
+    ph, pw = kh - 1 - padding, kw - 1 - padding
+    # a padding past k - 1 makes output rows that read only zeros; they
+    # send no gradient to the input, so they are cropped
+    ch, cw = max(0, -ph), max(0, -pw)
+    g = g[:, :, ch:g.shape[2] - ch, cw:g.shape[3] - cw]
+    if ph > 0 or pw > 0:
+        g = _pad2d(g, max(0, ph), max(0, pw))
+    return _conv2d_forward(g, w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, 0)
+
+
+def _conv2d_grad_input_col2im(g: np.ndarray, w: np.ndarray, stride: int,
+                              padding: int, in_shape: Tuple[int, ...]
+                              ) -> np.ndarray:
+    """Input gradient as one GEMM into a ``(B, Cin, kh, kw, Ho, Wo)``
+    column buffer, then ``kh * kw`` strided adds onto the padded input
+    grid (col2im)."""
     B, Cin, H, W = in_shape
     Cout, _, kh, kw = w.shape
     Ho, Wo = g.shape[2], g.shape[3]
+    cols = (w.reshape(Cout, Cin * kh * kw).T
+            @ g.reshape(B, Cout, Ho * Wo)).reshape(B, Cin, kh, kw, Ho, Wo)
     dxp = np.zeros((B, Cin, H + 2 * padding, W + 2 * padding), dtype=g.dtype)
     for k in range(kh):
         for l in range(kw):
-            contrib = cached_einsum("bohw,oc->bchw", g, w[:, :, k, l])
-            dxp[:, :, k:k + stride * Ho:stride, l:l + stride * Wo:stride] += contrib
-    if padding:
-        return dxp[:, :, padding:-padding, padding:-padding]
-    return dxp
+            dxp[:, :, k:k + stride * Ho:stride,
+                l:l + stride * Wo:stride] += cols[:, :, k, l]
+    return dxp[:, :, padding:padding + H, padding:padding + W]
+
+
+def _conv2d_grad_input(g: np.ndarray, w: np.ndarray, stride: int,
+                       padding: int, in_shape: Tuple[int, ...]) -> np.ndarray:
+    """Adjoint of :func:`_conv2d_forward` w.r.t. its input."""
+    B, Cin, _, _ = in_shape
+    _, _, kh, kw = w.shape
+    if stride == 1 and kh * kw > 1:
+        return _conv2d_grad_input_flipped(g, w, padding)
+    if _patch_fits(B, Cin, g.shape[2], g.shape[3], kh, kw, g.itemsize):
+        return _conv2d_grad_input_col2im(g, w, stride, padding, in_shape)
+    return _conv_transpose2d_taps(g, w, stride, padding, in_shape)
 
 
 def _conv2d_grad_weight(x: np.ndarray, g: np.ndarray, stride: int,
@@ -161,7 +243,7 @@ def _conv2d_grad_weight(x: np.ndarray, g: np.ndarray, stride: int,
     Ho, Wo = g.shape[2], g.shape[3]
     Cout, Cin = g.shape[1], x.shape[1]
     B = x.shape[0]
-    if _use_im2col(B, Cin, Ho, Wo, kh, kw, x.itemsize):
+    if _patch_fits(B, Cin, Ho, Wo, kh, kw, x.itemsize):
         cols = _im2col(x, kh, kw, stride, Ho, Wo)
         gm = g.transpose(1, 0, 2, 3).reshape(Cout, B * Ho * Wo)
         return (gm @ cols.T).reshape(Cout, Cin, kh, kw)
@@ -217,8 +299,8 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, padding: int = 0,
     """2-D transposed convolution (the VAE decoder's upsampler).
 
     Weight shape is ``(Cin, Cout, kh, kw)`` as in PyTorch.  Implemented
-    as the adjoint of :func:`conv2d`: the forward pass *is* the conv
-    input-gradient kernel, and the backward passes reuse the conv
+    as the adjoint of :func:`conv2d`: the forward pass is the
+    transposed-conv tap loop, and the backward passes reuse the conv
     forward / weight-gradient kernels with roles swapped.
     """
     x, w = as_tensor(x), as_tensor(w)
@@ -228,12 +310,8 @@ def conv_transpose2d(x, w, b=None, stride: int = 1, padding: int = 0,
     assert Cin == Cin2, f"channel mismatch: {Cin} vs {Cin2}"
     Ho, Wo = conv_transpose2d_out_shape(H, W, kh, kw, stride, padding,
                                         output_padding)
-    # Interpret w as a conv weight mapping Cout -> Cin; then
-    # conv_transpose(x) == grad_input(conv) evaluated at g = x.
-    y = _conv2d_grad_input(
-        x.data, w.data, stride, padding, (B, Cout, Ho + 2 * 0, Wo))
-    # _conv2d_grad_input computed for in_shape (B,Cout,Ho,Wo) -- the call
-    # above passes that directly:
+    y = _conv_transpose2d_taps(x.data, w.data, stride, padding,
+                               (B, Cout, Ho, Wo))
     if bt is not None:
         y = y + bt.data.reshape(1, -1, 1, 1)
 

@@ -17,12 +17,15 @@ Semantics worth knowing:
 * Timings are *cumulative*: a ``conv2d.forward`` call records its full
   duration **and** the nested ``conv2d.forward.im2col`` kernel records
   its share, so parent and child rows overlap.  The table is a ranking
-  of hot paths, not a partition of wall time.
+  of hot paths, not a partition of wall time.  The stride-1
+  ``conv2d.grad_input.flipped_corr`` runs the conv2d forward kernel,
+  so in a backward pass the ``conv2d.forward`` rows also count those
+  calls, nested under it.
 * ``Tensor._from_op`` rows (plain op names such as ``silu`` or
   ``conv2d``) time only graph bookkeeping — the numpy compute happens
-  before ``_from_op`` runs.  Kernel rows (``conv2d.*``, ``gdn.*``,
-  ``linear.*``, ``norm.*`` for group and layer norm, ``sdpa.*``) carry
-  real compute time.
+  before ``_from_op`` runs.  Kernel rows (``conv2d.*``,
+  ``conv_transpose2d.*``, ``gdn.*``, ``linear.*``, ``norm.*`` for group
+  and layer norm, ``sdpa.*``) carry real compute time.
 * Profilers nest: every active profiler on the stack receives every
   event, so an outer profiler sees the totals of inner sections.
 
@@ -117,7 +120,10 @@ _KERNELS = (
     (_conv, "_conv2d_forward_taps", "conv2d.forward.taps"),
     (_conv, "_conv2d_forward_im2col", "conv2d.forward.im2col"),
     (_conv, "_conv2d_grad_input", "conv2d.grad_input"),
+    (_conv, "_conv2d_grad_input_flipped", "conv2d.grad_input.flipped_corr"),
+    (_conv, "_conv2d_grad_input_col2im", "conv2d.grad_input.col2im"),
     (_conv, "_conv2d_grad_weight", "conv2d.grad_weight"),
+    (_conv, "_conv_transpose2d_taps", "conv_transpose2d.taps"),
     (_gdn, "_gdn_forward", "gdn.forward"),
     (_modules, "_linear_forward", "linear.forward"),
     (_modules, "_norm_forward", "norm.forward"),

@@ -31,7 +31,7 @@ from ..entropy.backend import (DEFAULT_BACKEND, backend_from_tag,
 from ..entropy.coder import EntropyDecodeError, pmf_to_cumulative
 
 __all__ = ["encode_ints", "decode_ints", "estimate_encoded_size",
-           "ESTIMATE_ERROR_BYTES", "PAYLOAD_FORMAT"]
+           "check_header_float", "ESTIMATE_ERROR_BYTES", "PAYLOAD_FORMAT"]
 
 #: Names the bytes :func:`encode_ints` writes.  Anything that caches or
 #: journals encoded payloads keys on it, so output written under an
@@ -287,6 +287,24 @@ def decode_ints(data: bytes, offset: int = 0) -> Tuple[np.ndarray, int]:
     if magic == _TAGGED_MAGIC:
         return _decode_coded(data, offset + 3, _tagged_backend(data, offset))
     return _decode_legacy(data, offset, magic)
+
+
+def check_header_float(value: float, field: str,
+                       upper: float = float("inf")) -> None:
+    """Refuse ``value``, a float read from a payload header, unless it
+    lies in ``(0, upper)``.
+
+    Every rule-based decoder scales its decoded integers by an error
+    bound or quantizer step from its header.  A value its encoder
+    refuses (non-finite or not positive; a ratio outside (0, 1)) would
+    decode to a non-finite or wrong array with no error, so it raises
+    :class:`~repro.entropy.coder.EntropyDecodeError` before any decode
+    work instead.
+    """
+    if not 0.0 < value < upper:     # NaN fails every comparison
+        raise EntropyDecodeError(
+            f"corrupted payload: header {field} {value!r} is not in "
+            f"(0, {upper:g})")
 
 
 def _tagged_backend(data: bytes, offset: int):

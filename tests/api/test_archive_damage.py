@@ -169,3 +169,81 @@ def test_shape_flips_never_allocate_from_the_header():
         assert set(outcomes) <= {"EntropyDecodeError", "correct"}, (
             name, outcomes)
         assert report[name]["slowest_s"] < 3.0, (name, report[name])
+
+
+#: codec -> (payload magic, header layout after it, index of the float
+#: the decoder scales its integers by: error bound or quantizer step)
+_HEADER_FLOATS = {"szlike": (b"SZL1", "<IIId", 3),
+                  "dpcm": (b"DPC1", "<IIIId", 4),
+                  "zfplike": (b"ZFL1", "<IIIIId", 5),
+                  "tthresh": (b"TTH1", "<IIIIIId", 6),
+                  "mgard": (b"MGD1", "<IIIIdd", 4),
+                  "fazlike": (b"FAZ1\x00WVL1", "<IIIId", 4)}
+
+
+@pytest.fixture(scope="module")
+def rule_based_payloads():
+    """name -> payload of an 8x8x8 normal stack at NRMSE 1e-2."""
+    frames = np.random.default_rng(5).standard_normal((8, 8, 8))
+    payloads = {}
+    for name in _HEADER_FLOATS:
+        with Session(codec=name, executor="serial") as s:
+            envelope = s.compress(frames, bound=Bound.nrmse(1e-2)).data
+        payloads[name] = unpack_envelope(envelope)[1]
+    return payloads
+
+
+def _overwrite_float(payload, magic, layout, index, value):
+    assert payload.startswith(magic)
+    bad = bytearray(payload)
+    at = len(magic) + struct.calcsize("<" + layout[1:1 + index])
+    struct.pack_into("<d", bad, at, value)
+    return bytes(bad)
+
+
+def _refused_both_ways(name, payload):
+    from repro.codecs import get_codec
+    with pytest.raises(EntropyDecodeError, match="header"):
+        get_codec(name).decompress(payload)
+    with Session(codec=name, executor="serial") as s:
+        with pytest.raises(EntropyDecodeError, match="header"):
+            s.decompress(pack_envelope(name, payload))
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0],
+                         ids=["inf", "nan", "zero", "negative"])
+@pytest.mark.parametrize("name", sorted(_HEADER_FLOATS))
+def test_header_bound_compress_refuses_is_refused(rule_based_payloads,
+                                                  name, value):
+    """A header bound (or step) no encoder writes raises on decode,
+    through the codec and through an envelope; before, it decoded to a
+    non-finite or wrong array with no error."""
+    bad = _overwrite_float(rule_based_payloads[name],
+                           *_HEADER_FLOATS[name], value)
+    _refused_both_ways(name, bad)
+
+
+@pytest.mark.parametrize("ratio", [7.0, 1.0, 0.0, np.nan])
+def test_mgard_header_budget_ratio_outside_unit_interval(
+        rule_based_payloads, ratio):
+    bad = _overwrite_float(rule_based_payloads["mgard"], b"MGD1",
+                           "<IIIIdd", 5, ratio)
+    _refused_both_ways("mgard", bad)
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -1.0])
+def test_compress_refuses_what_decode_refuses(value):
+    from repro.codecs import get_codec
+    frames = np.random.default_rng(5).standard_normal((8, 8, 8))
+    for name in _HEADER_FLOATS:
+        with pytest.raises(ValueError, match="finite positive bound"):
+            get_codec(name).compress(frames, value)
+
+
+def test_intact_header_floats_decode_as_before(rule_based_payloads):
+    from repro.codecs import get_codec
+    for name, payload in rule_based_payloads.items():
+        codec = get_codec(name)
+        out = codec.decompress(payload)
+        assert np.isfinite(out).all()
+        assert out.shape == (8, 8, 8)

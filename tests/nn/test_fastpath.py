@@ -170,6 +170,33 @@ class TestProfiler:
         for op in ("layer_norm", "linear", "sdpa"):
             assert prof.stats[op].calls >= 1, op
 
+    def test_labels_name_the_kernel_that_ran(self):
+        """A conv2d backward reports its own kernels; a transposed-conv
+        forward is not reported as a conv2d input gradient."""
+        x = Tensor(arr(2, 3, 8, 8), requires_grad=True)
+        conv = Conv2d(3, 4, 3, padding=1, rng=np.random.default_rng(0))
+        down = Conv2d(4, 4, 3, stride=2, padding=1,
+                      rng=np.random.default_rng(1))
+        y = down(conv(x))
+        with nn_profile.profile() as backward:
+            y.sum().backward()
+        calls = {name: s.calls for name, s in backward.stats.items()}
+        assert calls["conv2d.grad_input"] == 2
+        assert calls["conv2d.grad_input.flipped_corr"] == 1
+        assert calls["conv2d.grad_input.col2im"] == 1
+        assert calls["conv2d.grad_weight"] == 2
+        # the stride-1 input gradient is a forward of the flipped kernel
+        assert calls["conv2d.forward"] == 1
+        assert "conv_transpose2d.taps" not in calls
+
+        up = ConvTranspose2d(4, 2, 4, stride=2, padding=1,
+                             rng=np.random.default_rng(2))
+        with nn_profile.profile() as forward:
+            with no_grad():
+                up(Tensor(arr(2, 4, 5, 5)))
+        assert forward.stats["conv_transpose2d.taps"].calls == 1
+        assert not any(name.startswith("conv2d.") for name in forward.stats)
+
     def test_records_grad_mode_op_census(self):
         module = Linear(4, 3, rng=np.random.default_rng(0))
         with nn_profile.profile() as prof:

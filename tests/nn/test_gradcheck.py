@@ -324,6 +324,19 @@ class TestConvKernelDispatch:
         monkeypatch.setattr(conv_mod, "IM2COL_MAX_BYTES", 0)
         self._check()
 
+    @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["gemm", "taps"])
+    @pytest.mark.parametrize("hw,k,p", [((8, 6), 3, 1), ((7, 9), 5, 2),
+                                        ((6, 7), 1, 0)],
+                             ids=["drops-rows", "5x5", "1x1"])
+    def test_conv2d_strided(self, monkeypatch, budget, hw, k, p):
+        """Stride 2: the col2im input gradient, including grids whose
+        last rows no output reads."""
+        from repro.nn import conv as conv_mod
+        monkeypatch.setattr(conv_mod, "IM2COL_MAX_BYTES", budget)
+        check_gradients(
+            lambda x, w: F.conv2d(x, w, stride=2, padding=p),
+            [arr(2, 3, *hw), arr(4, 3, k, k)], atol=1e-5)
+
 
 class TestGDNFused:
     """The fused GDN op's analytic backward against numeric gradients."""
