@@ -363,11 +363,17 @@ NN_PROFILE_TOP = 5
 #: training row: 6x32x32 windows every 2 frames of a 48-frame e3sm run
 #: (the ``flagship-ours`` training set's shape), steps timed after warm-up
 TRAIN_T, TRAIN_HW, TRAIN_SEED = 48, 32, 7
-TRAIN_WARMUP, TRAIN_STEPS = 2, 12
+TRAIN_WARMUP, TRAIN_STEPS = 2, 30
 
 
 def _training_row() -> dict:
-    """Median ms per VAE step and per diffusion step of ``tiny``."""
+    """Median and quartiles of the ms per VAE step and per diffusion
+    step of ``tiny``.
+
+    Unpinned wall clock: whole runs of the same code differ by more
+    than their quartiles on a shared host, so a change shows only as
+    a median outside the other entry's quartiles, repeated.
+    """
     from repro.config import tiny
     from repro.pipeline.training import TrainingConfig, TwoStageTrainer
 
@@ -387,8 +393,11 @@ def _training_row() -> dict:
         stamps = []
         run(windows, on_step=lambda _it, _loss: stamps.append(
             time.perf_counter()))
-        gaps = np.diff(stamps)[TRAIN_WARMUP:]
-        row[f"{stage}_step_ms"] = round(1e3 * float(np.median(gaps)), 3)
+        q1, med, q3 = 1e3 * np.percentile(np.diff(stamps)[TRAIN_WARMUP:],
+                                          (25, 50, 75))
+        row[f"{stage}_step_ms"] = round(float(med), 3)
+        row[f"{stage}_step_iqr_ms"] = [round(float(q1), 3),
+                                       round(float(q3), 3)]
     return row
 
 
@@ -455,14 +464,21 @@ def _print_nn(nn_row: dict, prior: dict) -> None:
         print(f"  {op['op']:<28} x{op['calls']:<6d} {op['seconds']:.4f}s "
               f"peak {op['peak_bytes'] / (1 << 20):.2f} MiB")
     train, was = nn_row["training"], prior.get("training", {})
-    print(f"training ({train['workload']}, {train['config']}, median of "
-          f"{train['steps']} steps):")
+    print(f"training ({train['workload']}, {train['config']}, median "
+          f"[quartiles] of {train['steps']} steps, unpinned wall clock):")
     for stage in ("vae", "diffusion"):
-        key = f"{stage}_step_ms"
-        line = f"  {stage:10s} {train[key]:8.2f} ms/step"
-        if key in was:
-            line += f"  vs prior x{train[key] / max(was[key], 1e-9):.2f}"
+        line = f"  {stage:10s} {_step_ms(train, stage)}"
+        if f"{stage}_step_ms" in was:
+            line += f"   prior {_step_ms(was, stage)}"
         print(line)
+
+
+def _step_ms(train: dict, stage: str) -> str:
+    """One stage of a training row; entries before the quartiles were
+    recorded print the median alone."""
+    text = f"{train[f'{stage}_step_ms']:8.2f} ms/step"
+    iqr = train.get(f"{stage}_step_iqr_ms")
+    return text + (f" [{iqr[0]:.2f}-{iqr[1]:.2f}]" if iqr else "")
 
 
 def _print_entropy_table(workload: str, backends: dict,

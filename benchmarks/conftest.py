@@ -66,10 +66,14 @@ def _git_rev() -> Optional[str]:
 
 def host_facts() -> Dict[str, object]:
     """Revision, host and toolchain a bench record was measured on."""
-    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (AttributeError, KeyError, TypeError):
+        blas = None     # NumPy < 1.26, or a build without BLAS metadata
     return {"git_rev": _git_rev(), "cpu_count": os.cpu_count(),
             "python": platform.python_version(), "numpy": np.__version__,
-            "blas": f"{blas.get('name')} {blas.get('version')}"}
+            "blas": blas}
 
 
 def dataset_frames(key: str) -> np.ndarray:

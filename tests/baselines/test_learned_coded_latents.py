@@ -6,9 +6,10 @@ entropy-decodes its own streams; decompress reads the same latents back
 from the streams.  Archives are pinned to the bytes written while
 compress still decoded its own streams.  Reconstructions also move when
 training gradients move at rounding level, so all four are pinned to
-the GEMM conv backward's training (at most 4.3e-12 from the per-tap
-einsum backward's floats, cdc-eps on a range of 185, 2.3e-14 of it;
-no archive byte moved).
+the GEMM conv backward's training.  Its stride-1 input gradient (the
+flipped-kernel forward) sums in another order than the per-tap einsum
+loop did and moves all four, by at most 4.3e-12 (cdc-eps on a range of
+185, 2.3e-14 of it); no archive byte moved.
 """
 
 import hashlib

@@ -1,9 +1,9 @@
 """The conv2d backward kernels against the transposed-conv tap loop.
 
-``_conv2d_grad_input`` runs a flipped-kernel correlation (stride 1) or
-one GEMM plus col2im adds (stride > 1, 1x1 kernels); the tap loop it
-replaced is kept as the ``ConvTranspose2d`` forward and serves as the
-oracle here.  Different summation orders, so values are compared to a
+``_conv2d_grad_input`` runs a flipped-kernel correlation (stride 1,
+square ``k x k`` kernels with k > 1 and ``p < k``) or one GEMM plus
+col2im adds (every other shape); the tap loop it replaced is kept as
+the ``ConvTranspose2d`` forward and serves as the oracle here.  Different summation orders, so values are compared to a
 relative tolerance, not bitwise.
 """
 

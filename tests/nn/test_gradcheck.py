@@ -305,14 +305,21 @@ class TestConvKernelDispatch:
     """Both conv kernels must carry correct gradients.
 
     The byte-budget heuristic is forced each way so the single-GEMM
-    im2col kernel and the tap loop are each gradchecked explicitly,
-    whatever the default dispatch would pick for these shapes.
+    kernels (im2col forward, col2im input gradient) and the tap loops
+    are each gradchecked explicitly, whatever the default dispatch
+    would pick for these shapes.
     """
 
+    #: stride-2 (hw, k, p): a grid whose last rows no output reads,
+    #: a 5x5 and a 1x1 kernel
+    CASES = (((7, 7), 3, 1), ((8, 6), 3, 1), ((7, 9), 5, 2),
+             ((6, 7), 1, 0))
+
     def _check(self):
-        check_gradients(
-            lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=1),
-            [arr(2, 3, 7, 7), arr(4, 3, 3, 3), arr(4)], atol=1e-5)
+        for hw, k, p in self.CASES:
+            check_gradients(
+                lambda x, w, b: F.conv2d(x, w, b, stride=2, padding=p),
+                [arr(2, 3, *hw), arr(4, 3, k, k), arr(4)], atol=1e-5)
 
     def test_conv2d_im2col_forced(self, monkeypatch):
         from repro.nn import conv as conv_mod
@@ -323,19 +330,6 @@ class TestConvKernelDispatch:
         from repro.nn import conv as conv_mod
         monkeypatch.setattr(conv_mod, "IM2COL_MAX_BYTES", 0)
         self._check()
-
-    @pytest.mark.parametrize("budget", [1 << 40, 0], ids=["gemm", "taps"])
-    @pytest.mark.parametrize("hw,k,p", [((8, 6), 3, 1), ((7, 9), 5, 2),
-                                        ((6, 7), 1, 0)],
-                             ids=["drops-rows", "5x5", "1x1"])
-    def test_conv2d_strided(self, monkeypatch, budget, hw, k, p):
-        """Stride 2: the col2im input gradient, including grids whose
-        last rows no output reads."""
-        from repro.nn import conv as conv_mod
-        monkeypatch.setattr(conv_mod, "IM2COL_MAX_BYTES", budget)
-        check_gradients(
-            lambda x, w: F.conv2d(x, w, stride=2, padding=p),
-            [arr(2, 3, *hw), arr(4, 3, k, k)], atol=1e-5)
 
 
 class TestGDNFused:
